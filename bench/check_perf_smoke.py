@@ -2,9 +2,10 @@
 """CI perf-smoke gate over BENCH_throughput.json.
 
 Fails (exit 1) when the bench JSON is missing the tail-latency /
-zipf-workload structure DESIGN §11 promises, or when the 1-worker sweep
+zipf-workload structure DESIGN §11 promises, when the 1-worker sweep
 throughput drops more than 30% below the checked-in floor
-(bench/throughput_floor.json). Keys are asserted by name so a refactor
+(bench/throughput_floor.json), or when the median telemetry on/off
+throughput ratio over interleaved pairs falls below 0.90. Keys are asserted by name so a refactor
 that silently drops a reported metric breaks CI, not the perf trajectory.
 
 Usage: check_perf_smoke.py BENCH_throughput.json throughput_floor.json
@@ -112,10 +113,17 @@ def main(argv):
     overhead = bench.get("telemetry_overhead")
     if not isinstance(overhead, dict):
         fail("telemetry_overhead section missing")
+    # The ratio is the median over interleaved on/off pairs; a single pair
+    # on a shared runner is too noisy to gate on.
+    if overhead.get("pairs", 0) < 9:
+        fail("telemetry_overhead has %s pairs, expected at least 9"
+             % overhead.get("pairs"))
     ratio = overhead.get("throughput_ratio_on_vs_off", 0.0)
-    if ratio < 0.95:
-        fail("telemetry-on throughput is %.1f%% of telemetry-off "
-             "(must stay above 95%%)" % (ratio * 100.0))
+    if ratio < 0.90:
+        fail("telemetry-on throughput is %.1f%% of telemetry-off in the "
+             "median pair (must stay above 90%%; quartiles %.4f..%.4f)"
+             % (ratio * 100.0, overhead.get("ratio_p25", 0.0),
+                overhead.get("ratio_p75", 0.0)))
 
     one_worker = [p for p in sweep if p.get("workers") == 1]
     if not one_worker:

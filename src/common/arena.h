@@ -1,143 +1,22 @@
-// Bump-pointer arena and a pooled fixed-size node allocator.
+// Pooled fixed-size node allocator.
 //
-// Two allocation disciplines back the session hot path (DESIGN §11):
-//
-//  - Arena: a classic bump allocator over chained blocks. Allocation is a
-//    pointer increment; Reset() rewinds every block for reuse without
-//    returning memory to the system, so a session that builds and discards
-//    temporary rows per statement stops paying malloc/free per value.
-//    Objects with non-trivial destructors must be created through NewOwned,
-//    which registers the destructor to run (in reverse creation order) on
-//    Reset/destruction; trivially-destructible data can use Alloc/New.
-//
-//  - NodePool: a freelist of fixed-size slots carved from slabs that are
-//    intentionally never freed, fronted by a thread-local cache. Expr's
-//    class-level operator new/delete route through it (src/sqlast/ast.cc),
-//    which removes the per-node heap round trip on the generate / clone /
-//    rectify / reduce path. Slots freed on any thread go onto that thread's
-//    cache; a thread donates its cache to the global pool on exit, and new
-//    threads adopt from the pool. Because slabs are immortal, a node
-//    allocated on a worker and destroyed on the main thread (findings moved
-//    across the shard merge) is always safe.
+// NodePool is a freelist of fixed-size slots carved from slabs that are
+// intentionally never freed, fronted by a thread-local cache (DESIGN §11).
+// Expr's class-level operator new/delete route through it
+// (src/sqlast/ast.cc), which removes the per-node heap round trip on the
+// generate / clone / rectify / reduce path. Slots freed on any thread go
+// onto that thread's cache; a thread donates its cache to the global pool
+// on exit, and new threads adopt from the pool. Because slabs are immortal,
+// a node allocated on a worker and destroyed on the main thread (findings
+// moved across the shard merge) is always safe.
 #ifndef PQS_SRC_COMMON_ARENA_H_
 #define PQS_SRC_COMMON_ARENA_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <new>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace pqs {
-
-class Arena {
- public:
-  explicit Arena(size_t block_bytes = 64 * 1024)
-      : block_bytes_(block_bytes < 256 ? 256 : block_bytes) {}
-  ~Arena() {
-    RunDestructors();
-    for (Block& b : blocks_) ::operator delete(b.data);
-  }
-
-  Arena(const Arena&) = delete;
-  Arena& operator=(const Arena&) = delete;
-
-  // Raw bytes; the caller is responsible for destruction (use for
-  // trivially-destructible data only).
-  void* Alloc(size_t bytes, size_t align = alignof(std::max_align_t)) {
-    if (current_ < blocks_.size()) {
-      Block& b = blocks_[current_];
-      // Align the address, not the offset: the block base itself only
-      // carries operator-new alignment, so over-aligned requests must
-      // account for it.
-      size_t base = reinterpret_cast<size_t>(b.data);
-      size_t aligned = ((base + b.used + align - 1) & ~(align - 1)) - base;
-      if (aligned + bytes <= b.size) {
-        b.used = aligned + bytes;
-        return b.data + aligned;
-      }
-      // Try the next recycled block (after Reset) before growing.
-      if (current_ + 1 < blocks_.size()) {
-        ++current_;
-        blocks_[current_].used = 0;
-        return Alloc(bytes, align);
-      }
-    }
-    size_t size = bytes + align > block_bytes_ ? bytes + align : block_bytes_;
-    Block b;
-    b.data = static_cast<char*>(::operator new(size));
-    b.size = size;
-    b.used = 0;
-    blocks_.push_back(b);
-    current_ = blocks_.size() - 1;
-    return Alloc(bytes, align);
-  }
-
-  template <typename T, typename... A>
-  T* New(A&&... args) {
-    static_assert(std::is_trivially_destructible<T>::value,
-                  "use NewOwned for types with destructors");
-    void* p = Alloc(sizeof(T), alignof(T));
-    return new (p) T(std::forward<A>(args)...);
-  }
-
-  // Arena-owned object whose destructor runs on Reset()/destruction.
-  template <typename T, typename... A>
-  T* NewOwned(A&&... args) {
-    void* p = Alloc(sizeof(T), alignof(T));
-    T* obj = new (p) T(std::forward<A>(args)...);
-    owned_.push_back({p, [](void* q) { static_cast<T*>(q)->~T(); }});
-    return obj;
-  }
-
-  // Rewinds every block for reuse. Memory stays claimed; owned objects are
-  // destroyed (reverse creation order). Pointers handed out before the
-  // Reset are invalidated.
-  void Reset() {
-    RunDestructors();
-    for (Block& b : blocks_) b.used = 0;
-    current_ = 0;
-  }
-
-  size_t block_count() const { return blocks_.size(); }
-  size_t bytes_reserved() const {
-    size_t total = 0;
-    for (const Block& b : blocks_) total += b.size;
-    return total;
-  }
-  size_t bytes_used() const {
-    size_t total = 0;
-    for (size_t i = 0; i <= current_ && i < blocks_.size(); ++i) {
-      total += blocks_[i].used;
-    }
-    return total;
-  }
-
- private:
-  struct Block {
-    char* data = nullptr;
-    size_t size = 0;
-    size_t used = 0;
-  };
-  struct Owned {
-    void* object;
-    void (*destroy)(void*);
-  };
-
-  void RunDestructors() {
-    for (size_t i = owned_.size(); i > 0; --i) {
-      owned_[i - 1].destroy(owned_[i - 1].object);
-    }
-    owned_.clear();
-  }
-
-  size_t block_bytes_;
-  size_t current_ = 0;
-  std::vector<Block> blocks_;
-  std::vector<Owned> owned_;
-};
 
 // Freelist pool for one fixed slot size (every caller must pass the same
 // size — Expr nodes are the one client). All shared state is behind a leaky

@@ -1,115 +1,38 @@
-// Compiled postfix (bytecode) form of Expr with a flat stack evaluator.
+// Compile-once/run-per-row spelling of the expression evaluator.
 //
-// The tree evaluator (src/interp/eval.cc) re-resolves every ColumnRef by
-// string against the RowSchema and pays a virtual-free but branchy
-// recursive dispatch per node per row. A CompiledExpr is built once per
-// generated statement against the schema the rows will carry: column
-// references become array indexes, and the per-row work collapses to a
-// linear walk over a small instruction vector with an explicit value stack.
-//
-// Differential safety (DESIGN §11): every instruction carries its source
-// Expr node and executes the SAME semantic kernels the tree evaluator uses
-// (evalin::Compare / Arithmetic / EvaluateCast / ..., bug hooks included).
-// Lazy or shape-triggered constructs the postfix order cannot reproduce —
-// IN lists (early exit + lazy item evaluation), LIKE (escape evaluated
-// conditionally), CASE/COALESCE (lazy arms), plus the two bug shapes that
-// must NOT evaluate their operands (kIsNullArithLost's IS NULL over
-// arithmetic, kBetweenSwapError's literal-inverted BETWEEN) — compile to a
-// single kTreeEval instruction that runs the tree evaluator on that
-// subtree. Eager-argument function calls compile to kFunc, with the
-// availability/arity checks (which the tree evaluator performs before
-// evaluating any argument) hoisted to compile time — a call that would
-// fail them falls back to the tree so the error order is preserved. The tree evaluator therefore remains the differential
-// oracle: tests/test_hotpath.cc asserts value-identical results over
-// generated expression corpora in all three dialects, and the process-wide
-// kill switch SetBytecodeEnabled(false) reverts every caller to the tree
-// path (test_determinism proves reports stay byte-identical either way).
+// There is one evaluator (src/interp/eval.h, DESIGN §11). A CompiledExpr
+// only remembers the Expr it was "compiled" from and runs it through
+// Evaluate, for code written against the compile-then-run shape. It borrows
+// the Expr, which must outlive it.
 #ifndef PQS_SRC_INTERP_BYTECODE_H_
 #define PQS_SRC_INTERP_BYTECODE_H_
-
-#include <cstdint>
-#include <vector>
 
 #include "src/interp/eval.h"
 
 namespace pqs {
 
-enum class OpCode : uint8_t {
-  kPushLiteral,  // push node->literal
-  kPushColumn,   // push row[slot] (resolved at compile time)
-  kNot,          // pop a; push NOT a
-  kNeg,          // pop a; push -a
-  kAnd,          // pop b, a; push a AND b (both sides eager, like the tree)
-  kOr,           // pop b, a; push a OR b
-  kCompare,      // pop b, a; push evalin::Compare(node->bop, ...)
-  kArith,        // pop b, a; push evalin::Arithmetic(node, ...)
-  kConcat,       // pop b, a; push a || b
-  kIsNull,       // pop a; push (a IS [NOT] NULL)
-  kBetween,      // pop hi, lo, v; push v [NOT] BETWEEN lo AND hi
-  kCast,         // pop a; push CAST(a AS node->cast_to)
-  kFunc,         // pop node->args.size() values; push ApplyFunction(...)
-  kTreeEval,     // push Evaluate(*node, row, ctx) — lazy/hazard subtree
-};
-
-struct Instr {
-  OpCode op = OpCode::kTreeEval;
-  int32_t slot = -1;          // kPushColumn: resolved column index
-  const Expr* node = nullptr; // source node (literals, bug hooks, fallback)
-};
-
-// A compiled expression borrows the Expr tree and the RowSchema it was
-// compiled against; both must outlive it (in practice: compiled per
-// statement, used for that statement's scan, discarded with it).
 class CompiledExpr {
  public:
   CompiledExpr() = default;
+  explicit CompiledExpr(const Expr* root) : root_(root) {}
 
-  // True when compilation produced a runnable program. An invalid program
-  // (unresolvable column, unknown shape) falls back to the tree evaluator
-  // inside Run, so callers never need to branch.
-  bool valid() const { return valid_; }
   const Expr* root() const { return root_; }
-  size_t size() const { return code_.size(); }
 
-  // Evaluates against one row. Identical results to
-  // Evaluate(*root, row, ctx) — see the differential safety argument above.
-  EvalResult Run(const RowView& row, const EvalContext& ctx) const;
-
-  // Evaluates against a batch of rows, instruction-at-a-time over column
-  // vectors (the scan→filter→project path feeds whole page batches here).
-  // On return out->size() == n and (*out)[i] is value- and error-identical
-  // to Run(RowView{&schema, &rows[i]}, ctx): every instruction runs the
-  // same pure semantic kernels, so evaluating instruction-major instead of
-  // row-major is unobservable. A row whose evaluation errors is poisoned —
-  // it skips the remaining instructions while later rows continue — so the
-  // caller can walk the batch in row order and abort at the first error,
-  // exactly where the row-at-a-time scan would have.
-  void RunBatch(const RowSchema& schema, const std::vector<SqlValue>* rows,
-                size_t n, const EvalContext& ctx,
-                std::vector<EvalResult>* out) const;
+  // Same result as Evaluate(*root(), row, ctx).
+  EvalResult Run(const RowView& row, const EvalContext& ctx) const {
+    return Evaluate(*root_, row, ctx);
+  }
 
  private:
-  friend CompiledExpr CompileExpr(const Expr& root, const RowSchema& schema,
-                                  Dialect dialect);
-
   const Expr* root_ = nullptr;
-  bool valid_ = false;
-  std::vector<Instr> code_;
 };
 
-// Compiles `root` against `schema` for `dialect`. Column references are
-// resolved to row indexes now, and function availability/arity is checked
-// now (dialect-dependent). An unresolvable reference yields an invalid
-// program whose Run defers to the tree evaluator (which reports the proper
-// "no such column" error).
-CompiledExpr CompileExpr(const Expr& root, const RowSchema& schema,
-                         Dialect dialect);
-
-// Process-wide kill switch, default on. Scans and oracles compile + run
-// bytecode only while enabled; flipping it is how the determinism test
-// proves byte-identical reports with the bytecode evaluator on and off.
-bool BytecodeEnabled();
-void SetBytecodeEnabled(bool enabled);
+// Columns resolve per evaluation against the row's own schema, so neither
+// the schema nor the dialect is needed up front.
+inline CompiledExpr CompileExpr(const Expr& root, const RowSchema& /*schema*/,
+                                Dialect /*dialect*/) {
+  return CompiledExpr(&root);
+}
 
 }  // namespace pqs
 

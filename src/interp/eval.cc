@@ -9,8 +9,6 @@
 #include <utility>
 
 #include "src/common/interner.h"
-#include "src/interp/bytecode.h"
-#include "src/interp/eval_internal.h"
 #include "src/sqlexpr/registry.h"
 
 namespace pqs {
@@ -35,55 +33,71 @@ int RowSchema::Resolve(const Expr& column_ref) const {
 
 namespace {
 
-bool TextEqualsFold(const std::string& a, const std::string& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
+int FoldChar(char c) { return std::tolower(static_cast<unsigned char>(c)); }
 
 int TextCompareFold(const std::string& a, const std::string& b) {
   size_t n = a.size() < b.size() ? a.size() : b.size();
   for (size_t i = 0; i < n; ++i) {
-    int ca = std::tolower(static_cast<unsigned char>(a[i]));
-    int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    int ca = FoldChar(a[i]);
+    int cb = FoldChar(b[i]);
     if (ca != cb) return ca < cb ? -1 : 1;
   }
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   return 0;
 }
 
-}  // namespace
+// Error exit of the walk: the message is built by the caller only on this
+// path, and stored only when someone asked for it.
+const SqlValue* Fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return nullptr;
+}
 
-// The semantic kernels below live in evalin (declared in eval_internal.h)
-// so the bytecode evaluator shares them verbatim; see that header.
-namespace evalin {
+// Stores a computed value. A non-text value leaves *out's text buffer
+// allocated (empty) for the next text result instead of swapping it out.
+const SqlValue* Set(SqlValue* out, SqlValue&& v) {
+  out->cls = v.cls;
+  out->i = v.i;
+  out->r = v.r;
+  if (v.cls == StorageClass::kText) {
+    out->t = std::move(v.t);
+  } else {
+    out->t.clear();
+  }
+  return out;
+}
 
-// Numeric coercion in arithmetic position: SQLite and MySQL both take the
-// numeric prefix of text ('12ab' → 12, 'x' → 0). An integer-looking prefix
-// yields an INTEGER — that keeps '12'/5 doing integer division exactly
-// like real SQLite.
-SqlValue ArithValue(const SqlValue& v) {
-  if (v.is_numeric()) return v;
+// A value coerced to a number in arithmetic position. SQLite and MySQL
+// both take the numeric prefix of text ('12ab' → 12, 'x' → 0); an
+// integer-looking prefix stays INTEGER, which keeps '12'/5 doing integer
+// division exactly like real SQLite.
+struct Num {
+  bool is_int = true;
+  int64_t i = 0;
+  double r = 0.0;
+  double AsReal() const { return is_int ? static_cast<double>(i) : r; }
+};
+
+Num ArithNum(const SqlValue& v) {
+  if (v.cls == StorageClass::kInteger) return {true, v.i, 0.0};
+  if (v.cls == StorageClass::kReal) return {false, 0, v.r};
   const char* begin = v.t.c_str();
   char* int_end = nullptr;
   long long as_int = strtoll(begin, &int_end, 10);
   char* real_end = nullptr;
   double as_real = strtod(begin, &real_end);
-  if (real_end == begin) return SqlValue::Int(0);
-  if (int_end == real_end) return SqlValue::Int(as_int);
-  return SqlValue::Real(as_real);
+  if (real_end == begin) return {true, 0, 0.0};
+  if (int_end == real_end) return {true, as_int, 0.0};
+  return {false, 0, as_real};
 }
 
-std::string ConcatOperand(const SqlValue& v) { return v.ToDisplay(); }
-
-}  // namespace evalin
-
-namespace {
+// Text of a value in ||, LIKE and LENGTH/UPPER/LOWER position: TEXT is
+// borrowed, anything else rendered into *buf.
+const std::string& TextOf(const SqlValue& v, std::string* buf) {
+  if (v.cls == StorageClass::kText) return v.t;
+  *buf = v.ToDisplay();
+  return *buf;
+}
 
 bool IsNegativeIntLiteral(const Expr& e) {
   return e.kind == ExprKind::kLiteral &&
@@ -107,29 +121,31 @@ bool ExplicitCollation(const Expr* lhs, const Expr* rhs, Collation* out) {
   return false;
 }
 
-}  // namespace
-
-namespace evalin {
-
 // Three-valued comparison honoring dialect coercion rules. The raw Expr
 // operands (nullable for synthetic comparisons inside IN/BETWEEN) are
-// passed alongside the values because several injected bug classes trigger
-// on the *shape* of the comparison, not just the values.
-EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
-                   const SqlValue& a, const SqlValue& b,
-                   const EvalContext& ctx) {
+// passed alongside the values because several injected bug classes and the
+// COLLATE determination trigger on the *shape* of the comparison, not just
+// the values. Returns false and fills *error on a comparison error.
+bool Compare(BinaryOp op, const Expr* lhs, const Expr* rhs, const SqlValue& a,
+             const SqlValue& b, const EvalContext& ctx, Bool3* out,
+             std::string* error) {
   if (ctx.BugEnabled(BugId::kNegIntCompare) &&
       ((lhs != nullptr && IsNegativeIntLiteral(*lhs)) ||
        (rhs != nullptr && IsNegativeIntLiteral(*rhs)))) {
-    return EvalResult::Of(SqlValue::Bool(false));
+    *out = Bool3::kFalse;
+    return true;
   }
   if (ctx.BugEnabled(BugId::kCollationMismatchError) && lhs != nullptr &&
       rhs != nullptr && lhs->kind == ExprKind::kColumnRef &&
       rhs->kind == ExprKind::kColumnRef &&
       a.cls == StorageClass::kText && b.cls == StorageClass::kText) {
-    return EvalResult::Error("could not determine collation for comparison");
+    Fail(error, "could not determine collation for comparison");
+    return false;
   }
-  if (a.is_null() || b.is_null()) return EvalResult::Of(SqlValue::Null());
+  if (a.is_null() || b.is_null()) {
+    *out = Bool3::kNull;
+    return true;
+  }
 
   int cmp = 0;
   if (a.is_numeric() && b.is_numeric()) {
@@ -163,7 +179,8 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
     }
     if (op == BinaryOp::kEq && cmp == 0 && a.t.size() > 1 &&
         ctx.BugEnabled(BugId::kTextEqInterning)) {
-      return EvalResult::Of(SqlValue::Bool(false));
+      *out = Bool3::kFalse;
+      return true;
     }
   } else {
     // Mixed numeric/text.
@@ -190,8 +207,8 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
         break;
       }
       case Dialect::kPostgresStrict:
-        return EvalResult::Error("operator does not exist: mixed-type "
-                                 "comparison");
+        Fail(error, "operator does not exist: mixed-type comparison");
+        return false;
     }
   }
 
@@ -216,40 +233,42 @@ EvalResult Compare(BinaryOp op, const Expr* lhs, const Expr* rhs,
       truth = cmp >= 0;
       break;
     default:
-      return EvalResult::Error("not a comparison");
+      Fail(error, "not a comparison");
+      return false;
   }
-  return EvalResult::Of(SqlValue::Bool(truth));
+  *out = truth ? Bool3::kTrue : Bool3::kFalse;
+  return true;
 }
 
-EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
-                      const EvalContext& ctx) {
+const SqlValue* Arithmetic(const Expr& node, const SqlValue& a,
+                           const SqlValue& b, const EvalContext& ctx,
+                           SqlValue* out, std::string* error) {
   if (ctx.dialect == Dialect::kPostgresStrict &&
       (a.cls == StorageClass::kText || b.cls == StorageClass::kText)) {
-    return EvalResult::Error("operator does not exist: arithmetic on text");
+    return Fail(error, "operator does not exist: arithmetic on text");
   }
-  if (a.is_null() || b.is_null()) return EvalResult::Of(SqlValue::Null());
+  if (a.is_null() || b.is_null()) return Set(out, SqlValue::Null());
 
   BinaryOp op = node.bop;
-  SqlValue ca = ArithValue(a);
-  SqlValue cb = ArithValue(b);
-  bool int_math = ca.cls == StorageClass::kInteger &&
-                  cb.cls == StorageClass::kInteger;
+  Num ca = ArithNum(a);
+  Num cb = ArithNum(b);
+  bool int_math = ca.is_int && cb.is_int;
   if (op == BinaryOp::kDiv) {
     double divisor = cb.AsReal();
     if (divisor == 0.0) {
       if (ctx.BugEnabled(BugId::kDivZeroError)) {
-        return EvalResult::Error("division by zero (spurious)");
+        return Fail(error, "division by zero (spurious)");
       }
       if (ctx.dialect == Dialect::kPostgresStrict) {
-        return EvalResult::Error("division by zero");
+        return Fail(error, "division by zero");
       }
-      return EvalResult::Of(SqlValue::Null());
+      return Set(out, SqlValue::Null());
     }
     if (int_math) {
       // Integer division truncates toward zero in all three dialects.
-      return EvalResult::Of(SqlValue::Int(ca.i / cb.i));
+      return Set(out, SqlValue::Int(ca.i / cb.i));
     }
-    return EvalResult::Of(SqlValue::Real(ca.AsReal() / divisor));
+    return Set(out, SqlValue::Real(ca.AsReal() / divisor));
   }
 
   SqlValue result;
@@ -268,7 +287,7 @@ EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
         ur = ua * ub;
         break;
       default:
-        return EvalResult::Error("not arithmetic");
+        return Fail(error, "not arithmetic");
     }
     int64_t sr = static_cast<int64_t>(ur);
     if (op == BinaryOp::kSub && sr < 0 &&
@@ -295,16 +314,16 @@ EvalResult Arithmetic(const Expr& node, const SqlValue& a, const SqlValue& b,
         dr = da * db;
         break;
       default:
-        return EvalResult::Error("not arithmetic");
+        return Fail(error, "not arithmetic");
     }
     result = SqlValue::Real(dr);
   }
 
   if (ctx.BugEnabled(BugId::kNumericOverflowError) &&
       std::fabs(result.AsReal()) > 50.0) {
-    return EvalResult::Error("numeric value out of range (spurious)");
+    return Fail(error, "numeric value out of range (spurious)");
   }
-  return EvalResult::Of(std::move(result));
+  return Set(out, std::move(result));
 }
 
 std::string AsciiFold(const std::string& s, bool to_upper) {
@@ -329,20 +348,79 @@ int ScalarMinMaxCompare(const SqlValue& a, const SqlValue& b,
   return ValueCompare(a, b);
 }
 
+// CAST per the SQLite affinity-conversion rules the three dialects share
+// in this model: text→INTEGER takes the integer prefix, text→REAL the
+// numeric prefix, REAL→INTEGER truncates toward zero, and anything→TEXT
+// uses the engine's value rendering. kPostgresStrict rejects text sources
+// for numeric targets (invalid input syntax) instead of prefix-parsing.
+// `v` may be *out (the operand was evaluated into the result slot).
+const SqlValue* EvaluateCast(const Expr& expr, const SqlValue* v,
+                             const EvalContext& ctx, SqlValue* out,
+                             std::string* error) {
+  if (v->is_null()) return v;
+  bool strict = ctx.dialect == Dialect::kPostgresStrict;
+  switch (expr.cast_to) {
+    case Affinity::kInteger: {
+      if (v->cls == StorageClass::kInteger) return v;
+      if (v->cls == StorageClass::kReal) {
+        // Injected: "truncation" implemented as rounding away from zero —
+        // off by one for every fractional value.
+        if (ctx.BugEnabled(BugId::kCastTruncAffinity)) {
+          double away = v->r < 0 ? std::floor(v->r) : std::ceil(v->r);
+          return Set(out, SqlValue::Int(static_cast<int64_t>(away)));
+        }
+        return Set(out,
+                   SqlValue::Int(static_cast<int64_t>(std::trunc(v->r))));
+      }
+      if (strict) {
+        return Fail(error, "invalid input syntax for type integer");
+      }
+      const char* begin = v->t.c_str();
+      char* end = nullptr;
+      long long prefix = strtoll(begin, &end, 10);
+      return Set(out, SqlValue::Int(end == begin ? 0 : prefix));
+    }
+    case Affinity::kReal: {
+      if (v->cls == StorageClass::kReal) return v;
+      if (v->cls == StorageClass::kInteger) {
+        return Set(out, SqlValue::Real(static_cast<double>(v->i)));
+      }
+      if (strict) {
+        return Fail(error, "invalid input syntax for type double precision");
+      }
+      return Set(out, SqlValue::Real(ParseNumericPrefix(v->t)));
+    }
+    case Affinity::kText:
+      if (v->cls == StorageClass::kText) return v;
+      return Set(out, SqlValue::Text(v->ToDisplay()));
+  }
+  return v;
+}
+
+const SqlValue* Walk(const Expr& expr, const RowView& row,
+                     const EvalContext& ctx, SqlValue* out,
+                     std::string* error);
+
+// The eager-argument functions take at most this many arguments (the
+// registry's widest eager signature is LEAST/GREATEST with 3).
+constexpr int kMaxEagerArgs = 4;
+
 // Registry-driven function evaluation: arity and the NULL-propagation rule
 // come from the FunctionSig, so the evaluator cannot drift from what the
-// generator was promised when it consulted the same registry.
-EvalResult EvaluateFunction(const Expr& expr, const RowView& row,
-                            const EvalContext& ctx) {
+// generator was promised when it consulted the same registry. Availability
+// and arity are checked before any argument is evaluated.
+const SqlValue* EvaluateFunction(const Expr& expr, const RowView& row,
+                                 const EvalContext& ctx, SqlValue* out,
+                                 std::string* error) {
   const FunctionSig& sig = LookupFunction(expr.func);
   if (!sig.available(ctx.dialect)) {
-    return EvalResult::Error(std::string("no such function: ") +
-                             sig.names[0]);
+    return Fail(error, std::string("no such function: ") + sig.names[0]);
   }
   int argc = static_cast<int>(expr.args.size());
-  if (argc < sig.min_args || argc > sig.max_args) {
-    return EvalResult::Error(std::string("wrong number of arguments to ") +
-                             sig.NameFor(ctx.dialect));
+  if (argc < sig.min_args || argc > sig.max_args ||
+      (expr.func != FuncId::kCoalesce && argc > kMaxEagerArgs)) {
+    return Fail(error, std::string("wrong number of arguments to ") +
+                           sig.NameFor(ctx.dialect));
   }
 
   // COALESCE evaluates lazily (a later argument must not be able to fail
@@ -351,218 +429,446 @@ EvalResult EvaluateFunction(const Expr& expr, const RowView& row,
   if (expr.func == FuncId::kCoalesce) {
     bool first = true;
     for (const ExprPtr& arg : expr.args) {
-      EvalResult v = Evaluate(*arg, row, ctx);
-      if (v.error) return v;
+      const SqlValue* v = Walk(*arg, row, ctx, out, error);
+      if (v == nullptr) return nullptr;
       // Injected: the first-argument NULL check short-circuits the whole
       // call to NULL instead of falling through to the next argument.
-      if (first && v.value.is_null() &&
-          ctx.BugEnabled(BugId::kCoalesceFirstNull)) {
-        return EvalResult::Of(SqlValue::Null());
+      if (first && v->is_null() && ctx.BugEnabled(BugId::kCoalesceFirstNull)) {
+        return Set(out, SqlValue::Null());
       }
       first = false;
-      if (!v.value.is_null()) return v;
+      if (!v->is_null()) return v;
     }
-    return EvalResult::Of(SqlValue::Null());
+    return Set(out, SqlValue::Null());
   }
 
-  std::vector<SqlValue> args;
-  args.reserve(expr.args.size());
-  for (const ExprPtr& arg : expr.args) {
-    EvalResult v = Evaluate(*arg, row, ctx);
-    if (v.error) return v;
-    args.push_back(std::move(v.value));
+  SqlValue slots[kMaxEagerArgs];
+  const SqlValue* args[kMaxEagerArgs];
+  for (int i = 0; i < argc; ++i) {
+    args[i] = Walk(*expr.args[i], row, ctx, &slots[i], error);
+    if (args[i] == nullptr) return nullptr;
   }
-  return ApplyFunction(expr, std::move(args), ctx);
-}
-
-EvalResult ApplyFunction(const Expr& expr, std::vector<SqlValue> args,
-                         const EvalContext& ctx) {
-  const FunctionSig& sig = LookupFunction(expr.func);
+  // Result is argument `i` itself: hand a borrowed one through, move a
+  // computed one out of this frame.
+  auto pass = [&](int i) -> const SqlValue* {
+    if (args[i] != &slots[i]) return args[i];
+    return Set(out, std::move(slots[i]));
+  };
   bool strict = ctx.dialect == Dialect::kPostgresStrict;
   if (sig.null_rule == NullRule::kPropagate) {
-    for (const SqlValue& v : args) {
-      if (v.is_null()) return EvalResult::Of(SqlValue::Null());
+    for (int i = 0; i < argc; ++i) {
+      if (args[i]->is_null()) return Set(out, SqlValue::Null());
     }
   }
 
+  std::string text;
   switch (expr.func) {
     case FuncId::kAbs: {
-      const SqlValue& v = args[0];
+      const SqlValue& v = *args[0];
       if (v.cls == StorageClass::kText) {
-        if (strict) {
-          return EvalResult::Error("function abs(text) does not exist");
-        }
-        SqlValue n = ArithValue(v);
-        return EvalResult::Of(n.cls == StorageClass::kInteger
-                                  ? SqlValue::Int(n.i < 0 ? -n.i : n.i)
-                                  : SqlValue::Real(std::fabs(n.r)));
+        if (strict) return Fail(error, "function abs(text) does not exist");
+        Num n = ArithNum(v);
+        return Set(out, n.is_int ? SqlValue::Int(n.i < 0 ? -n.i : n.i)
+                                 : SqlValue::Real(std::fabs(n.r)));
       }
       if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Int(v.i < 0 ? -v.i : v.i));
+        return Set(out, SqlValue::Int(v.i < 0 ? -v.i : v.i));
       }
-      return EvalResult::Of(SqlValue::Real(std::fabs(v.r)));
+      return Set(out, SqlValue::Real(std::fabs(v.r)));
     }
 
     case FuncId::kLength: {
-      const SqlValue& v = args[0];
+      const SqlValue& v = *args[0];
       if (v.cls != StorageClass::kText && strict) {
-        return EvalResult::Error("function length(non-text) does not exist");
+        return Fail(error, "function length(non-text) does not exist");
       }
-      std::string s = v.cls == StorageClass::kText ? v.t : v.ToDisplay();
-      return EvalResult::Of(SqlValue::Int(static_cast<int64_t>(s.size())));
+      return Set(out, SqlValue::Int(
+                          static_cast<int64_t>(TextOf(v, &text).size())));
     }
 
     case FuncId::kUpper:
     case FuncId::kLower: {
-      const SqlValue& v = args[0];
+      const SqlValue& v = *args[0];
       if (v.cls != StorageClass::kText && strict) {
-        return EvalResult::Error("function upper/lower(non-text) does not "
-                                 "exist");
+        return Fail(error, "function upper/lower(non-text) does not exist");
       }
-      std::string s = v.cls == StorageClass::kText ? v.t : v.ToDisplay();
-      return EvalResult::Of(
-          SqlValue::Text(AsciiFold(s, expr.func == FuncId::kUpper)));
+      return Set(out, SqlValue::Text(AsciiFold(TextOf(v, &text),
+                                               expr.func == FuncId::kUpper)));
     }
 
     case FuncId::kNullif: {
-      EvalResult eq = Compare(BinaryOp::kEq, expr.args[0].get(),
-                              expr.args[1].get(), args[0], args[1], ctx);
-      if (eq.error) return eq;
-      if (Truthiness(eq.value, ctx.dialect) == Bool3::kTrue) {
-        return EvalResult::Of(SqlValue::Null());
+      Bool3 eq;
+      if (!Compare(BinaryOp::kEq, expr.args[0].get(), expr.args[1].get(),
+                   *args[0], *args[1], ctx, &eq, error)) {
+        return nullptr;
       }
-      return EvalResult::Of(args[0]);
+      if (eq == Bool3::kTrue) return Set(out, SqlValue::Null());
+      return pass(0);
     }
 
     case FuncId::kLeast:
     case FuncId::kGreatest: {
       bool want_greatest = expr.func == FuncId::kGreatest;
-      size_t best = 0;
-      for (size_t i = 1; i < args.size(); ++i) {
-        int cmp = ScalarMinMaxCompare(args[i], args[best], ctx);
+      int best = 0;
+      for (int i = 1; i < argc; ++i) {
+        int cmp = ScalarMinMaxCompare(*args[i], *args[best], ctx);
         if (want_greatest ? cmp > 0 : cmp < 0) best = i;
       }
-      return EvalResult::Of(args[best]);
+      return pass(best);
     }
 
     case FuncId::kIfnull:
-      return EvalResult::Of(args[0].is_null() ? args[1] : args[0]);
+      return pass(args[0]->is_null() ? 1 : 0);
 
     case FuncId::kCoalesce:  // handled above
     case FuncId::kNumFuncs:
       break;
   }
-  return EvalResult::Error("unknown function");
+  return Fail(error, "unknown function");
 }
 
-// CAST per the SQLite affinity-conversion rules the three dialects share
-// in this model: text→INTEGER takes the integer prefix, text→REAL the
-// numeric prefix, REAL→INTEGER truncates toward zero, and anything→TEXT
-// uses the engine's value rendering. kPostgresStrict rejects text sources
-// for numeric targets (invalid input syntax) instead of prefix-parsing.
-EvalResult EvaluateCast(const Expr& expr, const SqlValue& v,
-                        const EvalContext& ctx) {
-  if (v.is_null()) return EvalResult::Of(SqlValue::Null());
-  bool strict = ctx.dialect == Dialect::kPostgresStrict;
-  switch (expr.cast_to) {
-    case Affinity::kInteger: {
-      if (v.cls == StorageClass::kInteger) return EvalResult::Of(v);
-      if (v.cls == StorageClass::kReal) {
-        // Injected: "truncation" implemented as rounding away from zero —
-        // off by one for every fractional value.
-        if (ctx.BugEnabled(BugId::kCastTruncAffinity)) {
-          double away = v.r < 0 ? std::floor(v.r) : std::ceil(v.r);
-          return EvalResult::Of(SqlValue::Int(static_cast<int64_t>(away)));
+// Binary operators other than AND/OR, on evaluated operands.
+const SqlValue* EvaluateBinary(const Expr& expr, const SqlValue& a,
+                               const SqlValue& b, const EvalContext& ctx,
+                               SqlValue* out, std::string* error) {
+  if (IsComparisonOp(expr.bop)) {
+    Bool3 r;
+    if (!Compare(expr.bop, expr.args[0].get(), expr.args[1].get(), a, b, ctx,
+                 &r, error)) {
+      return nullptr;
+    }
+    return Set(out, SqlValue::FromBool3(r));
+  }
+  if (IsArithmeticOp(expr.bop)) {
+    return Arithmetic(expr, a, b, ctx, out, error);
+  }
+  // Concat.
+  if (ctx.BugEnabled(BugId::kConcatNumericError) &&
+      (a.is_numeric() || b.is_numeric())) {
+    return Fail(error, "cannot concatenate non-text operand (spurious)");
+  }
+  if (ctx.dialect == Dialect::kPostgresStrict &&
+      (a.is_numeric() || b.is_numeric())) {
+    return Fail(error, "operator does not exist: || with non-text");
+  }
+  if (a.is_null() || b.is_null()) return Set(out, SqlValue::Null());
+  std::string buf;
+  std::string joined = TextOf(a, &buf);
+  joined += TextOf(b, &buf);
+  return Set(out, SqlValue::Text(std::move(joined)));
+}
+
+const SqlValue* EvaluateLike(const Expr& expr, const RowView& row,
+                             const EvalContext& ctx, SqlValue* out,
+                             std::string* error) {
+  SqlValue v_slot;
+  SqlValue p_slot;
+  const SqlValue* v = Walk(*expr.args[0], row, ctx, &v_slot, error);
+  if (v == nullptr) return nullptr;
+  const SqlValue* p = Walk(*expr.args[1], row, ctx, &p_slot, error);
+  if (p == nullptr) return nullptr;
+  if (v->is_null() || p->is_null()) return Set(out, SqlValue::Null());
+  if (ctx.dialect == Dialect::kPostgresStrict &&
+      (v->cls != StorageClass::kText || p->cls != StorageClass::kText)) {
+    return Fail(error, "operator does not exist: LIKE on non-text");
+  }
+  std::string text_buf;
+  std::string pattern_buf;
+  std::string_view text = TextOf(*v, &text_buf);
+  std::string_view pattern = TextOf(*p, &pattern_buf);
+  if (ctx.BugEnabled(BugId::kLikeAnchored) && !pattern.empty() &&
+      pattern.front() == '%') {
+    pattern.remove_prefix(1);
+  }
+  int escape = -1;
+  if (expr.args.size() > 2 && expr.args[2] != nullptr) {
+    SqlValue esc_slot;
+    const SqlValue* esc = Walk(*expr.args[2], row, ctx, &esc_slot, error);
+    if (esc == nullptr) return nullptr;
+    if (esc->cls != StorageClass::kText || esc->t.size() != 1) {
+      return Fail(error, "ESCAPE expression must be a single character");
+    }
+    // Injected: the ESCAPE clause parses but the matcher never learns
+    // about it — escaped wildcards stay wildcards.
+    if (!ctx.BugEnabled(BugId::kLikeEscapeMiss)) {
+      escape = static_cast<unsigned char>(esc->t[0]);
+    }
+  }
+  bool fold = ctx.dialect != Dialect::kPostgresStrict;
+  bool match = LikeMatch(text, pattern, fold, escape);
+  return Set(out, SqlValue::Bool(match != expr.negated));
+}
+
+const SqlValue* EvaluateInList(const Expr& expr, const RowView& row,
+                               const EvalContext& ctx, SqlValue* out,
+                               std::string* error) {
+  if (ctx.BugEnabled(BugId::kDupInListError)) {
+    for (size_t i = 1; i < expr.args.size(); ++i) {
+      for (size_t j = i + 1; j < expr.args.size(); ++j) {
+        if (expr.args[i]->kind == ExprKind::kLiteral &&
+            expr.args[j]->kind == ExprKind::kLiteral &&
+            ValueEquals(expr.args[i]->literal, expr.args[j]->literal)) {
+          return Fail(error, "duplicate value in IN list (spurious)");
         }
-        return EvalResult::Of(
-            SqlValue::Int(static_cast<int64_t>(std::trunc(v.r))));
       }
-      if (strict) {
-        return EvalResult::Error("invalid input syntax for type integer");
-      }
-      const char* begin = v.t.c_str();
-      char* end = nullptr;
-      long long prefix = strtoll(begin, &end, 10);
-      return EvalResult::Of(SqlValue::Int(end == begin ? 0 : prefix));
     }
-    case Affinity::kReal: {
-      if (v.cls == StorageClass::kReal) return EvalResult::Of(v);
-      if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Real(static_cast<double>(v.i)));
-      }
-      if (strict) {
-        return EvalResult::Error("invalid input syntax for type double "
-                                 "precision");
-      }
-      return EvalResult::Of(SqlValue::Real(ParseNumericPrefix(v.t)));
-    }
-    case Affinity::kText:
-      return EvalResult::Of(SqlValue::Text(v.ToDisplay()));
   }
-  return EvalResult::Of(v);
+  SqlValue probe_slot;
+  const SqlValue* probe = Walk(*expr.args[0], row, ctx, &probe_slot, error);
+  if (probe == nullptr) return nullptr;
+  if (probe->is_null()) return Set(out, SqlValue::Null());
+  size_t limit = expr.args.size();
+  if (ctx.BugEnabled(BugId::kInListFirstOnly) && limit > 2) limit = 2;
+  bool saw_null = false;
+  SqlValue item_slot;
+  for (size_t i = 1; i < limit; ++i) {
+    const SqlValue* item = Walk(*expr.args[i], row, ctx, &item_slot, error);
+    if (item == nullptr) return nullptr;
+    Bool3 eq;
+    if (!Compare(BinaryOp::kEq, expr.args[0].get(), expr.args[i].get(), *probe,
+                 *item, ctx, &eq, error)) {
+      return nullptr;
+    }
+    if (eq == Bool3::kTrue) return Set(out, SqlValue::Bool(!expr.negated));
+    if (eq == Bool3::kNull) saw_null = true;
+  }
+  // Injected: the UNKNOWN contributed by a NULL list element is
+  // dropped, collapsing x IN (..., NULL) to FALSE (NOT IN to TRUE).
+  if (saw_null && !ctx.BugEnabled(BugId::kInListNullSemantics)) {
+    return Set(out, SqlValue::Null());
+  }
+  return Set(out, SqlValue::Bool(expr.negated));
 }
 
-}  // namespace evalin
+const SqlValue* EvaluateBetween(const Expr& expr, const RowView& row,
+                                const EvalContext& ctx, SqlValue* out,
+                                std::string* error) {
+  if (ctx.BugEnabled(BugId::kBetweenSwapError) &&
+      expr.args[1]->kind == ExprKind::kLiteral &&
+      expr.args[2]->kind == ExprKind::kLiteral &&
+      !expr.args[1]->literal.is_null() && !expr.args[2]->literal.is_null() &&
+      ValueCompare(expr.args[1]->literal, expr.args[2]->literal) > 0) {
+    return Fail(error, "BETWEEN range bounds inverted (spurious)");
+  }
+  SqlValue slots[3];
+  const SqlValue* v = Walk(*expr.args[0], row, ctx, &slots[0], error);
+  if (v == nullptr) return nullptr;
+  const SqlValue* lo = Walk(*expr.args[1], row, ctx, &slots[1], error);
+  if (lo == nullptr) return nullptr;
+  const SqlValue* hi = Walk(*expr.args[2], row, ctx, &slots[2], error);
+  if (hi == nullptr) return nullptr;
+  Bool3 above;
+  if (!Compare(BinaryOp::kGe, expr.args[0].get(), expr.args[1].get(), *v, *lo,
+               ctx, &above, error)) {
+    return nullptr;
+  }
+  Bool3 below;
+  if (!Compare(BinaryOp::kLe, expr.args[0].get(), expr.args[2].get(), *v, *hi,
+               ctx, &below, error)) {
+    return nullptr;
+  }
+  Bool3 r = And3(above, below);
+  if (expr.negated) r = Not3(r);
+  return Set(out, SqlValue::FromBool3(r));
+}
 
-// Unqualified names below keep reading as before the evalin split.
-using evalin::Compare;
-using evalin::Arithmetic;
-using evalin::EvaluateFunction;
-using evalin::EvaluateCast;
-using evalin::ConcatOperand;
+const SqlValue* Walk(const Expr& expr, const RowView& row,
+                     const EvalContext& ctx, SqlValue* out,
+                     std::string* error) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return &expr.literal;
 
-bool LikeMatch(const std::string& text, const std::string& pattern,
+    case ExprKind::kColumnRef: {
+      if (row.schema == nullptr || row.values == nullptr) {
+        return Fail(error, "column reference outside a row context");
+      }
+      int idx = row.schema->Resolve(expr);
+      if (idx < 0) return Fail(error, "no such column: " + expr.column);
+      return &(*row.values)[static_cast<size_t>(idx)];
+    }
+
+    case ExprKind::kUnary: {
+      const SqlValue* v = Walk(*expr.args[0], row, ctx, out, error);
+      if (v == nullptr) return nullptr;
+      if (expr.uop == UnaryOp::kNot) {
+        Bool3 b = Truthiness(*v, ctx.dialect);
+        if (b == Bool3::kNull && ctx.BugEnabled(BugId::kNotNullNot)) {
+          return Set(out, SqlValue::Bool(false));
+        }
+        return Set(out, SqlValue::FromBool3(Not3(b)));
+      }
+      // Unary minus.
+      if (v->is_null()) return v;
+      if (v->cls == StorageClass::kInteger) return Set(out, SqlValue::Int(-v->i));
+      if (v->cls == StorageClass::kReal) return Set(out, SqlValue::Real(-v->r));
+      if (ctx.dialect == Dialect::kPostgresStrict) {
+        return Fail(error, "operator does not exist: -text");
+      }
+      return Set(out, SqlValue::Real(-ParseNumericPrefix(v->t)));
+    }
+
+    case ExprKind::kBinary: {
+      SqlValue lhs_slot;
+      SqlValue rhs_slot;
+      const SqlValue* a = Walk(*expr.args[0], row, ctx, &lhs_slot, error);
+      if (a == nullptr) return nullptr;
+      const SqlValue* b = Walk(*expr.args[1], row, ctx, &rhs_slot, error);
+      if (b == nullptr) return nullptr;
+      if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
+        // Both sides are evaluated eagerly, so an error on the right
+        // surfaces even when the left decides the outcome.
+        Bool3 x = Truthiness(*a, ctx.dialect);
+        Bool3 y = Truthiness(*b, ctx.dialect);
+        return Set(out, SqlValue::FromBool3(
+                            expr.bop == BinaryOp::kAnd ? And3(x, y)
+                                                       : Or3(x, y)));
+      }
+      return EvaluateBinary(expr, *a, *b, ctx, out, error);
+    }
+
+    case ExprKind::kIsNull: {
+      if (ctx.BugEnabled(BugId::kIsNullArithLost) &&
+          expr.args[0]->kind == ExprKind::kBinary &&
+          IsArithmeticOp(expr.args[0]->bop)) {
+        // NULL propagation through arithmetic is lost: IS NULL → FALSE,
+        // IS NOT NULL → TRUE, regardless of the operand.
+        return Set(out, SqlValue::Bool(expr.negated));
+      }
+      const SqlValue* v = Walk(*expr.args[0], row, ctx, out, error);
+      if (v == nullptr) return nullptr;
+      return Set(out, SqlValue::Bool(v->is_null() != expr.negated));
+    }
+
+    case ExprKind::kInList:
+      return EvaluateInList(expr, row, ctx, out, error);
+
+    case ExprKind::kBetween:
+      return EvaluateBetween(expr, row, ctx, out, error);
+
+    case ExprKind::kLike:
+      return EvaluateLike(expr, row, ctx, out, error);
+
+    case ExprKind::kFunctionCall:
+      return EvaluateFunction(expr, row, ctx, out, error);
+
+    case ExprKind::kCast: {
+      const SqlValue* v = Walk(*expr.args[0], row, ctx, out, error);
+      if (v == nullptr) return nullptr;
+      return EvaluateCast(expr, v, ctx, out, error);
+    }
+
+    case ExprKind::kCase: {
+      size_t arms = expr.CaseArmCount();
+      for (size_t i = 0; i < arms; ++i) {
+        const SqlValue* when = Walk(*expr.args[2 * i], row, ctx, out, error);
+        if (when == nullptr) return nullptr;
+        if (Truthiness(*when, ctx.dialect) == Bool3::kTrue) {
+          return Walk(*expr.args[2 * i + 1], row, ctx, out, error);
+        }
+      }
+      // Injected: the fall-through path forgets the ELSE arm exists.
+      if (expr.case_has_else && !ctx.BugEnabled(BugId::kCaseElseSkip)) {
+        return Walk(*expr.CaseElse(), row, ctx, out, error);
+      }
+      return Set(out, SqlValue::Null());
+    }
+
+    case ExprKind::kCollate:
+      // The COLLATE operator changes how an enclosing comparison orders
+      // text (see ExplicitCollation); the value itself passes through.
+      return Walk(*expr.args[0], row, ctx, out, error);
+
+    case ExprKind::kAggregate:
+      // Aggregates never reach the scalar evaluator: AggregateSelect
+      // substitutes them with their computed values first.
+      return Fail(error, "aggregate function in scalar context");
+  }
+  return Fail(error, "unknown expression kind");
+}
+
+}  // namespace
+
+const SqlValue* EvaluateRef(const Expr& expr, const RowView& row,
+                            const EvalContext& ctx, SqlValue* scratch,
+                            std::string* error) {
+  return Walk(expr, row, ctx, scratch, error);
+}
+
+bool EvaluateInto(const Expr& expr, const RowView& row,
+                  const EvalContext& ctx, SqlValue* out, std::string* error) {
+  const SqlValue* v = Walk(expr, row, ctx, out, error);
+  if (v == nullptr) return false;
+  if (v != out) *out = *v;
+  return true;
+}
+
+EvalResult Evaluate(const Expr& expr, const RowView& row,
+                    const EvalContext& ctx) {
+  EvalResult result;
+  if (!EvaluateInto(expr, row, ctx, &result.value, &result.message)) {
+    result.error = true;
+    result.value = SqlValue::Null();
+  }
+  return result;
+}
+
+Bool3 EvaluatePredicate(const Expr& expr, const RowView& row,
+                        const EvalContext& ctx, bool* error) {
+  SqlValue scratch;
+  const SqlValue* v = Walk(expr, row, ctx, &scratch, nullptr);
+  if (error != nullptr) *error = v == nullptr;
+  return v == nullptr ? Bool3::kNull : Truthiness(*v, ctx.dialect);
+}
+
+bool LikeMatch(std::string_view text, std::string_view pattern,
                bool case_insensitive, int escape) {
-  // Tokenize the pattern first so an escaped wildcard becomes an ordinary
-  // literal token; a trailing escape character matches itself literally.
-  enum class Tok : char { kAnyOne, kAnySeq, kLiteral };
-  std::vector<std::pair<Tok, char>> tokens;
-  tokens.reserve(pattern.size());
+  // A pattern ending in a bare escape character matches nothing in real
+  // SQLite; anything else escaped is an ordinary literal.
   for (size_t i = 0; i < pattern.size(); ++i) {
-    char c = pattern[i];
-    if (escape >= 0 && c == static_cast<char>(escape)) {
-      // A pattern ending in a bare escape character matches nothing in
-      // real SQLite; anything else escaped is an ordinary literal.
+    if (escape >= 0 && pattern[i] == static_cast<char>(escape)) {
       if (i + 1 >= pattern.size()) return false;
-      tokens.emplace_back(Tok::kLiteral, pattern[++i]);
-    } else if (c == '_') {
-      tokens.emplace_back(Tok::kAnyOne, c);
-    } else if (c == '%') {
-      tokens.emplace_back(Tok::kAnySeq, c);
-    } else {
-      tokens.emplace_back(Tok::kLiteral, c);
+      ++i;
     }
   }
-
-  // Iterative glob matcher with backtracking over the last kAnySeq.
+  auto norm = [case_insensitive](char c) {
+    return case_insensitive ? FoldChar(c) : static_cast<unsigned char>(c);
+  };
+  // Iterative glob matcher over the raw pattern with backtracking to the
+  // last %. An escaped character is one literal token two bytes wide.
   size_t ti = 0;
   size_t pi = 0;
-  size_t star_pi = std::string::npos;
+  size_t star_pi = std::string_view::npos;
   size_t star_ti = 0;
-  auto norm = [&](char c) {
-    return case_insensitive
-               ? static_cast<char>(std::tolower(static_cast<unsigned char>(c)))
-               : c;
-  };
   while (ti < text.size()) {
-    if (pi < tokens.size() &&
-        (tokens[pi].first == Tok::kAnyOne ||
-         (tokens[pi].first == Tok::kLiteral &&
-          norm(tokens[pi].second) == norm(text[ti])))) {
-      ++ti;
-      ++pi;
-    } else if (pi < tokens.size() && tokens[pi].first == Tok::kAnySeq) {
-      star_pi = pi++;
-      star_ti = ti;
-    } else if (star_pi != std::string::npos) {
-      pi = star_pi + 1;
-      ti = ++star_ti;
-    } else {
-      return false;
+    if (pi < pattern.size()) {
+      char c = pattern[pi];
+      bool escaped = escape >= 0 && c == static_cast<char>(escape);
+      if (escaped) {
+        if (norm(pattern[pi + 1]) == norm(text[ti])) {
+          ++ti;
+          pi += 2;
+          continue;
+        }
+      } else if (c == '_' || (c != '%' && norm(c) == norm(text[ti]))) {
+        ++ti;
+        ++pi;
+        continue;
+      } else if (c == '%') {
+        star_pi = pi++;
+        star_ti = ti;
+        continue;
+      }
     }
+    if (star_pi == std::string_view::npos) return false;
+    pi = star_pi + 1;
+    ti = ++star_ti;
   }
-  while (pi < tokens.size() && tokens[pi].first == Tok::kAnySeq) ++pi;
-  return pi == tokens.size();
+  while (pi < pattern.size() && pattern[pi] == '%' &&
+         !(escape >= 0 && '%' == static_cast<char>(escape))) {
+    ++pi;
+  }
+  return pi == pattern.size();
 }
 
 Bool3 Truthiness(const SqlValue& v, Dialect dialect) {
@@ -580,255 +886,6 @@ Bool3 Truthiness(const SqlValue& v, Dialect dialect) {
   return Bool3::kNull;
 }
 
-EvalResult Evaluate(const Expr& expr, const RowView& row,
-                    const EvalContext& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return EvalResult::Of(expr.literal);
-
-    case ExprKind::kColumnRef: {
-      if (row.schema == nullptr || row.values == nullptr) {
-        return EvalResult::Error("column reference outside a row context");
-      }
-      int idx = row.schema->Resolve(expr);
-      if (idx < 0) {
-        return EvalResult::Error("no such column: " + expr.column);
-      }
-      return EvalResult::Of((*row.values)[static_cast<size_t>(idx)]);
-    }
-
-    case ExprKind::kUnary: {
-      EvalResult operand = Evaluate(*expr.args[0], row, ctx);
-      if (operand.error) return operand;
-      if (expr.uop == UnaryOp::kNot) {
-        Bool3 b = Truthiness(operand.value, ctx.dialect);
-        if (b == Bool3::kNull && ctx.BugEnabled(BugId::kNotNullNot)) {
-          return EvalResult::Of(SqlValue::Bool(false));
-        }
-        return EvalResult::Of(SqlValue::FromBool3(Not3(b)));
-      }
-      // Unary minus.
-      const SqlValue& v = operand.value;
-      if (v.is_null()) return EvalResult::Of(SqlValue::Null());
-      if (v.cls == StorageClass::kInteger) {
-        return EvalResult::Of(SqlValue::Int(-v.i));
-      }
-      if (v.cls == StorageClass::kReal) {
-        return EvalResult::Of(SqlValue::Real(-v.r));
-      }
-      if (ctx.dialect == Dialect::kPostgresStrict) {
-        return EvalResult::Error("operator does not exist: -text");
-      }
-      return EvalResult::Of(SqlValue::Real(-ParseNumericPrefix(v.t)));
-    }
-
-    case ExprKind::kBinary: {
-      if (expr.bop == BinaryOp::kAnd || expr.bop == BinaryOp::kOr) {
-        EvalResult lhs = Evaluate(*expr.args[0], row, ctx);
-        if (lhs.error) return lhs;
-        EvalResult rhs = Evaluate(*expr.args[1], row, ctx);
-        if (rhs.error) return rhs;
-        Bool3 a = Truthiness(lhs.value, ctx.dialect);
-        Bool3 b = Truthiness(rhs.value, ctx.dialect);
-        Bool3 r = expr.bop == BinaryOp::kAnd ? And3(a, b) : Or3(a, b);
-        return EvalResult::Of(SqlValue::FromBool3(r));
-      }
-      EvalResult lhs = Evaluate(*expr.args[0], row, ctx);
-      if (lhs.error) return lhs;
-      EvalResult rhs = Evaluate(*expr.args[1], row, ctx);
-      if (rhs.error) return rhs;
-      if (IsComparisonOp(expr.bop)) {
-        return Compare(expr.bop, expr.args[0].get(), expr.args[1].get(),
-                       lhs.value, rhs.value, ctx);
-      }
-      if (IsArithmeticOp(expr.bop)) {
-        return Arithmetic(expr, lhs.value, rhs.value, ctx);
-      }
-      // Concat.
-      if (ctx.BugEnabled(BugId::kConcatNumericError) &&
-          (lhs.value.is_numeric() || rhs.value.is_numeric())) {
-        return EvalResult::Error("cannot concatenate non-text operand "
-                                 "(spurious)");
-      }
-      if (ctx.dialect == Dialect::kPostgresStrict &&
-          ((lhs.value.is_numeric()) || (rhs.value.is_numeric()))) {
-        return EvalResult::Error("operator does not exist: || with non-text");
-      }
-      if (lhs.value.is_null() || rhs.value.is_null()) {
-        return EvalResult::Of(SqlValue::Null());
-      }
-      return EvalResult::Of(SqlValue::Text(ConcatOperand(lhs.value) +
-                                           ConcatOperand(rhs.value)));
-    }
-
-    case ExprKind::kIsNull: {
-      if (ctx.BugEnabled(BugId::kIsNullArithLost) &&
-          expr.args[0]->kind == ExprKind::kBinary &&
-          IsArithmeticOp(expr.args[0]->bop)) {
-        // NULL propagation through arithmetic is lost: IS NULL → FALSE,
-        // IS NOT NULL → TRUE, regardless of the operand.
-        return EvalResult::Of(SqlValue::Bool(expr.negated));
-      }
-      EvalResult operand = Evaluate(*expr.args[0], row, ctx);
-      if (operand.error) return operand;
-      bool is_null = operand.value.is_null();
-      return EvalResult::Of(SqlValue::Bool(is_null != expr.negated));
-    }
-
-    case ExprKind::kInList: {
-      if (ctx.BugEnabled(BugId::kDupInListError)) {
-        for (size_t i = 1; i < expr.args.size(); ++i) {
-          for (size_t j = i + 1; j < expr.args.size(); ++j) {
-            if (expr.args[i]->kind == ExprKind::kLiteral &&
-                expr.args[j]->kind == ExprKind::kLiteral &&
-                ValueEquals(expr.args[i]->literal, expr.args[j]->literal)) {
-              return EvalResult::Error("duplicate value in IN list "
-                                       "(spurious)");
-            }
-          }
-        }
-      }
-      EvalResult probe = Evaluate(*expr.args[0], row, ctx);
-      if (probe.error) return probe;
-      if (probe.value.is_null()) return EvalResult::Of(SqlValue::Null());
-      size_t limit = expr.args.size();
-      if (ctx.BugEnabled(BugId::kInListFirstOnly) && limit > 2) limit = 2;
-      bool saw_null = false;
-      for (size_t i = 1; i < limit; ++i) {
-        EvalResult item = Evaluate(*expr.args[i], row, ctx);
-        if (item.error) return item;
-        EvalResult eq = Compare(BinaryOp::kEq, expr.args[0].get(),
-                                expr.args[i].get(), probe.value, item.value,
-                                ctx);
-        if (eq.error) return eq;
-        Bool3 b = Truthiness(eq.value, ctx.dialect);
-        if (b == Bool3::kTrue) {
-          return EvalResult::Of(SqlValue::Bool(!expr.negated));
-        }
-        if (b == Bool3::kNull) saw_null = true;
-      }
-      // Injected: the UNKNOWN contributed by a NULL list element is
-      // dropped, collapsing x IN (..., NULL) to FALSE (NOT IN to TRUE).
-      if (saw_null && !ctx.BugEnabled(BugId::kInListNullSemantics)) {
-        return EvalResult::Of(SqlValue::Null());
-      }
-      return EvalResult::Of(SqlValue::Bool(expr.negated));
-    }
-
-    case ExprKind::kBetween: {
-      if (ctx.BugEnabled(BugId::kBetweenSwapError) &&
-          expr.args[1]->kind == ExprKind::kLiteral &&
-          expr.args[2]->kind == ExprKind::kLiteral &&
-          !expr.args[1]->literal.is_null() &&
-          !expr.args[2]->literal.is_null() &&
-          ValueCompare(expr.args[1]->literal, expr.args[2]->literal) > 0) {
-        return EvalResult::Error("BETWEEN range bounds inverted (spurious)");
-      }
-      EvalResult v = Evaluate(*expr.args[0], row, ctx);
-      if (v.error) return v;
-      EvalResult lo = Evaluate(*expr.args[1], row, ctx);
-      if (lo.error) return lo;
-      EvalResult hi = Evaluate(*expr.args[2], row, ctx);
-      if (hi.error) return hi;
-      EvalResult above = Compare(BinaryOp::kGe, expr.args[0].get(),
-                                 expr.args[1].get(), v.value, lo.value, ctx);
-      if (above.error) return above;
-      EvalResult below = Compare(BinaryOp::kLe, expr.args[0].get(),
-                                 expr.args[2].get(), v.value, hi.value, ctx);
-      if (below.error) return below;
-      Bool3 r = And3(Truthiness(above.value, ctx.dialect),
-                     Truthiness(below.value, ctx.dialect));
-      if (expr.negated) r = Not3(r);
-      return EvalResult::Of(SqlValue::FromBool3(r));
-    }
-
-    case ExprKind::kLike: {
-      EvalResult v = Evaluate(*expr.args[0], row, ctx);
-      if (v.error) return v;
-      EvalResult p = Evaluate(*expr.args[1], row, ctx);
-      if (p.error) return p;
-      if (v.value.is_null() || p.value.is_null()) {
-        return EvalResult::Of(SqlValue::Null());
-      }
-      if (ctx.dialect == Dialect::kPostgresStrict &&
-          (v.value.cls != StorageClass::kText ||
-           p.value.cls != StorageClass::kText)) {
-        return EvalResult::Error("operator does not exist: LIKE on non-text");
-      }
-      std::string text = ConcatOperand(v.value);
-      std::string pattern = ConcatOperand(p.value);
-      if (ctx.BugEnabled(BugId::kLikeAnchored) && !pattern.empty() &&
-          pattern.front() == '%') {
-        pattern.erase(pattern.begin());
-      }
-      int escape = -1;
-      if (expr.args.size() > 2 && expr.args[2] != nullptr) {
-        EvalResult esc = Evaluate(*expr.args[2], row, ctx);
-        if (esc.error) return esc;
-        if (esc.value.cls != StorageClass::kText || esc.value.t.size() != 1) {
-          return EvalResult::Error("ESCAPE expression must be a single "
-                                   "character");
-        }
-        // Injected: the ESCAPE clause parses but the matcher never learns
-        // about it — escaped wildcards stay wildcards.
-        if (!ctx.BugEnabled(BugId::kLikeEscapeMiss)) {
-          escape = static_cast<unsigned char>(esc.value.t[0]);
-        }
-      }
-      bool fold = ctx.dialect != Dialect::kPostgresStrict;
-      bool match = LikeMatch(text, pattern, fold, escape);
-      return EvalResult::Of(SqlValue::Bool(match != expr.negated));
-    }
-
-    case ExprKind::kFunctionCall:
-      return EvaluateFunction(expr, row, ctx);
-
-    case ExprKind::kCast: {
-      EvalResult operand = Evaluate(*expr.args[0], row, ctx);
-      if (operand.error) return operand;
-      return EvaluateCast(expr, operand.value, ctx);
-    }
-
-    case ExprKind::kCase: {
-      size_t arms = expr.CaseArmCount();
-      for (size_t i = 0; i < arms; ++i) {
-        EvalResult when = Evaluate(*expr.args[2 * i], row, ctx);
-        if (when.error) return when;
-        if (Truthiness(when.value, ctx.dialect) == Bool3::kTrue) {
-          return Evaluate(*expr.args[2 * i + 1], row, ctx);
-        }
-      }
-      // Injected: the fall-through path forgets the ELSE arm exists.
-      if (expr.case_has_else && !ctx.BugEnabled(BugId::kCaseElseSkip)) {
-        return Evaluate(*expr.CaseElse(), row, ctx);
-      }
-      return EvalResult::Of(SqlValue::Null());
-    }
-
-    case ExprKind::kCollate:
-      // The COLLATE operator changes how an enclosing comparison orders
-      // text (see ExplicitCollation); the value itself passes through.
-      return Evaluate(*expr.args[0], row, ctx);
-
-    case ExprKind::kAggregate:
-      // Aggregates never reach the scalar evaluator: AggregateSelect
-      // substitutes them with their computed values first.
-      return EvalResult::Error("aggregate function in scalar context");
-  }
-  return EvalResult::Error("unknown expression kind");
-}
-
-Bool3 EvaluatePredicate(const Expr& expr, const RowView& row,
-                        const EvalContext& ctx, bool* error) {
-  EvalResult r = Evaluate(expr, row, ctx);
-  if (r.error) {
-    if (error != nullptr) *error = true;
-    return Bool3::kNull;
-  }
-  if (error != nullptr) *error = false;
-  return Truthiness(r.value, ctx.dialect);
-}
-
 bool JoinRows(const std::vector<JoinInput>& inputs,
               const std::vector<JoinClause>& joins, const EvalContext& ctx,
               std::vector<std::vector<SqlValue>>* out, std::string* error,
@@ -840,10 +897,20 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
     if (error != nullptr) *error = "join clause count does not match FROM";
     return false;
   }
+  if (inputs.size() == 1) {
+    *out = *inputs[0].rows;
+    return true;
+  }
 
-  RowSchema schema = inputs[0].schema;
-  std::vector<std::vector<SqlValue>> acc(inputs[0].rows->begin(),
-                                         inputs[0].rows->end());
+  // The schema grows by one input per step, so an ON condition sees the
+  // columns joined so far. The first step reads the first input in place.
+  RowSchema schema = *inputs[0].schema;
+  const std::vector<std::vector<SqlValue>>* left = inputs[0].rows;
+  std::vector<std::vector<SqlValue>> acc;
+  // ON runs once per row pair, on this one reused candidate row; only the
+  // pairs that match are allocated as rows of their own.
+  std::vector<SqlValue> candidate;
+  SqlValue on_value;
   for (size_t t = 1; t < inputs.size(); ++t) {
     const JoinInput& right = inputs[t];
     const JoinClause* join = joins.empty() ? nullptr : &joins[t - 1];
@@ -855,37 +922,35 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
       return false;
     }
 
-    RowSchema next_schema = schema;
-    next_schema.cols.insert(next_schema.cols.end(), right.schema.cols.begin(),
-                            right.schema.cols.end());
-    if (schema.has_ids() && right.schema.has_ids()) {
-      next_schema.ids.insert(next_schema.ids.end(), right.schema.ids.begin(),
-                             right.schema.ids.end());
+    const RowSchema& rschema = *right.schema;
+    bool keep_ids = schema.has_ids() && rschema.has_ids();
+    schema.cols.insert(schema.cols.end(), rschema.cols.begin(),
+                       rschema.cols.end());
+    if (keep_ids) {
+      schema.ids.insert(schema.ids.end(), rschema.ids.begin(),
+                        rschema.ids.end());
     } else {
-      next_schema.ids.clear();
+      schema.ids.clear();
     }
-    // The ON condition runs once per row *pair* — compile it against the
-    // combined schema instead of re-resolving columns pair by pair.
-    CompiledExpr on_code;
-    if (on != nullptr) on_code = CompileExpr(*on, next_schema, ctx.dialect);
+    const RowView candidate_view{&schema, &candidate};
     std::vector<std::vector<SqlValue>> next;
-    for (const std::vector<SqlValue>& lrow : acc) {
+    for (const std::vector<SqlValue>& lrow : *left) {
+      if (on != nullptr) candidate.assign(lrow.begin(), lrow.end());
       bool matched = false;
       for (const std::vector<SqlValue>& rrow : *right.rows) {
-        std::vector<SqlValue> combined;
+        if (on != nullptr) {
+          candidate.resize(lrow.size() + rrow.size());
+          std::copy(rrow.begin(), rrow.end(),
+                    candidate.begin() + static_cast<long>(lrow.size()));
+          const SqlValue* v =
+              EvaluateRef(*on, candidate_view, ctx, &on_value, error);
+          if (v == nullptr) return false;
+          if (Truthiness(*v, ctx.dialect) != Bool3::kTrue) continue;
+        }
+        std::vector<SqlValue>& combined = next.emplace_back();
         combined.reserve(lrow.size() + rrow.size());
         combined.insert(combined.end(), lrow.begin(), lrow.end());
         combined.insert(combined.end(), rrow.begin(), rrow.end());
-        if (on != nullptr) {
-          RowView view{&next_schema, &combined};
-          EvalResult r = on_code.Run(view, ctx);
-          if (r.error) {
-            if (error != nullptr) *error = r.message;
-            return false;
-          }
-          if (Truthiness(r.value, ctx.dialect) != Bool3::kTrue) continue;
-        }
-        next.push_back(std::move(combined));
         matched = true;
         // Injected: the scan wrongly assumes the right side is unique on
         // the join key and stops after the first matching right row.
@@ -894,16 +959,15 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
         }
       }
       if (!matched && kind == JoinKind::kLeft) {
-        std::vector<SqlValue> padded;
-        padded.reserve(lrow.size() + right.schema.cols.size());
+        std::vector<SqlValue>& padded = next.emplace_back();
+        padded.reserve(lrow.size() + rschema.cols.size());
         padded.insert(padded.end(), lrow.begin(), lrow.end());
-        padded.resize(lrow.size() + right.schema.cols.size());  // NULL cells
-        next.push_back(std::move(padded));
+        padded.resize(lrow.size() + rschema.cols.size());  // NULL cells
         if (null_padded_rows != nullptr) ++*null_padded_rows;
       }
     }
     acc = std::move(next);
-    schema = std::move(next_schema);
+    left = &acc;
   }
   *out = std::move(acc);
   return true;
@@ -937,7 +1001,8 @@ bool DistinctRowsEqual(const std::vector<SqlValue>& a,
 }  // namespace
 
 std::vector<size_t> DistinctKeepIndexes(
-    const std::vector<std::vector<SqlValue>>& rows, const EvalContext& ctx) {
+    const std::vector<const std::vector<SqlValue>*>& rows,
+    const EvalContext& ctx) {
   std::vector<size_t> kept;
   // Sort-based dedup for clean equality: ValueCompare's total order has
   // compare==0 exactly when ValueEquals holds (NULLs equal, numerics by
@@ -950,8 +1015,8 @@ std::vector<size_t> DistinctKeepIndexes(
     std::vector<size_t> order(rows.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&rows](size_t x, size_t y) {
-      const std::vector<SqlValue>& a = rows[x];
-      const std::vector<SqlValue>& b = rows[y];
+      const std::vector<SqlValue>& a = *rows[x];
+      const std::vector<SqlValue>& b = *rows[y];
       size_t common = std::min(a.size(), b.size());
       for (size_t i = 0; i < common; ++i) {
         int c = ValueCompare(a[i], b[i]);
@@ -961,8 +1026,10 @@ std::vector<size_t> DistinctKeepIndexes(
       return x < y;  // stable within an equal-run: first occurrence leads
     });
     for (size_t i = 0; i < order.size(); ++i) {
-      if (i > 0 && DistinctRowsEqual(rows[order[i]], rows[order[i - 1]], ctx))
+      if (i > 0 &&
+          DistinctRowsEqual(*rows[order[i]], *rows[order[i - 1]], ctx)) {
         continue;
+      }
       kept.push_back(order[i]);
     }
     std::sort(kept.begin(), kept.end());
@@ -972,7 +1039,7 @@ std::vector<size_t> DistinctKeepIndexes(
   for (size_t i = 0; i < rows.size(); ++i) {
     bool duplicate = false;
     for (size_t k : kept) {
-      if (DistinctRowsEqual(rows[i], rows[k], ctx)) {
+      if (DistinctRowsEqual(*rows[i], *rows[k], ctx)) {
         duplicate = true;
         break;
       }
@@ -982,34 +1049,25 @@ std::vector<size_t> DistinctKeepIndexes(
   return kept;
 }
 
-bool EvalOrderKeys(const std::vector<OrderByItem>& order, const RowView& row,
-                   const EvalContext& ctx, std::vector<SqlValue>* keys,
-                   std::string* error) {
-  keys->clear();
-  keys->reserve(order.size());
-  for (const OrderByItem& item : order) {
-    if (item.expr == nullptr) {
-      if (error != nullptr) *error = "ORDER BY without key expression";
-      return false;
-    }
-    EvalResult r = Evaluate(*item.expr, row, ctx);
-    if (r.error) {
-      if (error != nullptr) *error = r.message;
-      return false;
-    }
-    keys->push_back(std::move(r.value));
-  }
-  return true;
-}
+namespace {
 
-int CompareOrderKeys(const std::vector<SqlValue>& a,
-                     const std::vector<SqlValue>& b,
-                     const std::vector<OrderByItem>& order) {
-  for (size_t i = 0; i < order.size() && i < a.size() && i < b.size(); ++i) {
+// Lexicographic three-way comparison of the first `n` keys of two rows.
+int CompareKeys(const SqlValue* a, const SqlValue* b, size_t n,
+                const std::vector<OrderByItem>& order) {
+  for (size_t i = 0; i < n; ++i) {
     int c = ValueCompare(a[i], b[i]);
     if (c != 0) return order[i].descending ? -c : c;
   }
   return 0;
+}
+
+}  // namespace
+
+int CompareOrderKeys(const std::vector<SqlValue>& a,
+                     const std::vector<SqlValue>& b,
+                     const std::vector<OrderByItem>& order) {
+  size_t n = std::min({order.size(), a.size(), b.size()});
+  return CompareKeys(a.data(), b.data(), n, order);
 }
 
 bool SortIndexesByOrder(const RowSchema& schema,
@@ -1021,35 +1079,28 @@ bool SortIndexesByOrder(const RowSchema& schema,
     perm->clear();
     return true;
   }
-  // Key expressions run once per row: compile each once and evaluate the
-  // programs per row. EvalOrderKeys stays as the API for callers that only
-  // sort a handful of rows.
-  std::vector<CompiledExpr> key_code;
-  key_code.reserve(order.size());
   for (const OrderByItem& item : order) {
     if (item.expr == nullptr) {
       if (error != nullptr) *error = "ORDER BY without key expression";
       return false;
     }
-    key_code.push_back(CompileExpr(*item.expr, schema, ctx.dialect));
   }
-  std::vector<std::vector<SqlValue>> keys(rows.size());
+  // Every row's keys in one row-major array: one allocation per sort.
+  const size_t width = order.size();
+  std::vector<SqlValue> keys(rows.size() * width);
   for (size_t i = 0; i < rows.size(); ++i) {
     RowView view{&schema, &rows[i]};
-    keys[i].reserve(order.size());
-    for (const CompiledExpr& code : key_code) {
-      EvalResult r = code.Run(view, ctx);
-      if (r.error) {
-        if (error != nullptr) *error = r.message;
+    for (size_t k = 0; k < width; ++k) {
+      if (!EvaluateInto(*order[k].expr, view, ctx, &keys[i * width + k],
+                        error)) {
         return false;
       }
-      keys[i].push_back(std::move(r.value));
     }
   }
   perm->resize(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) (*perm)[i] = i;
   std::stable_sort(perm->begin(), perm->end(), [&](size_t x, size_t y) {
-    return CompareOrderKeys(keys[x], keys[y], order) < 0;
+    return CompareKeys(&keys[x * width], &keys[y * width], width, order) < 0;
   });
   return true;
 }
@@ -1241,31 +1292,23 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
       group_rows[0].push_back(i);
     }
   } else {
-    // Key expressions run once per input row: compile each once. Compiled
-    // lazily on the first row so an empty input still yields zero groups
-    // without touching the key expressions, as before.
-    std::vector<CompiledExpr> group_code;
+    // An empty input yields zero groups without touching the key
+    // expressions.
     if (!input_rows.empty()) {
-      group_code.reserve(stmt.group_by.size());
       for (const ExprPtr& g : stmt.group_by) {
         if (g == nullptr) {
           if (error != nullptr) *error = "GROUP BY without key expression";
           return false;
         }
-        group_code.push_back(CompileExpr(*g, schema, ctx.dialect));
       }
     }
+    std::vector<SqlValue> key(stmt.group_by.size());
     for (size_t i = 0; i < input_rows.size(); ++i) {
       RowView view{&schema, &input_rows[i]};
-      std::vector<SqlValue> key;
-      key.reserve(stmt.group_by.size());
-      for (const CompiledExpr& code : group_code) {
-        EvalResult r = code.Run(view, ctx);
-        if (r.error) {
-          if (error != nullptr) *error = r.message;
+      for (size_t c = 0; c < key.size(); ++c) {
+        if (!EvaluateInto(*stmt.group_by[c], view, ctx, &key[c], error)) {
           return false;
         }
-        key.push_back(std::move(r.value));
       }
       // GROUP BY key equality: NULL keys group together and INTEGER/REAL
       // keys group numerically, matching real engines' grouping compare.
@@ -1284,7 +1327,7 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
         }
       }
       if (slot == group_keys.size()) {
-        group_keys.push_back(std::move(key));
+        group_keys.push_back(key);
         group_rows.emplace_back();
       }
       group_rows[slot].push_back(i);
@@ -1299,16 +1342,7 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
   }
   if (stmt.having) CollectAggregates(*stmt.having, &agg_nodes);
 
-  // Aggregate operands run once per member row per group: compile each
-  // once. COUNT(*) has no operand, so its slot stays empty and unused.
-  std::vector<CompiledExpr> agg_code(agg_nodes.size());
-  for (size_t i = 0; i < agg_nodes.size(); ++i) {
-    const Expr* node = agg_nodes[i];
-    if (!node->agg_star && !node->args.empty() && node->args[0] != nullptr) {
-      agg_code[i] = CompileExpr(*node->args[0], schema, ctx.dialect);
-    }
-  }
-
+  SqlValue operand;
   for (size_t g = 0; g < group_keys.size(); ++g) {
     auto compute = [&](const std::vector<size_t>& members,
                        std::vector<SqlValue>* out_vals) -> bool {
@@ -1321,12 +1355,9 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
             continue;
           }
           RowView view{&schema, &input_rows[ri]};
-          EvalResult r = agg_code[ai].Run(view, ctx);
-          if (r.error) {
-            if (error != nullptr) *error = r.message;
-            return false;
-          }
-          if (!acc.Add(r.value, error)) return false;
+          const SqlValue* v =
+              EvaluateRef(*node->args[0], view, ctx, &operand, error);
+          if (v == nullptr || !acc.Add(*v, error)) return false;
         }
         out_vals->push_back(acc.Final());
       }
@@ -1354,24 +1385,16 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
       }
       ExprPtr hav =
           SubstituteAggregates(*stmt.having, agg_nodes, having_values);
-      EvalResult r = Evaluate(*hav, rep_view, ctx);
-      if (r.error) {
-        if (error != nullptr) *error = r.message;
-        return false;
-      }
-      if (Truthiness(r.value, ctx.dialect) != Bool3::kTrue) continue;
+      const SqlValue* v = EvaluateRef(*hav, rep_view, ctx, &operand, error);
+      if (v == nullptr) return false;
+      if (Truthiness(*v, ctx.dialect) != Bool3::kTrue) continue;
     }
 
-    std::vector<SqlValue> out_row;
-    out_row.reserve(stmt.select_list.size());
-    for (const ExprPtr& item : stmt.select_list) {
-      ExprPtr sub = SubstituteAggregates(*item, agg_nodes, agg_values);
-      EvalResult r = Evaluate(*sub, rep_view, ctx);
-      if (r.error) {
-        if (error != nullptr) *error = r.message;
-        return false;
-      }
-      out_row.push_back(std::move(r.value));
+    std::vector<SqlValue> out_row(stmt.select_list.size());
+    for (size_t i = 0; i < out_row.size(); ++i) {
+      ExprPtr sub =
+          SubstituteAggregates(*stmt.select_list[i], agg_nodes, agg_values);
+      if (!EvaluateInto(*sub, rep_view, ctx, &out_row[i], error)) return false;
     }
     out_rows->push_back(std::move(out_row));
   }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/bugs.h"
@@ -81,20 +82,28 @@ struct EvalResult {
   SqlValue value;
   bool error = false;
   std::string message;
-
-  static EvalResult Of(SqlValue v) {
-    EvalResult out;
-    out.value = std::move(v);
-    return out;
-  }
-  static EvalResult Error(std::string msg) {
-    EvalResult out;
-    out.error = true;
-    out.message = std::move(msg);
-    return out;
-  }
 };
 
+// The evaluator: one recursive walk over the Expr tree (DESIGN §11). It
+// returns a pointer to the result instead of a value, so leaves are never
+// copied: a literal result points into `expr`'s tree, a column reference
+// into `row`'s values, and only a computed value is written to *scratch.
+// The pointer stays valid while the tree, the row's vector and *scratch
+// are alive and unmodified. On an evaluation error it returns nullptr and
+// stores the message in *error (which may be null when the caller only
+// needs to know that it failed). Errors surface in evaluation order: the
+// first failing operand, left to right, wins.
+const SqlValue* EvaluateRef(const Expr& expr, const RowView& row,
+                            const EvalContext& ctx, SqlValue* scratch,
+                            std::string* error);
+
+// EvaluateRef, with the result stored into *out (a borrowed leaf is copied,
+// a computed value is built in place). *out must not be a cell of `row`.
+// Returns false and fills *error on an evaluation error.
+bool EvaluateInto(const Expr& expr, const RowView& row,
+                  const EvalContext& ctx, SqlValue* out, std::string* error);
+
+// EvaluateRef packaged as an owned value or error.
 EvalResult Evaluate(const Expr& expr, const RowView& row,
                     const EvalContext& ctx);
 
@@ -110,7 +119,7 @@ Bool3 EvaluatePredicate(const Expr& expr, const RowView& row,
 // (escape < 0 means no ESCAPE clause; an escaped wildcard matches itself
 // literally, and a pattern ending in a bare escape character matches
 // nothing, as in real SQLite). Exposed for tests.
-bool LikeMatch(const std::string& text, const std::string& pattern,
+bool LikeMatch(std::string_view text, std::string_view pattern,
                bool case_insensitive, int escape = -1);
 
 // ---------------------------------------------------------------------------
@@ -124,9 +133,9 @@ bool LikeMatch(const std::string& text, const std::string& pattern,
 // here gated on ctx.bugs, and a null BugConfig is reference semantics.
 
 // One FROM entry of a relational evaluation: the table's column schema plus
-// its materialized rows.
+// its materialized rows, both borrowed for the call.
 struct JoinInput {
-  RowSchema schema;
+  const RowSchema* schema = nullptr;
   const std::vector<std::vector<SqlValue>>* rows = nullptr;
 };
 
@@ -143,17 +152,13 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
               std::vector<std::vector<SqlValue>>* out, std::string* error,
               size_t* null_padded_rows);
 
-// SQL DISTINCT over materialized rows: returns the indexes of the rows kept
+// SQL DISTINCT over borrowed rows: returns the indexes of the rows kept
 // (the first occurrence of each duplicate group), in ascending order. NULL
 // cells compare equal to each other and INTEGER/REAL cells compare
 // numerically, matching real engines' DISTINCT semantics.
 std::vector<size_t> DistinctKeepIndexes(
-    const std::vector<std::vector<SqlValue>>& rows, const EvalContext& ctx);
-
-// Evaluates the ORDER BY key expressions on one row.
-bool EvalOrderKeys(const std::vector<OrderByItem>& order, const RowView& row,
-                   const EvalContext& ctx, std::vector<SqlValue>* keys,
-                   std::string* error);
+    const std::vector<const std::vector<SqlValue>*>& rows,
+    const EvalContext& ctx);
 
 // Lexicographic three-way comparison of two key vectors under the order
 // spec: ValueCompare per key (NULL < numeric < TEXT, the SQLite/MySQL

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/interner.h"
-#include "src/interp/bytecode.h"
 
 namespace pqs {
 namespace minidb {
@@ -128,18 +127,6 @@ bool RowCoveredByPartial(const Expr* where, const RowSchema& schema,
   bool error = false;
   return EvaluatePredicate(*where, view, ctx, &error) == Bool3::kTrue &&
          !error;
-}
-
-// Same, through the predicate program compiled at CREATE INDEX. Index
-// maintenance runs this once per row; the program falls back to the tree
-// evaluator when invalid, so results match RowCoveredByPartial exactly.
-bool RowCoveredByPartialCode(const Expr* where, const CompiledExpr& code,
-                             const RowSchema& schema, const EvalContext& ctx,
-                             const std::vector<SqlValue>& row) {
-  if (where == nullptr) return true;
-  RowView view{&schema, &row};
-  EvalResult r = code.Run(view, ctx);
-  return !r.error && Truthiness(r.value, ctx.dialect) == Bool3::kTrue;
 }
 
 // True if two rows collide on the key columns: every key value non-NULL
@@ -362,9 +349,6 @@ StatementResult Database::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
   index.columns = stmt.columns;
   index.unique = stmt.unique;
   index.where = stmt.where ? stmt.where->Clone() : nullptr;
-  if (index.where != nullptr) {
-    index.where_code = CompileExpr(*index.where, table->schema, dialect_);
-  }
   for (const std::string& col : stmt.columns) {
     index.key_cols.push_back(table->schema.IndexOf(stmt.table_name, col));
   }
@@ -390,12 +374,9 @@ void Database::AddIndexEntry(IndexData* index, const TableData& table,
   TableStore::Cursor cursor(table.store);
   const std::vector<SqlValue>* row = cursor.TryRow(pos);
   if (row == nullptr) return;  // vanished under an injected storage bug
-  if (index->where != nullptr) {
-    EvalContext ctx{dialect_, &bugs_};
-    if (!RowCoveredByPartialCode(index->where.get(), index->where_code,
-                                 table.schema, ctx, *row)) {
-      return;
-    }
+  EvalContext ctx{dialect_, &bugs_};
+  if (!RowCoveredByPartial(index->where.get(), table.schema, ctx, *row)) {
+    return;
   }
   std::pair<std::vector<SqlValue>, size_t> entry;
   entry.first.reserve(index->key_cols.size());
@@ -412,24 +393,16 @@ void Database::RebuildIndex(IndexData* index, const TableData& table) {
   // Bulk build: collect every covered row's key, then one sort. Produces
   // the same order the incremental upper_bound inserts would (KeyEntryLess
   // tie-breaks on row position, so the order is total) without the
-  // per-row shifting that dominated UPDATE/DELETE profiles. The scan is
-  // page-batched; a partial predicate runs through the batch evaluator.
+  // per-row shifting that dominated UPDATE/DELETE profiles.
   index->entries.clear();
   index->entries.reserve(table.store.size());
   EvalContext ctx{dialect_, &bugs_};
-  std::vector<EvalResult> covered;
   table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
                                size_t n) {
-    if (index->where != nullptr) {
-      index->where_code.RunBatch(table.schema, rows, n, ctx, &covered);
-    }
     for (size_t i = 0; i < n; ++i) {
-      if (index->where != nullptr) {
-        const EvalResult& r = covered[i];
-        if (r.error ||
-            Truthiness(r.value, ctx.dialect) != Bool3::kTrue) {
-          continue;
-        }
+      if (!RowCoveredByPartial(index->where.get(), table.schema, ctx,
+                               rows[i])) {
+        continue;
       }
       std::pair<std::vector<SqlValue>, size_t> entry;
       entry.first.reserve(index->key_cols.size());
@@ -583,13 +556,11 @@ StatementResult Database::CheckConstraints(
   EvalContext ctx{dialect_, &bugs_};
   for (const IndexData& index : indexes_) {
     if (!index.unique || index.table_name != table.name) continue;
-    if (!RowCoveredByPartialCode(index.where.get(), index.where_code, schema,
-                                 ctx, candidate)) {
+    if (!RowCoveredByPartial(index.where.get(), schema, ctx, candidate)) {
       continue;
     }
     auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                     schema, ctx, other) &&
+      return RowCoveredByPartial(index.where.get(), schema, ctx, other) &&
              KeyColumnsCollide(index.key_cols, other, candidate);
     };
     bool stored_collision = false;
@@ -647,20 +618,15 @@ StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
         return StatementResult::Failure(StatementStatus::kError,
                                         "missing value expression");
       }
-      // Generated INSERT rows are almost always literal tuples; skip the
-      // evaluator dispatch for that common case.
-      const Expr& cell = *row_exprs[c];
-      EvalResult v = cell.kind == ExprKind::kLiteral
-                         ? EvalResult::Of(cell.literal)
-                         : Evaluate(cell, no_row, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError, v.message);
+      SqlValue& value = row.emplace_back();
+      std::string error;
+      if (!EvaluateInto(*row_exprs[c], no_row, ctx, &value, &error)) {
+        return StatementResult::Failure(StatementStatus::kError, error);
       }
       StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &v.value, &failure)) {
+      if (!CoerceForInsert(table->columns[c], &value, &failure)) {
         return failure;
       }
-      row.push_back(std::move(v.value));
     }
     StatementResult violation = CheckConstraints(*table, row, accepted);
     if (!violation.ok()) {
@@ -726,28 +692,19 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
   EvalContext ctx{dialect_, &bugs_};
 
   // Pass 1: decide the matched set on the pre-update snapshot (SQL UPDATE
-  // semantics: the WHERE never observes this statement's own writes). The
-  // scan is page-batched, the WHERE compiled once and run per batch.
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) where_code = CompileExpr(*stmt.where, schema, dialect_);
+  // semantics: the WHERE never observes this statement's own writes).
   std::vector<size_t> matched_pos;
   bool where_failed = false;
-  std::vector<EvalResult> where_out;
   table->store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
                                 size_t n) {
-    if (stmt.where == nullptr) {
-      for (size_t r = 0; r < n; ++r) matched_pos.push_back(base + r);
-      return true;
-    }
-    where_code.RunBatch(schema, rows, n, ctx, &where_out);
     for (size_t r = 0; r < n; ++r) {
-      if (where_out[r].error) {
-        where_failed = true;
-        return false;
+      if (stmt.where != nullptr) {
+        Bool3 hit = EvaluatePredicate(*stmt.where, RowView{&schema, &rows[r]},
+                                      ctx, &where_failed);
+        if (where_failed) return false;
+        if (hit != Bool3::kTrue) continue;
       }
-      if (Truthiness(where_out[r].value, dialect_) == Bool3::kTrue) {
-        matched_pos.push_back(base + r);
-      }
+      matched_pos.push_back(base + r);
     }
     return true;
   });
@@ -766,12 +723,6 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
   // and rolls every earlier row back). The statement journal is sparse:
   // (row, pre-image) pairs for written rows only, undone in reverse —
   // the former full-table copy dominated the UPDATE profile.
-  std::vector<CompiledExpr> target_code;
-  target_code.reserve(targets.size());
-  for (const auto& [c, value_expr] : targets) {
-    (void)c;
-    target_code.push_back(CompileExpr(*value_expr, schema, dialect_));
-  }
   std::vector<std::pair<size_t, std::vector<SqlValue>>> undo;
   undo.reserve(matched_pos.size());
   auto rollback = [&]() {
@@ -793,19 +744,17 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     std::vector<SqlValue> pre = *current;
     RowView view{&schema, &pre};
     std::vector<SqlValue> updated = pre;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      EvalResult v = target_code[t].Run(view, ctx);
-      if (v.error) {
+    for (const auto& [c, value_expr] : targets) {
+      std::string error;
+      if (!EvaluateInto(*value_expr, view, ctx, &updated[c], &error)) {
         rollback();
-        return StatementResult::Failure(StatementStatus::kError, v.message);
+        return StatementResult::Failure(StatementStatus::kError, error);
       }
       StatementResult failure;
-      if (!CoerceForInsert(table->columns[targets[t].first], &v.value,
-                           &failure)) {
+      if (!CoerceForInsert(table->columns[c], &updated[c], &failure)) {
         rollback();
         return failure;
       }
-      updated[targets[t].first] = std::move(v.value);
     }
     StatementResult violation = CheckConstraints(
         *table, updated, {}, static_cast<int>(pos));
@@ -844,8 +793,6 @@ StatementResult Database::ExecuteDelete(const DeleteStmt& stmt) {
 
   const RowSchema& schema = table->schema;
   EvalContext ctx{dialect_, &bugs_};
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) where_code = CompileExpr(*stmt.where, schema, dialect_);
   // One page-batched pass copies every surviving row out (the compaction
   // rewrites the heap wholesale) and records doomed flags in scan order.
   std::vector<std::vector<SqlValue>> scanned;
@@ -857,20 +804,14 @@ StatementResult Database::ExecuteDelete(const DeleteStmt& stmt) {
   size_t doomed_count = 0;
   size_t last_doomed = 0;  // index into the scan-order arrays
   bool where_failed = false;
-  std::vector<EvalResult> where_out;
   table->store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
                                 size_t n) {
-    if (stmt.where != nullptr) {
-      where_code.RunBatch(schema, rows, n, ctx, &where_out);
-    }
     for (size_t r = 0; r < n; ++r) {
       bool hit = true;
       if (stmt.where != nullptr) {
-        if (where_out[r].error) {
-          where_failed = true;
-          return false;
-        }
-        hit = Truthiness(where_out[r].value, dialect_) == Bool3::kTrue;
+        hit = EvaluatePredicate(*stmt.where, RowView{&schema, &rows[r]}, ctx,
+                                &where_failed) == Bool3::kTrue;
+        if (where_failed) return false;
       }
       scanned.push_back(rows[r]);
       positions.push_back(base + r);
@@ -1205,10 +1146,14 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   RowSchema joined_schema_storage;
   StatementResult result;
   for (const TableData* table : from) {
+    if (from.size() > 1) {
+      const RowSchema& part = table->schema;
+      joined_schema_storage.cols.insert(joined_schema_storage.cols.end(),
+                                        part.cols.begin(), part.cols.end());
+      joined_schema_storage.ids.insert(joined_schema_storage.ids.end(),
+                                       part.ids.begin(), part.ids.end());
+    }
     for (size_t c = 0; c < table->columns.size(); ++c) {
-      if (from.size() > 1) {
-        joined_schema_storage.Add(table->name, table->columns[c].name);
-      }
       result.column_names.push_back(table->columns[c].name);
       if (unique_null_col < 0 && BugOn(BugId::kUniqueNullLost) &&
           stmt.where != nullptr &&
@@ -1293,10 +1238,10 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     for (size_t t = 0; t < from.size(); ++t) {
       const TableData* table = from[t];
       JoinInput input;
-      input.schema = table->schema;
+      input.schema = &table->schema;
       input.rows =
           in_epoch_ ? &epoch_rows[t] : &table->store.Materialized();
-      inputs.push_back(std::move(input));
+      inputs.push_back(input);
     }
     size_t null_padded = 0;
     if (!JoinRows(inputs, stmt.joins, ctx, &joined, &relational_error,
@@ -1321,33 +1266,29 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       has_agg && BugOn(BugId::kTlpNullPartitionDrop) &&
       stmt.where != nullptr && stmt.where->kind == ExprKind::kIsNull &&
       !stmt.where->negated;
-  // The WHERE and the projection run once per surviving row; compile them
-  // once against the combined schema.
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) where_code = CompileExpr(*stmt.where, schema, dialect_);
-  std::vector<CompiledExpr> select_code;
-  if (!has_agg) {
-    select_code.reserve(stmt.select_list.size());
-    for (const ExprPtr& e : stmt.select_list) {
-      select_code.push_back(CompileExpr(*e, schema, dialect_));
-    }
-  }
-  // The scan runs batch-at-a-time: the WHERE evaluates over the whole
-  // batch through RunBatch, then the rows are walked in order (per-row bug
-  // hooks, emit, first-error abort — identical to the old row-at-a-time
-  // loop), and a fully-surviving batch gets its projection evaluated
-  // batch-wise too.
+  // The scan runs batch-at-a-time: the WHERE and the per-row bug hooks
+  // walk the batch in row order, then the survivors are projected in row
+  // order, so within a batch a WHERE error wins over an earlier row's
+  // projection error. `movable` is the batch itself when its rows belong
+  // to this statement (the joined set, the snapshot image): surviving rows
+  // are then moved out of it instead of copied.
   StatementResult scan_failure;
   bool scan_failed = false;
-  std::vector<EvalResult> where_out;
-  std::vector<std::vector<EvalResult>> proj_out(select_code.size());
+  SqlValue where_value;
+  std::string eval_error;
   std::vector<size_t> survivors;
-  auto process_batch = [&](const std::vector<SqlValue>* rows,
-                           size_t n) -> bool {
-    if (n == 0) return true;
-    if (stmt.where != nullptr) {
-      where_code.RunBatch(schema, rows, n, ctx, &where_out);
-    }
+  auto fail_scan = [&]() {
+    scan_failed = true;
+    scan_failure =
+        StatementResult::Failure(StatementStatus::kError, eval_error);
+    return false;
+  };
+  auto process_batch = [&](const std::vector<SqlValue>* rows, size_t n,
+                           std::vector<SqlValue>* movable) -> bool {
+    auto take = [&](size_t i) -> std::vector<SqlValue> {
+      if (movable != nullptr) return std::move(movable[i]);
+      return rows[i];
+    };
     survivors.clear();
     for (size_t i = 0; i < n; ++i) {
       const std::vector<SqlValue>& combined = rows[i];
@@ -1355,21 +1296,16 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
 
       bool keep = true;
       if (stmt.where != nullptr) {
-        const EvalResult& evaluated = where_out[i];
-        if (evaluated.error) {
-          scan_failed = true;
-          scan_failure = StatementResult::Failure(StatementStatus::kError,
-                                                  evaluated.message);
-          return false;
-        }
-        Bool3 match = Truthiness(evaluated.value, dialect_);
+        const SqlValue* evaluated =
+            EvaluateRef(*stmt.where, view, ctx, &where_value, &eval_error);
+        if (evaluated == nullptr) return fail_scan();
+        Bool3 match = Truthiness(*evaluated, dialect_);
         keep = match == Bool3::kTrue;
         Mark(keep ? Feature::kRowMatched : Feature::kRowFiltered);
         if (coverage_ != nullptr && match == Bool3::kNull) {
           Mark(Feature::kNullComparison);
         }
       }
-
       if (keep && partial_index_where != nullptr) {
         // Wrongly re-filter rows through the partial index predicate, as if
         // the index were usable for IS NOT NULL inference.
@@ -1427,60 +1363,32 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
 
       if (!keep) continue;
       if (has_agg) {
-        agg_input.push_back(combined);
+        agg_input.push_back(take(i));
         continue;
       }
-      if (stmt.select_list.empty()) {
-        result.rows.push_back(combined);
-      } else {
-        survivors.push_back(i);
-      }
-      if (need_kept) kept.push_back(combined);
+      survivors.push_back(i);
     }
 
-    if (survivors.empty()) return true;
-    if (survivors.size() == n) {
-      // Whole batch survived: evaluate each select expression over the
-      // batch, then assemble row-major — picking up the first error in
-      // (row, expr) order, exactly where the per-row loop would abort
-      // (the kernels are pure, so the extra evaluations past an aborting
-      // row are unobservable).
-      for (size_t s = 0; s < select_code.size(); ++s) {
-        select_code[s].RunBatch(schema, rows, n, ctx, &proj_out[s]);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        std::vector<SqlValue> projected;
-        projected.reserve(select_code.size());
-        for (size_t s = 0; s < select_code.size(); ++s) {
-          EvalResult& v = proj_out[s][i];
-          if (v.error) {
-            scan_failed = true;
-            scan_failure = StatementResult::Failure(StatementStatus::kError,
-                                                    v.message);
-            return false;
-          }
-          projected.push_back(std::move(v.value));
-        }
-        result.rows.push_back(std::move(projected));
-      }
-    } else {
-      // Filtered batch: project only the survivors, row-at-a-time.
+    if (stmt.select_list.empty()) {
       for (size_t i : survivors) {
-        RowView view{&schema, &rows[i]};
-        std::vector<SqlValue> projected;
-        projected.reserve(select_code.size());
-        for (const CompiledExpr& code : select_code) {
-          EvalResult v = code.Run(view, ctx);
-          if (v.error) {
-            scan_failed = true;
-            scan_failure = StatementResult::Failure(StatementStatus::kError,
-                                                    v.message);
-            return false;
-          }
-          projected.push_back(std::move(v.value));
-        }
-        result.rows.push_back(std::move(projected));
+        if (need_kept) kept.push_back(rows[i]);
+        result.rows.push_back(take(i));
       }
+      return true;
+    }
+    for (size_t i : survivors) {
+      RowView view{&schema, &rows[i]};
+      std::vector<SqlValue> projected(stmt.select_list.size());
+      for (size_t k = 0; k < projected.size(); ++k) {
+        if (!EvaluateInto(*stmt.select_list[k], view, ctx, &projected[k],
+                          &eval_error)) {
+          return fail_scan();
+        }
+      }
+      result.rows.push_back(std::move(projected));
+    }
+    if (need_kept) {
+      for (size_t i : survivors) kept.push_back(take(i));
     }
     return true;
   };
@@ -1488,10 +1396,11 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   if (scan_store != nullptr && !used_index) {
     scan_store->ForEachBatch(
         [&](size_t, const std::vector<SqlValue>* rows, size_t n) {
-          return process_batch(rows, n);
+          return process_batch(rows, n, nullptr);
         });
   } else if (direct_rows != nullptr) {
-    process_batch(direct_rows->data(), direct_rows->size());
+    process_batch(direct_rows->data(), direct_rows->size(),
+                  epoch_rows[0].data());
   } else if (used_index) {
     // Candidate positions are ascending (page-coherent), so the cursor
     // pins each page once; a position a storage bug invalidated resolves
@@ -1500,10 +1409,10 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     for (size_t pos : index_positions) {
       const std::vector<SqlValue>* row = cursor.TryRow(pos);
       if (row == nullptr) continue;
-      if (!process_batch(row, 1)) break;
+      if (!process_batch(row, 1, nullptr)) break;
     }
   } else {
-    process_batch(joined.data(), joined.size());
+    process_batch(joined.data(), joined.size(), joined.data());
   }
   if (scan_failed) return scan_failure;
 
@@ -1527,7 +1436,12 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   // survives), then ORDER BY sorts by keys evaluated on the pre-projection
   // rows, then LIMIT truncates — the SQL pipeline order.
   if (stmt.distinct) {
-    std::vector<size_t> keep_idx = DistinctKeepIndexes(result.rows, ctx);
+    std::vector<const std::vector<SqlValue>*> out_rows;
+    out_rows.reserve(result.rows.size());
+    for (const std::vector<SqlValue>& row : result.rows) {
+      out_rows.push_back(&row);
+    }
+    std::vector<size_t> keep_idx = DistinctKeepIndexes(out_rows, ctx);
     std::vector<std::vector<SqlValue>> deduped_out;
     std::vector<std::vector<SqlValue>> deduped_kept;
     deduped_out.reserve(keep_idx.size());
@@ -1605,8 +1519,6 @@ bool Database::PlanIndexScan(const TableData& table, const Expr& where,
     for (const std::string& col : index.columns) {
       key_schema.Add(table.name, col);
     }
-    CompiledExpr probe_code;
-    if (probe != nullptr) probe_code = CompileExpr(*probe, key_schema, ctx.dialect);
     std::vector<size_t> candidates;
     bool eval_failed = false;
     // Only autocommit statements reach the planner during the MVCC epoch,
@@ -1619,11 +1531,9 @@ bool Database::PlanIndexScan(const TableData& table, const Expr& where,
         if (!(v.begin_ts <= snap && snap < v.end_ts)) continue;
       }
       if (probe != nullptr) {
-        RowView view{&key_schema, &key};
-        EvalResult evaluated = probe_code.Run(view, ctx);
-        bool error = evaluated.error;
+        bool error = false;
         Bool3 hit =
-            error ? Bool3::kNull : Truthiness(evaluated.value, ctx.dialect);
+            EvaluatePredicate(*probe, RowView{&key_schema, &key}, ctx, &error);
         if (error) {
           eval_failed = true;
           break;
@@ -2031,13 +1941,11 @@ StatementResult Database::CheckConstraintsImage(
   EvalContext ctx{dialect_, &bugs_};
   for (const IndexData& index : indexes_) {
     if (!index.unique || index.table_name != table.name) continue;
-    if (!RowCoveredByPartialCode(index.where.get(), index.where_code, schema,
-                                 ctx, candidate)) {
+    if (!RowCoveredByPartial(index.where.get(), schema, ctx, candidate)) {
       continue;
     }
     auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                     schema, ctx, other) &&
+      return RowCoveredByPartial(index.where.get(), schema, ctx, other) &&
              KeyColumnsCollide(index.key_cols, other, candidate);
     };
     for (size_t i = 0; i < image.size(); ++i) {
@@ -2074,8 +1982,8 @@ void Database::CorruptIndexesFromAbort(TableData* table,
     if (index.table_name != table->name) continue;
     index.entries.clear();
     for (const ImageRow& ir : image) {
-      if (!RowCoveredByPartialCode(index.where.get(), index.where_code,
-                                   table->schema, ctx, ir.data)) {
+      if (!RowCoveredByPartial(index.where.get(), table->schema, ctx,
+                               ir.data)) {
         continue;
       }
       std::pair<std::vector<SqlValue>, size_t> entry;
@@ -2156,18 +2064,15 @@ StatementResult Database::TxnInsertInto(const InsertStmt& stmt,
         return StatementResult::Failure(StatementStatus::kError,
                                         "missing value expression");
       }
-      const Expr& cell = *row_exprs[c];
-      EvalResult v = cell.kind == ExprKind::kLiteral
-                         ? EvalResult::Of(cell.literal)
-                         : Evaluate(cell, no_row, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError, v.message);
+      SqlValue& value = row.emplace_back();
+      std::string error;
+      if (!EvaluateInto(*row_exprs[c], no_row, ctx, &value, &error)) {
+        return StatementResult::Failure(StatementStatus::kError, error);
       }
       StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &v.value, &failure)) {
+      if (!CoerceForInsert(table->columns[c], &value, &failure)) {
         return failure;
       }
-      row.push_back(std::move(v.value));
     }
     StatementResult violation =
         CheckConstraintsImage(*table, row, image, accepted, -1);
@@ -2221,21 +2126,17 @@ StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
       BuildReadImage(table, txn, /*for_select=*/false);
 
   // Pass 1: the matched set, decided on the pre-update snapshot image.
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) {
-    where_code = CompileExpr(*stmt.where, schema, dialect_);
-  }
   std::vector<size_t> matched;
   for (size_t i = 0; i < image.size(); ++i) {
     bool hit = true;
     if (stmt.where != nullptr) {
-      RowView view{&schema, &image[i].data};
-      EvalResult v = where_code.Run(view, ctx);
-      if (v.error) {
+      bool error = false;
+      hit = EvaluatePredicate(*stmt.where, RowView{&schema, &image[i].data},
+                              ctx, &error) == Bool3::kTrue;
+      if (error) {
         return StatementResult::Failure(StatementStatus::kError,
                                         "UPDATE WHERE evaluation failed");
       }
-      hit = Truthiness(v.value, dialect_) == Bool3::kTrue;
     }
     if (hit) matched.push_back(i);
   }
@@ -2245,28 +2146,20 @@ StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
   // (the SQLite visit-and-check model). Everything is buffered locally —
   // the write set is only touched once all matched rows pass, which is the
   // statement-level rollback.
-  std::vector<CompiledExpr> target_code;
-  target_code.reserve(targets.size());
-  for (const auto& [c, value_expr] : targets) {
-    (void)c;
-    target_code.push_back(CompileExpr(*value_expr, schema, dialect_));
-  }
   std::vector<std::pair<size_t, std::vector<SqlValue>>> changes;
   changes.reserve(matched.size());
   for (size_t i : matched) {
     RowView view{&schema, &image[i].data};
     std::vector<SqlValue> updated = image[i].data;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      EvalResult v = target_code[t].Run(view, ctx);
-      if (v.error) {
-        return StatementResult::Failure(StatementStatus::kError, v.message);
+    for (const auto& [c, value_expr] : targets) {
+      std::string error;
+      if (!EvaluateInto(*value_expr, view, ctx, &updated[c], &error)) {
+        return StatementResult::Failure(StatementStatus::kError, error);
       }
       StatementResult failure;
-      if (!CoerceForInsert(table->columns[targets[t].first], &v.value,
-                           &failure)) {
+      if (!CoerceForInsert(table->columns[c], &updated[c], &failure)) {
         return failure;
       }
-      updated[targets[t].first] = std::move(v.value);
     }
     StatementResult violation = CheckConstraintsImage(
         *table, updated, image, {}, static_cast<int>(i));
@@ -2299,21 +2192,17 @@ StatementResult Database::TxnDeleteInto(const DeleteStmt& stmt,
   EvalContext ctx{dialect_, &bugs_};
   std::vector<ImageRow> image =
       BuildReadImage(table, txn, /*for_select=*/false);
-  CompiledExpr where_code;
-  if (stmt.where != nullptr) {
-    where_code = CompileExpr(*stmt.where, schema, dialect_);
-  }
   std::vector<size_t> matched;
   for (size_t i = 0; i < image.size(); ++i) {
     bool hit = true;
     if (stmt.where != nullptr) {
-      RowView view{&schema, &image[i].data};
-      EvalResult v = where_code.Run(view, ctx);
-      if (v.error) {
+      bool error = false;
+      hit = EvaluatePredicate(*stmt.where, RowView{&schema, &image[i].data},
+                              ctx, &error) == Bool3::kTrue;
+      if (error) {
         return StatementResult::Failure(StatementStatus::kError,
                                         "DELETE WHERE evaluation failed");
       }
-      hit = Truthiness(v.value, dialect_) == Bool3::kTrue;
     }
     if (hit) matched.push_back(i);
   }

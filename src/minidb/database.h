@@ -18,7 +18,6 @@
 
 #include "src/engine/bugs.h"
 #include "src/engine/connection.h"
-#include "src/interp/bytecode.h"
 #include "src/interp/eval.h"
 #include "src/minidb/buffer_pool.h"
 #include "src/minidb/coverage.h"
@@ -173,11 +172,6 @@ class Database : public Connection {
     std::vector<std::string> columns;
     bool unique = false;
     ExprPtr where;  // partial index predicate (nullable)
-    // `where` compiled against the owning table's schema at CREATE INDEX.
-    // The program borrows the `where` tree, whose pointee is stable under
-    // IndexData moves, so index maintenance (which runs the predicate per
-    // row) skips the per-call tree walk.
-    CompiledExpr where_code;
     // B-tree-ish ordered secondary index: (key tuple, row position) pairs
     // kept sorted by key (ValueCompare lexicographic, position tie-break).
     // Positions reference TableData::store; every maintenance path (INSERT

@@ -6,7 +6,7 @@
 // on one thread — the sharding invariant the runner already relies on).
 // Engine internals (BufferPool, SqliteConnection) emit through the free
 // helpers below, which are a TLS load plus a null check when no session is
-// installed. The process-wide kill switch (same idiom as SetBytecodeEnabled)
+// installed. The process-wide kill switch
 // disables installation itself, so with telemetry off the per-event cost is
 // the null branch and nothing else — enforced by the perf-smoke gate.
 //

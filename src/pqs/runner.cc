@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/rng.h"
-#include "src/interp/bytecode.h"
 #include "src/interp/eval.h"
 #include "src/minidb/database.h"
 #include "src/obs/telemetry.h"
@@ -134,71 +133,74 @@ bool PivotWorstCaseRank(
     const std::vector<std::vector<std::vector<SqlValue>>>& table_rows,
     const RowSchema& joined_schema, const std::vector<SqlValue>& pivot,
     const EvalContext& ctx, int64_t* rank) {
-  std::vector<JoinInput> inputs;
-  inputs.reserve(from.size());
-  for (size_t t = 0; t < from.size(); ++t) {
-    JoinInput input;
-    for (const ColumnDef& col : from[t]->columns) {
-      input.schema.cols.emplace_back(from[t]->name, col.name);
-    }
-    input.rows = &table_rows[t];
-    inputs.push_back(std::move(input));
-  }
+  // A single table without join clauses is filtered where it lies; a join
+  // is materialized once. Per-table schemas are slices of the pivot's
+  // joined schema, which lists the FROM tables' columns in order.
   std::vector<std::vector<SqlValue>> joined;
-  std::string error;
-  if (!JoinRows(inputs, query.joins, ctx, &joined, &error, nullptr)) {
-    return false;
-  }
-  // The WHERE runs once per joined row — compile it once.
-  CompiledExpr where_code;
-  if (query.where != nullptr) {
-    where_code = CompileExpr(*query.where, joined_schema, ctx.dialect);
-  }
-  std::vector<std::vector<SqlValue>> result;
-  for (std::vector<SqlValue>& row : joined) {
-    if (query.where != nullptr) {
-      RowView view{&joined_schema, &row};
-      EvalResult evaluated = where_code.Run(view, ctx);
-      if (evaluated.error) return false;
-      if (Truthiness(evaluated.value, ctx.dialect) != Bool3::kTrue) continue;
+  const std::vector<std::vector<SqlValue>>* source = &joined;
+  if (from.size() == 1 && query.joins.empty()) {
+    source = &table_rows[0];
+  } else {
+    std::vector<RowSchema> schemas(from.size());
+    std::vector<JoinInput> inputs(from.size());
+    size_t offset = 0;
+    for (size_t t = 0; t < from.size(); ++t) {
+      size_t width = from[t]->columns.size();
+      if (offset + width > joined_schema.cols.size()) return false;
+      auto slice = [&](const auto& all, auto* part) {
+        part->assign(all.begin() + static_cast<long>(offset),
+                     all.begin() + static_cast<long>(offset + width));
+      };
+      slice(joined_schema.cols, &schemas[t].cols);
+      if (joined_schema.has_ids()) slice(joined_schema.ids, &schemas[t].ids);
+      inputs[t] = {&schemas[t], &table_rows[t]};
+      offset += width;
     }
-    result.push_back(std::move(row));
+    if (!JoinRows(inputs, query.joins, ctx, &joined, nullptr, nullptr)) {
+      return false;
+    }
+  }
+  // The result rows: every filtered row, or DISTINCT's first occurrences.
+  std::vector<const std::vector<SqlValue>*> result;
+  result.reserve(source->size());
+  for (const std::vector<SqlValue>& row : *source) {
+    if (query.where != nullptr) {
+      bool error = false;
+      Bool3 hit = EvaluatePredicate(*query.where, RowView{&joined_schema, &row},
+                                    ctx, &error);
+      if (error) return false;
+      if (hit != Bool3::kTrue) continue;
+    }
+    result.push_back(&row);
   }
   if (query.distinct) {
     std::vector<size_t> keep = DistinctKeepIndexes(result, ctx);
-    std::vector<std::vector<SqlValue>> deduped;
-    deduped.reserve(keep.size());
-    for (size_t idx : keep) deduped.push_back(std::move(result[idx]));
-    result = std::move(deduped);
+    for (size_t i = 0; i < keep.size(); ++i) result[i] = result[keep[i]];
+    result.resize(keep.size());
   }
   if (query.order_by.empty()) {
     *rank = static_cast<int64_t>(result.size());
   } else {
-    // Key expressions run once per kept row — compile each once.
-    std::vector<CompiledExpr> key_code;
-    key_code.reserve(query.order_by.size());
     for (const OrderByItem& item : query.order_by) {
       if (item.expr == nullptr) return false;
-      key_code.push_back(CompileExpr(*item.expr, joined_schema, ctx.dialect));
     }
-    auto eval_keys = [&](const RowView& view, std::vector<SqlValue>* keys) {
-      keys->clear();
-      keys->reserve(key_code.size());
-      for (const CompiledExpr& code : key_code) {
-        EvalResult evaluated = code.Run(view, ctx);
-        if (evaluated.error) return false;
-        keys->push_back(std::move(evaluated.value));
+    auto eval_keys = [&](const std::vector<SqlValue>& row,
+                         std::vector<SqlValue>* keys) {
+      RowView view{&joined_schema, &row};
+      for (size_t k = 0; k < keys->size(); ++k) {
+        if (!EvaluateInto(*query.order_by[k].expr, view, ctx, &(*keys)[k],
+                          nullptr)) {
+          return false;
+        }
       }
       return true;
     };
-    RowView pivot_view{&joined_schema, &pivot};
-    std::vector<SqlValue> pivot_keys;
-    if (!eval_keys(pivot_view, &pivot_keys)) return false;
+    std::vector<SqlValue> pivot_keys(query.order_by.size());
+    if (!eval_keys(pivot, &pivot_keys)) return false;
+    std::vector<SqlValue> keys(query.order_by.size());
     int64_t at_or_before = 0;
-    std::vector<SqlValue> keys;
-    for (const std::vector<SqlValue>& row : result) {
-      RowView view{&joined_schema, &row};
-      if (!eval_keys(view, &keys)) return false;
+    for (const std::vector<SqlValue>* row : result) {
+      if (!eval_keys(*row, &keys)) return false;
       if (CompareOrderKeys(keys, pivot_keys, query.order_by) <= 0) {
         ++at_or_before;
       }
@@ -1013,7 +1015,7 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
                          static_cast<uint32_t>(table_rows.back().size()));
       const auto& row = table_rows.back()[rng.Below(table_rows.back().size())];
       for (size_t c = 0; c < table->columns.size() && c < row.size(); ++c) {
-        pivot_schema.cols.emplace_back(table->name, table->columns[c].name);
+        pivot_schema.Add(table->name, table->columns[c].name);
         pivot.push_back(row[c]);
       }
     }

@@ -193,7 +193,7 @@ MetaOutcome RunTlpCheck(Connection& conn, const SelectStmt& query,
 
   RowSchema key_schema;
   for (const ExprPtr& g : query.group_by) {
-    key_schema.cols.emplace_back(g->table, g->column);
+    key_schema.Add(g->table, g->column);
   }
   std::vector<const Expr*> agg_nodes;
   for (const TlpAggTerm& term : plan.aggs) {

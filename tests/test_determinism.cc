@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "src/interp/bytecode.h"
 #include "src/minidb/database.h"
 #include "src/obs/telemetry.h"
 #include "src/pqs/campaign.h"
@@ -256,44 +255,8 @@ std::string Fingerprint(const RunReport& r) {
   return out;
 }
 
-// The bytecode evaluator is a pure hot-path substitution: flipping the
-// process-wide kill switch (tree evaluator everywhere) must leave every
-// report byte-identical, for the containment family and the metamorphic
-// families alike (DESIGN §11 differential safety).
-void TestBytecodeOnOffSameReport() {
-  for (OracleFamily family :
-       {OracleFamily::kContainment, OracleFamily::kNorec, OracleFamily::kTlp}) {
-    auto run = [family]() {
-      RunnerOptions options;
-      options.seed = 77;
-      options.databases = 20;
-      options.queries_per_database = 15;
-      options.family = family;
-      options.gen.explicit_join_probability = 0.6;
-      options.gen.distinct_probability = 0.4;
-      options.gen.order_by_probability = 0.5;
-      options.gen.function_probability = 0.5;
-      options.gen.cast_probability = 0.3;
-      options.gen.case_probability = 0.25;
-      EngineFactory factory = []() -> ConnectionPtr {
-        return std::make_unique<minidb::Database>(
-            Dialect::kSqliteFlex,
-            BugConfig::Single(BugId::kPartialIndexIsNotInference));
-      };
-      PqsRunner runner(factory, options);
-      return runner.Run();
-    };
-    CHECK(BytecodeEnabled());
-    RunReport with_bytecode = run();
-    SetBytecodeEnabled(false);
-    RunReport tree_only = run();
-    SetBytecodeEnabled(true);
-    CHECK_EQ(Fingerprint(with_bytecode), Fingerprint(tree_only));
-  }
-}
-
 // Telemetry is observe-only: flipping its process-wide kill switch must
-// leave every report byte-identical (same pattern as the bytecode switch).
+// leave every report byte-identical.
 // With telemetry off the merged metrics registry is additionally all-zero.
 void TestTelemetryOnOffSameReport() {
   for (OracleFamily family :
@@ -393,7 +356,6 @@ int main() {
   pqs::TestSameSeedSameReport();
   pqs::TestShardedRunnerMatchesSequential();
   pqs::TestShardedCampaignMatchesSequential();
-  pqs::TestBytecodeOnOffSameReport();
   pqs::TestTelemetryOnOffSameReport();
   pqs::TestShardedTxnWorkloadMatchesSequential();
   pqs::TestDifferentSeedsDiffer();
