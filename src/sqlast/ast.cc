@@ -6,10 +6,12 @@
 
 namespace pqs {
 
+static_assert(sizeof(Expr) <= NodePool::kMaxBlock,
+              "Expr must fit one NodePool size class");
+
 void* Expr::operator new(size_t size) { return NodePool::Take(size); }
 void Expr::operator delete(void* p, size_t size) {
-  (void)size;
-  if (p != nullptr) NodePool::Put(p);
+  if (p != nullptr) NodePool::Put(p, size);
 }
 
 ExprPtr Expr::Clone() const {

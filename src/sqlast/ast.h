@@ -123,11 +123,12 @@ struct Expr {
                                      // pairs, then the ELSE value when
                                      // case_has_else
 
-  // Expr nodes are allocated from a pooled freelist (src/common/arena.h):
-  // the generate/clone/rectify/reduce path churns nodes far faster than the
-  // general-purpose heap likes, and the pool turns each node's allocation
-  // into a thread-local pointer pop. Deleting on a different thread than
-  // the allocating one is safe (slabs are immortal; see NodePool).
+  // Expr nodes are allocated from NodePool's size classes
+  // (src/common/arena.h): the generate/clone/rectify/reduce path churns
+  // nodes far faster than the general-purpose heap likes, and the pool
+  // turns each node's allocation into a thread-local pointer pop.
+  // Deleting on a different thread than the allocating one is safe (slabs
+  // are immortal; see NodePool).
   static void* operator new(size_t size);
   static void operator delete(void* p, size_t size);
   static void* operator new(size_t, void* p) { return p; }  // placement

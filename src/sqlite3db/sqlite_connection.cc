@@ -1,7 +1,12 @@
 #include "src/sqlite3db/sqlite_connection.h"
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <mutex>
 #include <utility>
 
+#include "src/common/arena.h"
 #include "src/obs/telemetry.h"
 #include "src/sqlparser/render.h"
 
@@ -15,10 +20,141 @@
 
 namespace pqs {
 
+namespace {
+
+// Bytes in front of every SqliteHeap payload: its usable size, padded so
+// payloads keep NodePool's 16-byte alignment.
+constexpr size_t kHeapHeader = 16;
+// sqlite3Malloc never asks for more; the limit keeps rounding inside int.
+constexpr int kHeapMaxRequest = 0x7fffff00;
+
+// Usable bytes of the block that serves a request of `bytes`: the rest of
+// its NodePool class, or `bytes` rounded up to 8 on the malloc path.
+size_t HeapUsable(size_t bytes) {
+  size_t total = bytes + kHeapHeader;
+  if (total <= NodePool::kMaxBlock) {
+    return NodePool::ClassBytes(NodePool::ClassOf(total)) - kHeapHeader;
+  }
+  return (bytes + 7) & ~size_t{7};
+}
+
+bool HeapPooled(size_t usable) {
+  return usable + kHeapHeader <= NodePool::kMaxBlock;
+}
+
+size_t HeapUsableOf(void* p) {
+  size_t usable = 0;
+  std::memcpy(&usable, static_cast<char*>(p) - kHeapHeader, sizeof usable);
+  return usable;
+}
+
+void* HeapStamp(void* raw, size_t usable) {
+  if (raw == nullptr) return nullptr;
+  std::memcpy(raw, &usable, sizeof usable);
+  return static_cast<char*>(raw) + kHeapHeader;
+}
+
+std::atomic<bool> heap_installed{false};
+
+}  // namespace
+
+void* SqliteHeap::Malloc(int bytes) {
+  if (bytes <= 0 || bytes > kHeapMaxRequest) return nullptr;
+  size_t usable = HeapUsable(static_cast<size_t>(bytes));
+  size_t total = usable + kHeapHeader;
+  return HeapStamp(HeapPooled(usable) ? NodePool::Take(total)
+                                      : std::malloc(total),
+                   usable);
+}
+
+void SqliteHeap::Free(void* p) {
+  if (p == nullptr) return;
+  size_t usable = HeapUsableOf(p);
+  void* raw = static_cast<char*>(p) - kHeapHeader;
+  if (HeapPooled(usable)) {
+    NodePool::Put(raw, usable + kHeapHeader);
+  } else {
+    std::free(raw);
+  }
+}
+
+void* SqliteHeap::Realloc(void* p, int bytes) {
+  if (p == nullptr) return Malloc(bytes);
+  if (bytes <= 0 || bytes > kHeapMaxRequest) return nullptr;
+  size_t old_usable = HeapUsableOf(p);
+  size_t usable = HeapUsable(static_cast<size_t>(bytes));
+  if (usable == old_usable) return p;
+  if (!HeapPooled(old_usable) && !HeapPooled(usable)) {
+    return HeapStamp(
+        std::realloc(static_cast<char*>(p) - kHeapHeader, usable + kHeapHeader),
+        usable);
+  }
+  void* q = Malloc(bytes);
+  if (q == nullptr) return nullptr;
+  std::memcpy(q, p, old_usable < usable ? old_usable : usable);
+  Free(p);
+  return q;
+}
+
+int SqliteHeap::Size(void* p) {
+  return p == nullptr ? 0 : static_cast<int>(HeapUsableOf(p));
+}
+
+int SqliteHeap::Roundup(int bytes) {
+  if (bytes <= 0 || bytes > kHeapMaxRequest) return bytes;
+  return static_cast<int>(HeapUsable(static_cast<size_t>(bytes)));
+}
+
+bool SqliteHeap::Installed() { return heap_installed.load(); }
+
 #if PQS_HAVE_SQLITE3
 
+namespace {
+
+// Makes SqliteHeap libsqlite3's allocator and turns memory statistics off,
+// once per process, before the first sqlite3_open. The installed library is
+// built without lookaside and with memstatus on, so otherwise every small
+// parse-tree and VDBE allocation is a glibc malloc behind a global mutex.
+// sqlite3_config refuses (SQLITE_MISUSE) once SQLite is initialized; then
+// the adapter runs on SQLite's own allocator.
+void InstallSqliteHeap() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    static sqlite3_mem_methods methods = {
+        &SqliteHeap::Malloc,
+        &SqliteHeap::Free,
+        &SqliteHeap::Realloc,
+        &SqliteHeap::Size,
+        &SqliteHeap::Roundup,
+        [](void*) { return SQLITE_OK; },  // xInit
+        [](void*) {},                     // xShutdown
+        nullptr};
+    if (sqlite3_config(SQLITE_CONFIG_MALLOC, &methods) != SQLITE_OK) return;
+    sqlite3_config(SQLITE_CONFIG_MEMSTATUS, 0);
+    heap_installed.store(true);
+  });
+}
+
+// Result column names of a prepared statement.
+void ReadColumnNames(sqlite3_stmt* stmt, std::vector<std::string>* names) {
+  int columns = sqlite3_column_count(stmt);
+  names->clear();
+  names->reserve(static_cast<size_t>(columns));
+  for (int c = 0; c < columns; ++c) {
+    const char* name = sqlite3_column_name(stmt, c);
+    names->emplace_back(name != nullptr ? name : "");
+  }
+}
+
+}  // namespace
+
 SqliteConnection::SqliteConnection() {
-  if (sqlite3_open(":memory:", &db_) != SQLITE_OK) {
+  InstallSqliteHeap();
+  // NOMUTEX: the connection is used only by the worker that created it.
+  if (sqlite3_open_v2(":memory:", &db_,
+                      SQLITE_OPEN_READWRITE | SQLITE_OPEN_CREATE |
+                          SQLITE_OPEN_NOMUTEX,
+                      nullptr) != SQLITE_OK) {
     alive_ = false;
     if (db_ != nullptr) {
       sqlite3_close(db_);
@@ -28,32 +164,34 @@ SqliteConnection::SqliteConnection() {
 }
 
 SqliteConnection::~SqliteConnection() {
-  ClearStatementCache();
+  FinalizeStatementCache();
   if (db_ != nullptr) sqlite3_close(db_);
 }
 
-void SqliteConnection::ClearStatementCache() {
+void SqliteConnection::FinalizeStatementCache() {
+  for (CachedStmt& entry : cache_) sqlite3_finalize(entry.stmt);
+  cache_.clear();
+}
+
+void SqliteConnection::InvalidateStatementCache() {
   if (!cache_.empty()) {
     obs::Count(obs::Counter::kCacheInvalidations);
     obs::Emit(obs::EventKind::kCacheInvalidation,
               static_cast<uint32_t>(cache_.size()));
   }
-  for (CachedStmt& entry : cache_) {
-    if (entry.stmt != nullptr) sqlite3_finalize(entry.stmt);
-  }
-  cache_.clear();
+  FinalizeStatementCache();
 }
 
 void SqliteConnection::set_statement_cache(bool enabled) {
   cache_enabled_ = enabled;
-  if (!enabled) ClearStatementCache();
+  if (!enabled) InvalidateStatementCache();
 }
 
 bool SqliteConnection::Reset() {
   if (db_ == nullptr) return false;
   // Cached prepared statements hold the old schema; drop them first so no
   // statement can observe the teardown below.
-  ClearStatementCache();
+  InvalidateStatementCache();
   // An aborted session may have left a transaction open. DDL inside a
   // transaction would be rolled back with it, so resolve the transaction
   // before dropping objects.
@@ -141,18 +279,18 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
 
   // Prepare-once / reset-and-rerun (MRU-ordered; hits move to the front).
   sqlite3_stmt* prepared = nullptr;
-  bool in_cache = false;
+  CachedStmt* entry = nullptr;  // cache slot of `prepared`, if cached
   if (cacheable) {
     for (size_t i = 0; i < cache_.size(); ++i) {
       if (cache_[i].sql != sql_buf_) continue;
-      prepared = cache_[i].stmt;
-      sqlite3_reset(prepared);
+      sqlite3_reset(cache_[i].stmt);
       if (i != 0) {
         CachedStmt hit = std::move(cache_[i]);
         cache_.erase(cache_.begin() + static_cast<long>(i));
         cache_.insert(cache_.begin(), std::move(hit));
       }
-      in_cache = true;
+      entry = &cache_.front();
+      prepared = entry->stmt;
       ++cache_hits_;
       obs::Count(obs::Counter::kStmtCacheHits);
       if (meta) ++meta_cache_hits_;
@@ -172,7 +310,7 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
       ++cache_misses_;
       obs::Count(obs::Counter::kStmtCacheMisses);
       if (meta) ++meta_cache_misses_;
-      cache_.insert(cache_.begin(), CachedStmt{sql_buf_, prepared});
+      cache_.insert(cache_.begin(), CachedStmt{sql_buf_, prepared, {}, -1});
       // 32 slots: the pivot-probe SELECTs plus the NoREC/TLP rewrite
       // working set (up to four templates per TLP check) fit without
       // eviction churn; linear MRU scan is still cheap at this size.
@@ -181,7 +319,7 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
         sqlite3_finalize(cache_.back().stmt);
         cache_.pop_back();
       }
-      in_cache = true;
+      entry = &cache_.front();
     }
   }
   // Bind the filter literals (placeholder i ← param_buf_[i-1]). TRANSIENT
@@ -208,7 +346,7 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   // A cached statement is reset (kept prepared) instead of finalized;
   // bindings are cleared so no stale literal outlives this execution.
   auto release = [&]() {
-    if (in_cache) {
+    if (entry != nullptr) {
       sqlite3_reset(prepared);
       sqlite3_clear_bindings(prepared);
     } else {
@@ -216,13 +354,23 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
     }
   };
   StatementResult result;
-  int rc;
+  int rc = sqlite3_step(prepared);
+  // Result columns are read after the first step: a cached statement
+  // re-prepares itself inside step when the schema changed. Cached
+  // statements keep their names until that happens.
   int columns = sqlite3_column_count(prepared);
-  for (int c = 0; c < columns; ++c) {
-    const char* name = sqlite3_column_name(prepared, c);
-    result.column_names.push_back(name != nullptr ? name : "");
+  if (entry != nullptr) {
+    int reprepares =
+        sqlite3_stmt_status(prepared, SQLITE_STMTSTATUS_REPREPARE, 0);
+    if (reprepares != entry->reprepares) {
+      ReadColumnNames(prepared, &entry->column_names);
+      entry->reprepares = reprepares;
+    }
+    result.column_names = entry->column_names;
+  } else {
+    ReadColumnNames(prepared, &result.column_names);
   }
-  while ((rc = sqlite3_step(prepared)) == SQLITE_ROW) {
+  for (; rc == SQLITE_ROW; rc = sqlite3_step(prepared)) {
     std::vector<SqlValue> row;
     row.reserve(static_cast<size_t>(columns));
     for (int c = 0; c < columns; ++c) {
@@ -237,9 +385,13 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
           row.push_back(SqlValue::Real(sqlite3_column_double(prepared, c)));
           break;
         default: {
-          const unsigned char* text = sqlite3_column_text(prepared, c);
+          // Length-delimited, so an embedded NUL does not cut the cell.
+          const char* text = reinterpret_cast<const char*>(
+              sqlite3_column_text(prepared, c));
+          size_t bytes =
+              static_cast<size_t>(sqlite3_column_bytes(prepared, c));
           row.push_back(SqlValue::Text(
-              text != nullptr ? reinterpret_cast<const char*>(text) : ""));
+              text != nullptr ? std::string(text, bytes) : std::string()));
           break;
         }
       }
@@ -264,7 +416,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
 SqliteConnection::SqliteConnection() { alive_ = true; }
 SqliteConnection::~SqliteConnection() = default;
 
-void SqliteConnection::ClearStatementCache() {}
 void SqliteConnection::set_statement_cache(bool enabled) {
   cache_enabled_ = enabled;
 }

@@ -9,10 +9,17 @@
 // each query (pivot selection), and the NoREC/TLP rewrite families repeat
 // the same query shapes with fresh literals, so reset-bind-rerun beats
 // re-preparing (the v2 interface transparently re-prepares on schema
-// change, so caching across DDL is safe). When the build has no libsqlite3
-// (PQS_HAVE_SQLITE3 == 0)
-// the class still exists so the benches compile unchanged, but every
-// Execute reports kUnsupported and the runner skips out gracefully.
+// change, so caching across DDL is safe).
+//
+// Before the first connection opens, the adapter makes NodePool
+// libsqlite3's allocator (SqliteHeap below), turns SQLite's memory
+// statistics off, and opens every connection SQLITE_OPEN_NOMUTEX: a
+// connection belongs to the one worker that asked the factory for it
+// (src/engine/connection.h), so the per-call connection mutex guards
+// nothing (DESIGN §11). When the build has no libsqlite3
+// (PQS_HAVE_SQLITE3 == 0) the class still exists so the benches compile
+// unchanged, but every Execute reports kUnsupported and the runner skips
+// out gracefully.
 #ifndef PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 #define PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 
@@ -27,6 +34,25 @@ struct sqlite3;       // avoid leaking sqlite3.h into every bench TU
 struct sqlite3_stmt;
 
 namespace pqs {
+
+// libsqlite3's heap (its sqlite3_mem_methods), served from NodePool. Each
+// block starts with a 16-byte header holding its usable size, so Size,
+// Roundup and Realloc can be answered; blocks whose header plus payload
+// exceed NodePool::kMaxBlock come from malloc with the same header. Size(p)
+// equals Roundup(n) for a block of n bytes, which is how SQLite decides
+// that a realloc may keep the block in place.
+struct SqliteHeap {
+  static void* Malloc(int bytes);
+  static void Free(void* p);
+  static void* Realloc(void* p, int bytes);
+  static int Size(void* p);
+  static int Roundup(int bytes);
+  // True once SqliteConnection installed this heap. Stays false in a
+  // sqlite3-less build, and when the process initialized SQLite itself
+  // before the first connection (sqlite3_config then refuses, and SQLite
+  // keeps its own allocator).
+  static bool Installed();
+};
 
 class SqliteConnection : public Connection {
  public:
@@ -64,9 +90,17 @@ class SqliteConnection : public Connection {
   struct CachedStmt {
     std::string sql;
     sqlite3_stmt* stmt = nullptr;
+    // Result column names, read once per (re)preparation: `reprepares` is
+    // the statement's SQLITE_STMTSTATUS_REPREPARE count when they were
+    // read (-1 = not yet), since a schema change re-prepares it in step.
+    std::vector<std::string> column_names;
+    int reprepares = -1;
   };
 
-  void ClearStatementCache();
+  // Finalizes every cached statement. Invalidation (Reset, cache off) also
+  // counts and records the event; closing the connection does not.
+  void FinalizeStatementCache();
+  void InvalidateStatementCache();
 
   sqlite3* db_ = nullptr;
   bool alive_ = true;

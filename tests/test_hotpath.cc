@@ -1,13 +1,17 @@
 // Hot-path substrate tests (DESIGN §11): the expression evaluator must
-// reproduce a recorded golden corpus of outcomes in every dialect, the node
-// pool must actually recycle memory across churn cycles, and the interner
-// must round-trip symbols.
+// reproduce a recorded golden corpus of outcomes in every dialect, the
+// size-classed node pool must recycle memory within each class without
+// aliasing across classes or threads, libsqlite3's memory methods over the
+// pool must keep SQLite's allocator contract, and the interner must
+// round-trip symbols.
 //
 // The golden corpus pins evaluator semantics without a second evaluator to
 // compare against: every generated predicate's value class, value, error
 // flag and error message on every corpus row. Run with `--workers N` (the
-// TSan CI job uses 4) to drive the thread-local NodePool caches and the
-// interner's global table from concurrent evaluation threads.
+// TSan CI job uses 4) to drive the thread-local NodePool caches, the
+// cross-thread block handoff and the interner's global table from
+// concurrent threads.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +26,7 @@
 #include "src/interp/eval.h"
 #include "src/pqs/generator.h"
 #include "src/sqlast/ast.h"
+#include "src/sqlite3db/sqlite_connection.h"
 #include "src/sqlvalue/value.h"
 #include "tests/test_util.h"
 
@@ -37,8 +42,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void TestNodePoolRecycles() {
-  // Warm up: push the pool past one slab's worth of live Expr nodes, then
-  // free them all back to the thread cache.
+  // Warm up: 300 live Expr nodes, then free them all back to the thread
+  // cache.
   std::vector<Expr*> live;
   live.reserve(300);
   for (int i = 0; i < 300; ++i) {
@@ -50,7 +55,7 @@ void TestNodePoolRecycles() {
   for (Expr* e : live) delete e;
   live.clear();
   CHECK(NodePool::SlabsAllocated() > 0);
-  CHECK(NodePool::ThreadCacheSize() > 0);
+  CHECK(NodePool::ThreadCacheBlocks(sizeof(Expr)) > 0);
 
   // Steady-state churn at the warmed-up live count must be served entirely
   // from recycled slots: the slab count may never grow again.
@@ -61,6 +66,241 @@ void TestNodePoolRecycles() {
     live.clear();
   }
   CHECK_EQ(NodePool::SlabsAllocated(), slabs);
+}
+
+// Every size maps to the class that fits it, blocks are 16-byte aligned,
+// and a freed block is the next one handed out for any size of its class.
+void TestNodePoolRecyclesWithinEachClass() {
+  for (size_t cls = 0; cls < NodePool::kClasses; ++cls) {
+    size_t bytes = NodePool::ClassBytes(cls);
+    size_t smallest = bytes - NodePool::kGranule + 1;
+    CHECK_EQ(NodePool::ClassOf(bytes), cls);
+    CHECK_EQ(NodePool::ClassOf(smallest), cls);
+    void* p = NodePool::Take(bytes);
+    CHECK_EQ(reinterpret_cast<uintptr_t>(p) % NodePool::kGranule,
+             static_cast<uintptr_t>(0));
+    size_t cached = NodePool::ThreadCacheBlocks(bytes);
+    NodePool::Put(p, bytes);
+    CHECK_EQ(NodePool::ThreadCacheBlocks(bytes), cached + 1);
+    void* q = NodePool::Take(smallest);
+    CHECK(q == p);
+    NodePool::Put(q, smallest);
+  }
+}
+
+// One live block of every class at once, each filled with its own byte:
+// no two blocks overlap, and no fill reaches another class's block.
+void TestNodePoolClassesDoNotAlias() {
+  struct Block {
+    unsigned char* p;
+    size_t bytes;
+  };
+  std::vector<Block> blocks;
+  for (size_t cls = 0; cls < NodePool::kClasses; ++cls) {
+    size_t bytes = NodePool::ClassBytes(cls);
+    auto* p = static_cast<unsigned char*>(NodePool::Take(bytes));
+    std::memset(p, static_cast<int>(cls + 1), bytes);
+    blocks.push_back({p, bytes});
+  }
+  size_t corrupted = 0;
+  for (size_t cls = 0; cls < blocks.size(); ++cls) {
+    for (size_t i = 0; i < blocks[cls].bytes; ++i) {
+      if (blocks[cls].p[i] != cls + 1) ++corrupted;
+    }
+  }
+  CHECK_EQ(corrupted, static_cast<size_t>(0));
+  std::vector<Block> sorted = blocks;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Block& a, const Block& b) { return a.p < b.p; });
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    CHECK(sorted[i - 1].p + sorted[i - 1].bytes <= sorted[i].p);
+  }
+  for (const Block& b : blocks) NodePool::Put(b.p, b.bytes);
+}
+
+// Blocks taken here, freed on other threads and taken again there are
+// reused, not duplicated: each worker gets back exactly the blocks it
+// freed. The workers' caches are donated when they exit, so taking every
+// block again here carves no new slab. Under TSan (`--workers 4`) this is
+// the handoff a finding's expression tree makes across the shard merge.
+void TestNodePoolCrossThreadReuse(int workers) {
+  constexpr size_t kBytes = 200;
+  constexpr size_t kBlocks = 300;
+  std::vector<std::vector<void*>> given(static_cast<size_t>(workers));
+  std::vector<std::vector<void*>> reused(static_cast<size_t>(workers));
+  for (std::vector<void*>& blocks : given) {
+    for (size_t i = 0; i < kBlocks; ++i) {
+      void* p = NodePool::Take(kBytes);
+      std::memset(p, 0x5a, kBytes);
+      blocks.push_back(p);
+    }
+  }
+  size_t slabs = NodePool::SlabsAllocated();
+  std::vector<std::thread> threads;
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&given, &reused, w]() {
+      std::vector<void*>& mine = reused[static_cast<size_t>(w)];
+      for (void* p : given[static_cast<size_t>(w)]) NodePool::Put(p, kBytes);
+      for (size_t i = 0; i < kBlocks; ++i) {
+        void* p = NodePool::Take(kBytes);
+        std::memset(p, w, kBytes);
+        mine.push_back(p);
+      }
+      for (void* p : mine) NodePool::Put(p, kBytes);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int w = 0; w < workers; ++w) {
+    std::vector<void*>& a = given[static_cast<size_t>(w)];
+    std::vector<void*>& b = reused[static_cast<size_t>(w)];
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    CHECK(a == b);
+  }
+  std::vector<void*> again;
+  for (size_t i = 0; i < kBlocks * static_cast<size_t>(workers); ++i) {
+    again.push_back(NodePool::Take(kBytes));
+  }
+  CHECK_EQ(NodePool::SlabsAllocated(), slabs);
+  for (void* p : again) NodePool::Put(p, kBytes);
+}
+
+// Churn at a fixed peak of live blocks carves slabs for the peak only — at
+// most one per slab's worth of live blocks, plus the partly carved one —
+// and none at all once warm.
+void TestNodePoolSlabsBoundedByPeakLive() {
+  constexpr size_t kBytes = 1000;
+  constexpr size_t kPeak = 1000;
+  size_t before = NodePool::SlabsAllocated();
+  size_t warm = 0;
+  std::vector<void*> live;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    for (size_t i = 0; i < kPeak; ++i) live.push_back(NodePool::Take(kBytes));
+    for (void* p : live) NodePool::Put(p, kBytes);
+    live.clear();
+    if (cycle == 0) warm = NodePool::SlabsAllocated();
+  }
+  size_t per_slab =
+      NodePool::kSlabBytes / NodePool::ClassBytes(NodePool::ClassOf(kBytes));
+  CHECK(warm - before <= (kPeak + per_slab - 1) / per_slab + 1);
+  CHECK_EQ(NodePool::SlabsAllocated(), warm);
+}
+
+// ---------------------------------------------------------------------------
+// SqliteHeap: libsqlite3's memory methods over NodePool
+// ---------------------------------------------------------------------------
+
+void FillPattern(void* p, int bytes, unsigned seed) {
+  auto* b = static_cast<unsigned char*>(p);
+  for (int i = 0; i < bytes; ++i) b[i] = static_cast<unsigned char>(seed + i);
+}
+
+bool HasPattern(const void* p, int bytes, unsigned seed) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (int i = 0; i < bytes; ++i) {
+    if (b[i] != static_cast<unsigned char>(seed + i)) return false;
+  }
+  return true;
+}
+
+// SQLite's allocator contract at and around every class boundary (a
+// payload that exactly fills a class after the 16-byte header) and above
+// the largest class: Size >= the request and equal to Roundup, Roundup(n)
+// >= n, Realloc keeps the common prefix whether it grows, shrinks or
+// crosses between the pool and malloc.
+void TestSqliteHeapContract() {
+  constexpr int kHeader = 16;
+  std::vector<int> sizes = {1, 2, 8};
+  for (size_t cls = 1; cls < NodePool::kClasses; ++cls) {
+    int fill = static_cast<int>(NodePool::ClassBytes(cls)) - kHeader;
+    sizes.insert(sizes.end(), {fill - 1, fill, fill + 1});
+  }
+  sizes.insert(sizes.end(), {1500, 4096, 65537});
+  for (int n : sizes) {
+    CHECK(SqliteHeap::Roundup(n) >= n);
+    void* p = SqliteHeap::Malloc(n);
+    CHECK(p != nullptr);
+    CHECK_EQ(reinterpret_cast<uintptr_t>(p) % 8, static_cast<uintptr_t>(0));
+    CHECK_MSG(SqliteHeap::Size(p) >= n, "Size %d < request %d",
+              SqliteHeap::Size(p), n);
+    CHECK_EQ(SqliteHeap::Size(p), SqliteHeap::Roundup(n));
+    FillPattern(p, n, static_cast<unsigned>(n));
+    int have = n;
+    for (int m : {n / 2 + 1, n + 1, n + 17, 2 * n + 1000, n}) {
+      void* q = SqliteHeap::Realloc(p, m);
+      CHECK(q != nullptr);
+      CHECK(SqliteHeap::Size(q) >= m);
+      CHECK_MSG(HasPattern(q, std::min(have, m), static_cast<unsigned>(n)),
+                "realloc %d -> %d lost the prefix", have, m);
+      FillPattern(q, m, static_cast<unsigned>(n));
+      p = q;
+      have = m;
+    }
+    SqliteHeap::Free(p);
+  }
+  SqliteHeap::Free(nullptr);
+  CHECK_EQ(SqliteHeap::Size(nullptr), 0);
+
+  // A realloc inside the block's rounded size keeps it in place: SQLite
+  // skips the call when Size(p) == Roundup(n), so the two must agree.
+  void* small = SqliteHeap::Malloc(20);
+  CHECK(SqliteHeap::Realloc(small, SqliteHeap::Size(small)) == small);
+  SqliteHeap::Free(small);
+
+  // The largest pooled payload goes back to the largest class; one byte
+  // more takes the malloc path and leaves every class cache untouched.
+  int largest = static_cast<int>(NodePool::kMaxBlock) - kHeader;
+  void* top = SqliteHeap::Malloc(largest);
+  size_t top_cached = NodePool::ThreadCacheBlocks(NodePool::kMaxBlock);
+  SqliteHeap::Free(top);
+  CHECK_EQ(NodePool::ThreadCacheBlocks(NodePool::kMaxBlock), top_cached + 1);
+  std::vector<size_t> cached;
+  for (size_t cls = 0; cls < NodePool::kClasses; ++cls) {
+    cached.push_back(NodePool::ThreadCacheBlocks(NodePool::ClassBytes(cls)));
+  }
+  size_t slabs = NodePool::SlabsAllocated();
+  for (int n : {largest + 1, 4096, 1 << 20}) {
+    void* big = SqliteHeap::Malloc(n);
+    CHECK(big != nullptr);
+    SqliteHeap::Free(big);
+  }
+  CHECK_EQ(NodePool::SlabsAllocated(), slabs);
+  for (size_t cls = 0; cls < NodePool::kClasses; ++cls) {
+    CHECK_EQ(NodePool::ThreadCacheBlocks(NodePool::ClassBytes(cls)),
+             cached[cls]);
+  }
+}
+
+// The first connection installs the heap (unless SQLite was initialized
+// earlier, which test_sqlite_preinit covers) and SQLite runs on it.
+void TestSqliteRunsOnPooledHeap() {
+  if (!SqliteConnection::Available()) {
+    std::printf("  (real sqlite3 unavailable; pooled-heap check skipped)\n");
+    CHECK(!SqliteHeap::Installed());
+    return;
+  }
+  SqliteConnection conn;
+  CHECK(conn.alive());
+  CHECK(SqliteHeap::Installed());
+  CreateTableStmt ct;
+  ct.table_name = "t";
+  ColumnDef col;
+  col.name = "a";
+  col.declared_type = "TEXT";
+  ct.columns = {col};
+  CHECK(conn.Execute(ct).ok());
+  InsertStmt ins;
+  ins.table_name = "t";
+  ins.rows.emplace_back();
+  ins.rows.back().push_back(MakeLiteral(SqlValue::Text("pooled")));
+  CHECK(conn.Execute(ins).ok());
+  SelectStmt sel;
+  sel.from_tables = {"t"};
+  StatementResult r = conn.Execute(sel);
+  CHECK(r.ok());
+  CHECK_EQ(r.rows.size(), static_cast<size_t>(1));
+  CHECK(r.rows.size() == 1 && r.rows[0][0].cls == StorageClass::kText &&
+        r.rows[0][0].t == "pooled");
 }
 
 // ---------------------------------------------------------------------------
@@ -245,6 +485,12 @@ int main(int argc, char** argv) {
     }
   }
   pqs::TestNodePoolRecycles();
+  pqs::TestNodePoolRecyclesWithinEachClass();
+  pqs::TestNodePoolClassesDoNotAlias();
+  pqs::TestNodePoolCrossThreadReuse(workers);
+  pqs::TestNodePoolSlabsBoundedByPeakLive();
+  pqs::TestSqliteHeapContract();
+  pqs::TestSqliteRunsOnPooledHeap();
   pqs::TestInternerRoundTrip();
   pqs::TestEvaluatorGoldenCorpus(workers);
   return pqs::test::Summary("test_hotpath");

@@ -16,6 +16,7 @@
 
 #include "src/minidb/bug_registry.h"
 #include "src/minidb/database.h"
+#include "src/obs/telemetry.h"
 #include "src/pqs/campaign.h"
 #include "src/pqs/runner.h"
 #include "src/pqs/scheduler.h"
@@ -680,6 +681,56 @@ void TestSqliteStatementCachePersistence() {
   CHECK_EQ(conn.statement_cache_hits(), hits_before + 1);
 }
 
+// Closing a connection is not a cache invalidation. A runner session on
+// SqliteConnection never resets it, so the session reports no
+// invalidation however many SELECTs it cached (the connection is destroyed
+// while the session's telemetry is still installed). Reset() and turning
+// the cache off each report one.
+void TestSqliteTeardownIsNotAnInvalidation() {
+  if (!SqliteConnection::Available()) {
+    std::printf("  (real sqlite3 unavailable; invalidation test skipped)\n");
+    return;
+  }
+  RunnerOptions opts;
+  opts.seed = 20200604;
+  opts.databases = 1;
+  opts.queries_per_database = 10;
+  // No DELETEs: MiniDB's ground-truth replay would rewrite a table, and
+  // its buffer-pool discard counts as an invalidation too.
+  opts.gen.delete_weight = 0;
+  RunReport report = PqsRunner(
+      []() -> ConnectionPtr { return std::make_unique<SqliteConnection>(); },
+      opts).Run();
+  CHECK(report.metrics.counter(obs::Counter::kStmtCacheMisses) > 0);
+  CHECK_EQ(report.metrics.counter(obs::Counter::kCacheInvalidations),
+           static_cast<uint64_t>(0));
+
+  obs::SessionTelemetry session;
+  auto invalidations = [&session]() {
+    return session.metrics.counter(obs::Counter::kCacheInvalidations);
+  };
+  {
+    obs::ScopedSessionTelemetry install(&session);
+    SqliteConnection conn;
+    CreateTableStmt ct;
+    ct.table_name = "t";
+    ct.columns = {Column("a", Affinity::kInteger)};
+    SelectStmt sel;
+    sel.from_tables = {"t"};
+    CHECK(conn.Execute(ct).ok());
+    CHECK(conn.Execute(sel).ok());
+    CHECK(conn.Reset());
+    CHECK_EQ(invalidations(), static_cast<uint64_t>(1));
+    CHECK(conn.Execute(ct).ok());
+    CHECK(conn.Execute(sel).ok());
+    conn.set_statement_cache(false);
+    CHECK_EQ(invalidations(), static_cast<uint64_t>(2));
+    conn.set_statement_cache(true);
+    CHECK(conn.Execute(sel).ok());
+  }
+  CHECK_EQ(invalidations(), static_cast<uint64_t>(2));
+}
+
 }  // namespace
 }  // namespace pqs
 
@@ -701,5 +752,6 @@ int main(int argc, char** argv) {
   pqs::TestRealSqliteMutatingSweepHasNoFalseFindings();
   pqs::TestNewBugsDetectedInDefaultBudget();
   pqs::TestSqliteStatementCachePersistence();
+  pqs::TestSqliteTeardownIsNotAnInvalidation();
   return pqs::test::Summary("test_stmt_mutation");
 }
