@@ -27,28 +27,6 @@ const char* CounterName(Counter c) {
       return "stmt_cache_misses";
     case Counter::kCacheInvalidations:
       return "cache_invalidations";
-    case Counter::kSchedInsert:
-      return "sched_insert";
-    case Counter::kSchedUpdate:
-      return "sched_update";
-    case Counter::kSchedDelete:
-      return "sched_delete";
-    case Counter::kSchedCreateIndex:
-      return "sched_create_index";
-    case Counter::kSchedDropIndex:
-      return "sched_drop_index";
-    case Counter::kSchedMaintenance:
-      return "sched_maintenance";
-    case Counter::kFindingsRecorded:
-      return "findings_recorded";
-    case Counter::kTxnBegins:
-      return "txn_begins";
-    case Counter::kTxnCommits:
-      return "txn_commits";
-    case Counter::kTxnRollbacks:
-      return "txn_rollbacks";
-    case Counter::kTxnConflicts:
-      return "txn_conflicts";
     case Counter::kCount_:
       break;
   }

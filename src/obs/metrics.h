@@ -1,11 +1,14 @@
 // Metrics registry: named counters, gauges, and exact-bucket histograms.
 //
-// Design mirrors RunStats: one registry per worker session, no atomics on
-// the hot path, merged value-wise after the run. Because counter increments
-// are a pure function of the session's seed and histogram buckets are exact
-// (power-of-two boundaries, merge = add counts, unlike approximating HDR
-// schemes), the merged registry of an N-worker campaign is byte-identical
-// to the 1-worker run once sessions merge in plan order.
+// One registry per worker session, no atomics on the hot path, merged
+// value-wise after the run. Because counter increments are a pure function
+// of the session's seed and histogram buckets are exact (power-of-two
+// boundaries, merge = add counts, unlike approximating HDR schemes), the
+// merged registry of an N-worker campaign is byte-identical to the
+// 1-worker run once sessions merge in plan order.
+//
+// The registry counts what engines and other layers emit; the runner's own
+// tallies live in pqs::RunStats only, never in both (DESIGN §13).
 //
 // Metric identity is a closed enum, not a string lookup: registration races
 // and hash-order iteration are the two classic ways metric output goes
@@ -32,17 +35,6 @@ enum class Counter : uint8_t {
   kStmtCacheHits,      // sqlite3 prepared-statement cache
   kStmtCacheMisses,
   kCacheInvalidations,
-  kSchedInsert,        // scheduler action tallies (mirrors RunStats)
-  kSchedUpdate,
-  kSchedDelete,
-  kSchedCreateIndex,
-  kSchedDropIndex,
-  kSchedMaintenance,
-  kFindingsRecorded,
-  kTxnBegins,          // transaction workload (K interleaved sessions)
-  kTxnCommits,
-  kTxnRollbacks,
-  kTxnConflicts,       // COMMIT refused (first-committer-wins)
   kCount_,  // sentinel
 };
 
@@ -124,7 +116,7 @@ class MetricsRegistry {
     return phase_wall_us_[static_cast<size_t>(p)];
   }
 
-  // Value-wise merge, RunStats::Merge style.
+  // Value-wise merge: counters add, gauges keep the max, histograms add.
   void Merge(const MetricsRegistry& other);
 
   // Compact JSON object: {"counters": {...}, "gauges": {...},

@@ -1,8 +1,6 @@
 #include "src/pqs/campaign.h"
 
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "src/common/rng.h"
@@ -126,34 +124,20 @@ CampaignReport RunCampaign(Dialect dialect, const CampaignOptions& options) {
   if (workers > static_cast<int>(bugs.size())) {
     workers = static_cast<int>(bugs.size());
   }
-  if (workers <= 1) {
-    for (const minidb::BugInfo& info : bugs) {
-      report.results.push_back(HuntBug(info.id, options));
-    }
-    return report;
-  }
+  if (workers < 1) workers = 1;
 
   // Shard the bug list across the workers. Every hunt consumes only its own
   // stream-split seed, so result slot `i` is the same no matter which worker
-  // claims it or in which order — the merged report is identical to the
-  // sequential one. Each hunt runs single-threaded here (workers = 1);
+  // claims it or in which order — the merged report is identical for every
+  // worker count. Each hunt runs single-threaded here (workers = 1);
   // the campaign already owns the parallelism, and nesting sharded runners
   // inside sharded hunts would oversubscribe the machine.
   CampaignOptions hunt_options = options;
   hunt_options.workers = 1;
   report.results.resize(bugs.size());
-  std::atomic<size_t> next_bug{0};
-  auto worker_main = [&]() {
-    for (;;) {
-      size_t i = next_bug.fetch_add(1, std::memory_order_relaxed);
-      if (i >= bugs.size()) break;
-      report.results[i] = HuntBug(bugs[i].id, hunt_options);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) threads.emplace_back(worker_main);
-  for (std::thread& t : threads) t.join();
+  ForEachClaimed(bugs.size(), workers, [&](size_t i, int) {
+    report.results[i] = HuntBug(bugs[i].id, hunt_options);
+  });
   return report;
 }
 

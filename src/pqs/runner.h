@@ -14,8 +14,10 @@
 #ifndef PQS_SRC_PQS_RUNNER_H_
 #define PQS_SRC_PQS_RUNNER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "src/engine/connection.h"
@@ -50,6 +52,8 @@ struct RunnerOptions {
   GeneratorOptions gen;
 };
 
+// The report's tally set: the runner's own events, counted here only
+// (DESIGN §13), so the telemetry kill switch never changes them.
 struct RunStats {
   uint64_t statements_executed = 0;  // every Execute() on the connection
   uint64_t queries_checked = 0;      // oracle-checked SELECTs
@@ -72,10 +76,6 @@ struct RunStats {
   uint64_t predicate_depth_buckets[kDepthBuckets] = {0, 0, 0, 0, 0};
   uint64_t predicates_with_function = 0;
   uint64_t function_calls_generated = 0;
-  // Statement-stream tallies (DESIGN §9): mutation statements the
-  // ActionScheduler issued between pivot checks, and how many ground-truth
-  // state comparisons (engine table vs model table, as multisets) the
-  // pivot-selection phase performed.
   // Metamorphic-oracle tallies: completed NoREC / TLP checks, the TLP
   // partition queries those checks executed, and how many checked queries
   // carried aggregates / GROUP BY / HAVING. Merged like every other
@@ -86,6 +86,10 @@ struct RunStats {
   uint64_t aggregate_queries = 0;
   uint64_t group_by_queries = 0;
   uint64_t having_queries = 0;
+  // Statement-stream tallies (DESIGN §9): mutation statements the
+  // ActionScheduler issued between pivot checks, and how many ground-truth
+  // state comparisons (engine table vs model table, as multisets) the
+  // pivot-selection phase performed.
   uint64_t actions_insert = 0;
   uint64_t actions_update = 0;
   uint64_t actions_delete = 0;
@@ -137,6 +141,26 @@ struct ShardPlan {
 
   static ShardPlan Build(uint64_t seed, int databases);
 };
+
+// Runs fn(index, worker) for every index in [0, count) on `workers`
+// threads that claim indexes in increasing order. Which worker runs an
+// index depends on timing, so callers keep results deterministic by making
+// each index's work depend on the index alone.
+template <typename Fn>
+void ForEachClaimed(size_t count, int workers, Fn fn) {
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
+    threads.emplace_back([&next, &fn, count, w] {
+      size_t i;
+      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
+        fn(i, w);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
 
 class PqsRunner {
  public:

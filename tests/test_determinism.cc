@@ -2,10 +2,12 @@
 // identical reports, down to the rendered SQL of every finding — and a
 // sharded N-worker run must merge to exactly the 1-worker report.
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/minidb/bug_registry.h"
 #include "src/minidb/database.h"
 #include "src/obs/telemetry.h"
 #include "src/pqs/campaign.h"
@@ -256,24 +258,41 @@ std::string Fingerprint(const RunReport& r) {
 }
 
 // Telemetry is observe-only: flipping its process-wide kill switch must
-// leave every report byte-identical.
+// leave every report byte-identical, for every oracle family and for the
+// interleaved-transaction branch.
 // With telemetry off the merged metrics registry is additionally all-zero.
 void TestTelemetryOnOffSameReport() {
-  for (OracleFamily family :
-       {OracleFamily::kContainment, OracleFamily::kNorec, OracleFamily::kTlp}) {
-    auto run = [family]() {
+  struct Case {
+    OracleFamily family;
+    int txn_sessions;
+    BugId bug;
+    uint64_t seed;
+    int databases;
+    int queries;
+  };
+  const Case cases[] = {
+      {OracleFamily::kContainment, 1, BugId::kPartialIndexIsNotInference, 99,
+       20, 15},
+      {OracleFamily::kNorec, 1, BugId::kPartialIndexIsNotInference, 99, 20,
+       15},
+      {OracleFamily::kTlp, 1, BugId::kPartialIndexIsNotInference, 99, 20, 15},
+      {OracleFamily::kContainment, 3, BugId::kTxnLostUpdate, 777, 40, 5},
+  };
+  for (const Case& c : cases) {
+    auto run = [&c]() {
       RunnerOptions options;
-      options.seed = 99;
-      options.databases = 20;
-      options.queries_per_database = 15;
-      options.family = family;
+      options.seed = c.seed;
+      options.databases = c.databases;
+      options.queries_per_database = c.queries;
+      options.family = c.family;
+      options.gen.txn_sessions = c.txn_sessions;
       options.gen.explicit_join_probability = 0.6;
       options.gen.distinct_probability = 0.4;
       options.gen.order_by_probability = 0.5;
-      EngineFactory factory = []() -> ConnectionPtr {
-        return std::make_unique<minidb::Database>(
-            Dialect::kSqliteFlex,
-            BugConfig::Single(BugId::kPartialIndexIsNotInference));
+      BugId bug = c.bug;
+      EngineFactory factory = [bug]() -> ConnectionPtr {
+        return std::make_unique<minidb::Database>(Dialect::kSqliteFlex,
+                                                  BugConfig::Single(bug));
       };
       PqsRunner runner(factory, options);
       return runner.Run();
@@ -289,6 +308,12 @@ void TestTelemetryOnOffSameReport() {
              obs::MetricsRegistry().ToJson(false));
     CHECK(with_telemetry.metrics.counter(
               obs::Counter::kStatementsExecuted) > 0);
+    if (c.txn_sessions > 1) {
+      // The transaction branch is exercised for real: its tallies live in
+      // RunStats and survive the kill switch, and it found the bug.
+      CHECK(without_telemetry.stats.txn_commits > 0);
+      CHECK(!with_telemetry.findings.empty());
+    }
     // Findings carry flight provenance exactly when telemetry was on.
     for (const Finding& f : with_telemetry.findings) {
       CHECK(!f.flight.empty());
@@ -340,6 +365,270 @@ void TestShardedTxnWorkloadMatchesSequential() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Runner-report golden: the full deterministic content of a matrix of runs
+// ---------------------------------------------------------------------------
+
+#ifndef PQS_SOURCE_DIR
+#define PQS_SOURCE_DIR "."
+#endif
+
+// Delegates to a MiniDB instance until `budget` statements have run, then
+// answers kUnsupported — drives the runner's unsupported-engine exit from
+// whichever statement site the budget happens to end on.
+class UnsupportedAfter : public Connection {
+ public:
+  UnsupportedAfter(ConnectionPtr inner, int budget)
+      : inner_(std::move(inner)), budget_(budget) {}
+  StatementResult Execute(const Stmt& stmt) override {
+    if (budget_-- <= 0) {
+      return StatementResult::Failure(StatementStatus::kUnsupported,
+                                      "unsupported");
+    }
+    return inner_->Execute(stmt);
+  }
+  Dialect dialect() const override { return inner_->dialect(); }
+  std::string EngineName() const override { return "unsupported-after"; }
+
+ private:
+  ConnectionPtr inner_;
+  int budget_;
+};
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct GoldenCase {
+  const char* name;
+  OracleFamily family;
+  const BugId* bug;  // null: clean engine
+  bool rectify;
+  int txn_sessions;
+};
+
+// Renders every deterministic part of a report: each RunStats field, the
+// unsupported flag, the registry's engine-side counters (listed by enum),
+// gauges, per-phase logical-tick histograms, and per finding its oracle,
+// message, pivot, statement count, last statement, and hashes of the full
+// rendered script and of the flight events.
+std::string RenderGoldenReport(const RunReport& r) {
+  std::string out;
+  auto field = [&out](const std::string& name, uint64_t v) {
+    out += "  " + name + "=" + std::to_string(v) + "\n";
+  };
+  const RunStats& s = r.stats;
+  field("statements_executed", s.statements_executed);
+  field("queries_checked", s.queries_checked);
+  field("queries_skipped", s.queries_skipped);
+  field("databases_created", s.databases_created);
+  field("rectified_true", s.rectified_true);
+  field("rectified_false", s.rectified_false);
+  field("rectified_null", s.rectified_null);
+  field("constraint_violations", s.constraint_violations);
+  field("join_conditions_rectified", s.join_conditions_rectified);
+  field("limited_queries", s.limited_queries);
+  out += "  predicate_depth_buckets=";
+  for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
+    out += std::to_string(s.predicate_depth_buckets[i]);
+    out += i + 1 < RunStats::kDepthBuckets ? "," : "\n";
+  }
+  field("predicates_with_function", s.predicates_with_function);
+  field("function_calls_generated", s.function_calls_generated);
+  field("norec_checks", s.norec_checks);
+  field("tlp_checks", s.tlp_checks);
+  field("tlp_partition_queries", s.tlp_partition_queries);
+  field("aggregate_queries", s.aggregate_queries);
+  field("group_by_queries", s.group_by_queries);
+  field("having_queries", s.having_queries);
+  field("actions_insert", s.actions_insert);
+  field("actions_update", s.actions_update);
+  field("actions_delete", s.actions_delete);
+  field("actions_create_index", s.actions_create_index);
+  field("actions_drop_index", s.actions_drop_index);
+  field("actions_maintenance", s.actions_maintenance);
+  field("state_compares", s.state_compares);
+  field("txn_begins", s.txn_begins);
+  field("txn_commits", s.txn_commits);
+  field("txn_rollbacks", s.txn_rollbacks);
+  field("txn_conflicts", s.txn_conflicts);
+  field("txn_snapshot_checks", s.txn_snapshot_checks);
+  field("txn_serial_replays", s.txn_serial_replays);
+  field("unsupported_engine", r.unsupported_engine ? 1 : 0);
+  for (obs::Counter c :
+       {obs::Counter::kStatementsExecuted, obs::Counter::kStatementErrors,
+        obs::Counter::kPivotSelections, obs::Counter::kPoolHits,
+        obs::Counter::kPoolMisses, obs::Counter::kPoolEvictions,
+        obs::Counter::kPoolWritebacks, obs::Counter::kStmtCacheHits,
+        obs::Counter::kStmtCacheMisses, obs::Counter::kCacheInvalidations}) {
+    field(std::string("counter.") + obs::CounterName(c), r.metrics.counter(c));
+  }
+  for (obs::Gauge g : {obs::Gauge::kMaxSpanDepth, obs::Gauge::kMaxFlightEvents}) {
+    field(std::string("gauge.") + obs::GaugeName(g), r.metrics.gauge(g));
+  }
+  for (int p = 0; p < static_cast<int>(obs::Phase::kCount_); ++p) {
+    const obs::Histogram& h =
+        r.metrics.phase_ticks(static_cast<obs::Phase>(p));
+    out += "  phase." + std::string(obs::PhaseName(static_cast<obs::Phase>(p))) +
+           " count=" + std::to_string(h.count()) +
+           " sum=" + std::to_string(h.sum()) +
+           " max=" + std::to_string(h.max()) + " buckets=";
+    for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
+      out += std::to_string(h.bucket(b));
+      out += b + 1 < obs::Histogram::kBuckets ? "," : "\n";
+    }
+  }
+  field("findings", r.findings.size());
+  for (const Finding& f : r.findings) {
+    std::string pivot;
+    for (const SqlValue& v : f.pivot) {
+      if (!pivot.empty()) pivot += ", ";
+      pivot += v.ToDisplay();
+    }
+    std::string flight;
+    for (const obs::FlightEvent& e : f.flight) {
+      flight += obs::FormatFlightEvent(e);
+      flight += '\n';
+    }
+    out += "  - oracle=" + std::string(OracleName(f.oracle)) +
+           " statements=" + std::to_string(f.statements.size()) +
+           " script_fnv=" + Hex(Fnv1a(RenderScript(f.statements, f.dialect))) +
+           " flight_events=" + std::to_string(f.flight.size()) +
+           " flight_fnv=" + Hex(Fnv1a(flight)) + "\n";
+    out += "    message: " + f.message + "\n";
+    out += "    pivot: (" + pivot + ")\n";
+    out += "    last: " +
+           (f.statements.empty() ? std::string()
+                                 : RenderStmt(*f.statements.back(), f.dialect)) +
+           "\n";
+  }
+  return out;
+}
+
+// One run of `c`. A non-negative `unsupported_after` wraps every connection
+// so it answers kUnsupported from that statement on.
+RunReport RunGoldenCase(const GoldenCase& c, int workers, bool stop_on_first,
+                        int databases, int unsupported_after) {
+  RunnerOptions options;
+  options.seed = c.txn_sessions > 1 ? 777 : 4242;
+  options.databases = databases;
+  options.queries_per_database = c.txn_sessions > 1 ? 20 : 10;
+  options.workers = workers;
+  options.stop_on_first_finding = stop_on_first;
+  options.family = c.family;
+  options.gen.rectify = c.rectify;
+  options.gen.txn_sessions = c.txn_sessions;
+  options.gen.explicit_join_probability = 0.6;
+  options.gen.third_table_probability = 0.4;
+  options.gen.distinct_probability = 0.4;
+  options.gen.order_by_probability = 0.5;
+  options.gen.limit_probability = 0.5;
+  Dialect dialect = c.bug != nullptr ? minidb::LookupBug(*c.bug).dialect
+                                     : Dialect::kSqliteFlex;
+  BugConfig bugs = c.bug != nullptr ? BugConfig::Single(*c.bug) : BugConfig();
+  EngineFactory factory = [dialect, bugs,
+                           unsupported_after]() -> ConnectionPtr {
+    auto db = std::make_unique<minidb::Database>(dialect, bugs);
+    if (unsupported_after < 0) return db;
+    return std::make_unique<UnsupportedAfter>(std::move(db),
+                                              unsupported_after);
+  };
+  return PqsRunner(factory, options).Run();
+}
+
+std::string RenderGoldenMatrix(int workers) {
+  static constexpr BugId kStateBug = BugId::kDeleteOverrun;
+  static constexpr BugId kPivotBug = BugId::kJoinDupRightMatch;
+  static constexpr BugId kErrorBug = BugId::kBetweenSwapError;
+  static constexpr BugId kCrashBug = BugId::kDeepExprCrash;
+  static constexpr BugId kMutationCrashBug = BugId::kUpdateSetOrCrash;
+  static constexpr BugId kMutationErrorBug = BugId::kReindexPartialError;
+  static constexpr BugId kNorecBug = BugId::kIndexedOrSkip;
+  static constexpr BugId kTlpBug = BugId::kAggEmptyGroupZero;
+  static constexpr BugId kLostUpdate = BugId::kTxnLostUpdate;
+  static constexpr BugId kDirtyRead = BugId::kTxnDirtyRead;
+  static constexpr BugId kStaleIndex = BugId::kTxnRollbackStaleIndex;
+  const OracleFamily kPqs = OracleFamily::kContainment;
+  const OracleFamily kNorec = OracleFamily::kNorec;
+  const OracleFamily kTlp = OracleFamily::kTlp;
+  const GoldenCase cases[] = {
+      {"containment clean", kPqs, nullptr, true, 1},
+      {"containment no-rectify", kPqs, nullptr, false, 1},
+      {"containment state-divergence bug", kPqs, &kStateBug, true, 1},
+      {"containment pivot bug", kPqs, &kPivotBug, true, 1},
+      {"containment error bug", kPqs, &kErrorBug, true, 1},
+      {"containment crash bug", kPqs, &kCrashBug, true, 1},
+      {"containment mutation crash bug", kPqs, &kMutationCrashBug, true, 1},
+      {"containment mutation error bug", kPqs, &kMutationErrorBug, true, 1},
+      {"norec clean", kNorec, nullptr, true, 1},
+      {"norec bug", kNorec, &kNorecBug, true, 1},
+      {"norec state-divergence bug", kNorec, &kStateBug, true, 1},
+      {"tlp clean", kTlp, nullptr, true, 1},
+      {"tlp bug", kTlp, &kTlpBug, true, 1},
+      {"tlp error bug", kTlp, &kErrorBug, true, 1},
+      {"txn clean", kPqs, nullptr, true, 3},
+      {"txn lost-update", kPqs, &kLostUpdate, true, 3},
+      {"txn dirty-read", kPqs, &kDirtyRead, true, 3},
+      {"txn rollback-stale-index", kPqs, &kStaleIndex, true, 3},
+      {"txn error bug", kPqs, &kErrorBug, true, 3},
+      {"txn crash bug", kPqs, &kCrashBug, true, 3},
+  };
+  std::string out;
+  for (const GoldenCase& c : cases) {
+    for (bool stop_on_first : {false, true}) {
+      out += "=== " + std::string(c.name) +
+             (stop_on_first ? " stop_on_first_finding" : "") + "\n";
+      int databases = c.txn_sessions > 1 ? 60 : 8;
+      out += RenderGoldenReport(
+          RunGoldenCase(c, workers, stop_on_first, databases, -1));
+    }
+  }
+  // Unsupported-engine sweep: the engine goes unsupported at every
+  // statement index of the first sessions in turn, so each statement site
+  // of every family exits once. One line per budget: the stats that show
+  // where the run stopped, plus a hash of its full rendered report.
+  for (const GoldenCase& c : {cases[0], cases[8], cases[11], cases[14]}) {
+    out += "=== " + std::string(c.name) + " unsupported sweep\n";
+    for (int budget = 0; budget < 60; ++budget) {
+      RunReport r = RunGoldenCase(c, workers, false, 3, budget);
+      out += "  @" + std::to_string(budget) +
+             " unsupported=" + std::to_string(r.unsupported_engine ? 1 : 0) +
+             " statements=" + std::to_string(r.stats.statements_executed) +
+             " databases=" + std::to_string(r.stats.databases_created) +
+             " findings=" + std::to_string(r.findings.size()) +
+             " report_fnv=" + Hex(Fnv1a(RenderGoldenReport(r))) + "\n";
+    }
+  }
+  return out;
+}
+
+// Pins the runner's whole deterministic output over containment (clean,
+// unrectified, and with state-divergence, pivot, error and crash bugs),
+// NoREC, TLP and the interleaved-transaction branch, with and without
+// stop_on_first_finding, and with engines that go unsupported at each
+// statement site.
+// The same golden must hold at 1 and 4 workers. Regenerate with
+// PQS_UPDATE_GOLDEN=1 only for an intended behaviour change.
+void TestRunnerReportGolden() {
+  const std::string path =
+      std::string(PQS_SOURCE_DIR) + "/tests/golden/runner_reports.golden";
+  std::string sequential = RenderGoldenMatrix(1);
+  std::string sharded = RenderGoldenMatrix(4);
+  CHECK(sequential == sharded);
+  test::CheckGolden(path, sequential);
+}
+
 void TestDifferentSeedsDiffer() {
   // Not a strict requirement of the API, but a sanity check that the seed
   // actually feeds the generator.
@@ -359,5 +648,6 @@ int main() {
   pqs::TestTelemetryOnOffSameReport();
   pqs::TestShardedTxnWorkloadMatchesSequential();
   pqs::TestDifferentSeedsDiffer();
+  pqs::TestRunnerReportGolden();
   return pqs::test::Summary("test_determinism");
 }

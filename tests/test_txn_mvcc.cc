@@ -528,9 +528,9 @@ void TestFlightRecorderCarriesTxnEvents() {
   }
   CHECK(saw_begin);
   CHECK(saw_resolution);
-  // The merged registry carries the runner-side transaction counters.
-  CHECK(report.metrics.counter(obs::Counter::kTxnBegins) > 0);
-  CHECK(report.metrics.counter(obs::Counter::kTxnCommits) > 0);
+  // The merged report carries the runner-side transaction tallies.
+  CHECK(report.stats.txn_begins > 0);
+  CHECK(report.stats.txn_commits > 0);
 }
 
 // Every injected transaction bug is detected within HuntBug's default
