@@ -302,117 +302,45 @@ std::string MeasureScanRows() {
   return json;
 }
 
-// Satellite: measure the SqliteConnection prepared-statement cache on the
-// repeated pivot-probe pattern (the runner re-issues `SELECT * FROM tN`
-// before every generated query, and reduction-style replays repeat whole
-// statement prefixes). Same seeded workload with the cache off vs on; the
-// speedup and hit counts go into BENCH_throughput.json. The cache-on run is
-// the adapter's default configuration, so its rate is also the real-sqlite3
-// end-to-end figure, `sqlite_statements_per_second_1worker`, which
-// check_perf_smoke.py gates against its floor.
-std::string MeasureSqliteStmtCache() {
+// The real-sqlite3 end-to-end figure, `sqlite_statements_per_second_1worker`:
+// the seeded 48-database x 25-query containment loop on SqliteConnection,
+// best of 3. check_perf_smoke.py gates it against its floor whenever
+// `sqlite_available` says the build links libsqlite3.
+std::string MeasureSqliteThroughput() {
   if (!SqliteConnection::Available()) {
-    printf("\n(real sqlite3 unavailable; statement-cache bench skipped)\n");
-    return "  \"sqlite_stmt_cache\": {\"available\": false},\n";
+    printf("\n(real sqlite3 unavailable; its throughput bench skipped)\n");
+    return "  \"sqlite_available\": false,\n";
   }
   RunnerOptions opts;
   opts.seed = 20200604;
   opts.databases = 48;
   opts.queries_per_database = 25;
-
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t meta_hits = 0;
-  uint64_t meta_misses = 0;
-  uint64_t statements = 0;
-  auto measure = [&](bool cache_on, OracleFamily family) {
-    EngineFactory factory = [cache_on, &hits, &misses, &meta_hits,
-                             &meta_misses]() -> ConnectionPtr {
-      struct Tracked : SqliteConnection {
-        explicit Tracked(bool on, uint64_t* h, uint64_t* m, uint64_t* mh,
-                         uint64_t* mm)
-            : hits(h), misses(m), mhits(mh), mmisses(mm) {
-          set_statement_cache(on);
-        }
-        ~Tracked() override {
-          *hits += statement_cache_hits();
-          *misses += statement_cache_misses();
-          *mhits += meta_statement_cache_hits();
-          *mmisses += meta_statement_cache_misses();
-        }
-        uint64_t* hits;
-        uint64_t* misses;
-        uint64_t* mhits;
-        uint64_t* mmisses;
-      };
-      return std::make_unique<Tracked>(cache_on, &hits, &misses, &meta_hits,
-                                       &meta_misses);
-    };
-    double best = 1e30;
-    RunnerOptions family_opts = opts;
-    family_opts.family = family;
-    for (int rep = 0; rep < 3; ++rep) {
-      // Counts are identical every rep (seeded workload); resetting here
-      // leaves one rep's tallies, matching the best-of-3 seconds' scope.
-      hits = 0;
-      misses = 0;
-      meta_hits = 0;
-      meta_misses = 0;
-      PqsRunner runner(factory, family_opts);
-      auto start = std::chrono::steady_clock::now();
-      RunReport report = runner.Run();
-      std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      statements = report.stats.statements_executed;
-      if (elapsed.count() < best) best = elapsed.count();
-    }
-    return best;
+  EngineFactory factory = []() -> ConnectionPtr {
+    return std::make_unique<SqliteConnection>();
   };
-
-  double uncached = measure(false, OracleFamily::kContainment);
-  double cached = measure(true, OracleFamily::kContainment);
-  double speedup = cached > 0 ? uncached / cached : 0.0;
+  double best = 1e30;
+  uint64_t statements = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    PqsRunner runner(factory, opts);
+    auto start = std::chrono::steady_clock::now();
+    RunReport report = runner.Run();
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    statements = report.stats.statements_executed;
+    if (elapsed.count() < best) best = elapsed.count();
+  }
   double sqlite_rate =
-      cached > 0 ? static_cast<double>(statements) / cached : 0.0;
-  uint64_t pivot_hits = hits;
-  uint64_t pivot_misses = misses;
+      best > 0 ? static_cast<double>(statements) / best : 0.0;
 
-  // Metamorphic rewrite reuse: the same workload TLP-driven. The rewritten
-  // partition texts vary per check (fresh predicates), but the cache must
-  // keep absorbing the repeated probe SELECTs around them; the meta subset
-  // counters show how much of the rewrite stream itself revisits.
-  double meta_seconds = measure(true, OracleFamily::kTlp);
+  bench::PrintHeader("Real sqlite3 end-to-end throughput (1 worker)");
+  printf("  %llu statements in %.4fs (best of 3): %.0f stmts/sec\n",
+         static_cast<unsigned long long>(statements), best, sqlite_rate);
 
-  bench::PrintHeader("SqliteConnection statement cache (pivot-probe reuse)");
-  printf("  uncached: %.4fs   cached: %.4fs   speedup: %.2fx   "
-         "(%llu hits / %llu misses)\n",
-         uncached, cached, speedup,
-         static_cast<unsigned long long>(pivot_hits),
-         static_cast<unsigned long long>(pivot_misses));
-  printf("  real sqlite3, 1 worker, cache on: %.0f stmts/sec\n", sqlite_rate);
-  printf("  tlp workload: %.4fs   meta rewrites: %llu hits / %llu misses   "
-         "(totals: %llu / %llu)\n",
-         meta_seconds, static_cast<unsigned long long>(meta_hits),
-         static_cast<unsigned long long>(meta_misses),
-         static_cast<unsigned long long>(hits),
-         static_cast<unsigned long long>(misses));
-
-  char buf[640];
+  char buf[160];
   std::snprintf(buf, sizeof buf,
-                "  \"sqlite_statements_per_second_1worker\": %.1f,\n"
-                "  \"sqlite_stmt_cache\": {\"available\": true, "
-                "\"seconds_uncached\": %.6f, \"seconds_cached\": %.6f, "
-                "\"speedup\": %.3f, \"hits\": %llu, \"misses\": %llu, "
-                "\"tlp_seconds\": %.6f, \"tlp_hits\": %llu, "
-                "\"tlp_misses\": %llu, \"tlp_meta_hits\": %llu, "
-                "\"tlp_meta_misses\": %llu},\n",
-                sqlite_rate, uncached, cached, speedup,
-                static_cast<unsigned long long>(pivot_hits),
-                static_cast<unsigned long long>(pivot_misses), meta_seconds,
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses),
-                static_cast<unsigned long long>(meta_hits),
-                static_cast<unsigned long long>(meta_misses));
+                "  \"sqlite_available\": true,\n"
+                "  \"sqlite_statements_per_second_1worker\": %.1f,\n",
+                sqlite_rate);
   return buf;
 }
 
@@ -703,7 +631,7 @@ int main(int argc, char** argv) {
   if (max_workers < 1) max_workers = 1;
 
   pqs::RunWorkerSweep(max_workers, pqs::MeasureScanRows() +
-                                       pqs::MeasureSqliteStmtCache() +
+                                       pqs::MeasureSqliteThroughput() +
                                        pqs::MeasureZipfWorkload() +
                                        pqs::MeasureTxnWorkload() +
                                        pqs::MeasurePhaseProfile() +

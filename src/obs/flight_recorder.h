@@ -26,7 +26,7 @@ enum class EventKind : uint8_t {
   kStatement = 0,        // a=StmtKind, b=StatementStatus (0 ok, 1 error)
   kPivotSelected,        // a=table ordinal, b=row count at selection
   kEviction,             // a=table id, b=page id  (from BufferPool)
-  kCacheInvalidation,    // a=entries dropped     (stmt cache / pool flush)
+  kCacheInvalidation,    // a=frames dropped      (buffer-pool flush)
   kOracleCheck,          // a=oracle ordinal, b=1 if it fired
   kFindingRecorded,      // a=oracle ordinal
   kPhaseBegin,           // a=Phase ordinal, b=nesting depth

@@ -32,9 +32,11 @@ enum class Counter : uint8_t {
   kPoolMisses,         //   "      "   page faults
   kPoolEvictions,
   kPoolWritebacks,
-  kStmtCacheHits,      // sqlite3 prepared-statement cache
+  // Always 0: SqliteConnection has no statement cache. Kept only because
+  // perfbench/pqs_bench.cc reads them; they go with its next revision.
+  kStmtCacheHits,
   kStmtCacheMisses,
-  kCacheInvalidations,
+  kCacheInvalidations,  // buffer-pool flushes
   kCount_,  // sentinel
 };
 

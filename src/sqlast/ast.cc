@@ -415,7 +415,6 @@ StmtPtr SelectStmt::Clone() const {
   out->order_by.reserve(order_by.size());
   for (const OrderByItem& o : order_by) out->order_by.push_back(o.Clone());
   out->limit = limit;
-  out->meta_rewrite = meta_rewrite;
   return out;
 }
 

@@ -287,11 +287,6 @@ struct SelectStmt : Stmt {
   ExprPtr having;                 // may be null; requires/implies grouping
   std::vector<OrderByItem> order_by;
   int64_t limit = -1;  // < 0 means no LIMIT clause
-  // Set by the sqlmeta transforms on the rewritten queries they build
-  // (NoREC pair, TLP partitions). Never rendered; SqliteConnection keys
-  // its prepared-statement cache counters on it so BENCH_throughput can
-  // report base-query and meta-query cache behaviour separately.
-  bool meta_rewrite = false;
 
   StmtKind kind() const override { return StmtKind::kSelect; }
   StmtPtr Clone() const override;

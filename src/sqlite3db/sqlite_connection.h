@@ -1,15 +1,13 @@
 // Real-SQLite adapter: pqs::Connection over an in-memory libsqlite3
 // database.
 //
-// Statements are rendered to SQL text (src/sqlparser) and executed through
-// the prepared-statement API; result values come back as typed SqlValues.
-// SELECTs are prepared once and cached per *parameterized template*
-// (filter literals become `?` and are bound per execution): the PQS loop
-// probes every FROM table with the identical `SELECT * FROM tN` before
-// each query (pivot selection), and the NoREC/TLP rewrite families repeat
-// the same query shapes with fresh literals, so reset-bind-rerun beats
-// re-preparing (the v2 interface transparently re-prepares on schema
-// change, so caching across DDL is safe).
+// Every statement takes one path: RenderStmtTo (src/sqlparser) renders it
+// to literal SQL text, sqlite3_prepare_v2 compiles that text, sqlite3_step
+// runs it, and sqlite3_finalize drops it; result values come back as typed
+// SqlValues. The engine therefore runs exactly the SQL a finding's script
+// prints, so every report replays in a stock sqlite3 shell. There is no
+// prepared-statement cache: with the pooled allocator below, re-preparing
+// costs no measurable throughput (DESIGN §11).
 //
 // Before the first connection opens, the adapter makes NodePool
 // libsqlite3's allocator (SqliteHeap below), turns SQLite's memory
@@ -23,15 +21,12 @@
 #ifndef PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 #define PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/engine/connection.h"
 #include "src/sqlast/ast.h"
 
-struct sqlite3;       // avoid leaking sqlite3.h into every bench TU
-struct sqlite3_stmt;
+struct sqlite3;  // avoid leaking sqlite3.h into every bench TU
 
 namespace pqs {
 
@@ -67,56 +62,19 @@ class SqliteConnection : public Connection {
   std::string EngineName() const override;
   bool alive() const override { return alive_; }
   // In-place reset: rolls back any transaction an aborted session left
-  // open, drops every user object, and clears the statement cache.
+  // open and drops every user object.
   bool Reset() override;
-
-  // Statement-cache controls (bench_throughput measures the cache off/on).
-  void set_statement_cache(bool enabled);
-  uint64_t statement_cache_hits() const { return cache_hits_; }
-  uint64_t statement_cache_misses() const { return cache_misses_; }
-  // Subset tallies for metamorphic rewrites (SelectStmt::meta_rewrite —
-  // NoREC's two queries and TLP's partitions): the NoREC/TLP loops re-issue
-  // the same rewritten texts across checks, so these show whether the cache
-  // capacity holds the rewrite working set too (bench_throughput reports
-  // them alongside the totals).
-  uint64_t meta_statement_cache_hits() const { return meta_cache_hits_; }
-  uint64_t meta_statement_cache_misses() const { return meta_cache_misses_; }
 
   // libsqlite3 version string, or "unavailable" in a sqlite3-less build.
   static std::string LibraryVersion();
   static bool Available();
 
  private:
-  struct CachedStmt {
-    std::string sql;
-    sqlite3_stmt* stmt = nullptr;
-    // Result column names, read once per (re)preparation: `reprepares` is
-    // the statement's SQLITE_STMTSTATUS_REPREPARE count when they were
-    // read (-1 = not yet), since a schema change re-prepares it in step.
-    std::vector<std::string> column_names;
-    int reprepares = -1;
-  };
-
-  // Finalizes every cached statement. Invalidation (Reset, cache off) also
-  // counts and records the event; closing the connection does not.
-  void FinalizeStatementCache();
-  void InvalidateStatementCache();
-
   sqlite3* db_ = nullptr;
   bool alive_ = true;
-  bool cache_enabled_ = true;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  uint64_t meta_cache_hits_ = 0;
-  uint64_t meta_cache_misses_ = 0;
-  // Small MRU list (front = most recent); linear scan beats hashing at
-  // this size, and the PQS workload repeats only a handful of SELECT
-  // templates.
-  std::vector<CachedStmt> cache_;
-  // Reused render buffers: one SQL text and one bind list per Execute,
-  // recycled across calls so rendering stops allocating per statement.
+  // Reused render buffer, recycled across calls so rendering stops
+  // allocating per statement.
   std::string sql_buf_;
-  std::vector<const SqlValue*> param_buf_;
 };
 
 }  // namespace pqs

@@ -53,21 +53,10 @@ const char* JoinToken(JoinKind kind, Dialect dialect) {
   return "JOIN";
 }
 
-// Appends `expr` to *out. When `params` is non-null the expression is
-// rendered as a prepared-statement template: every literal becomes a `?`
-// placeholder and a pointer to its value is appended to *params (bind
-// order == placeholder order == depth-first render order). The pointers
-// borrow the AST, so they are valid only while the statement is alive.
-void AppendExpr(const Expr& expr, Dialect dialect, std::string* out,
-                std::vector<const SqlValue*>* params) {
+void AppendExpr(const Expr& expr, Dialect dialect, std::string* out) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
-      if (params != nullptr) {
-        *out += '?';
-        params->push_back(&expr.literal);
-      } else {
-        *out += expr.literal.ToSqlLiteral();
-      }
+      *out += expr.literal.ToSqlLiteral();
       return;
     case ExprKind::kColumnRef:
       if (!expr.table.empty()) {
@@ -76,52 +65,60 @@ void AppendExpr(const Expr& expr, Dialect dialect, std::string* out,
       }
       *out += expr.column;
       return;
-    case ExprKind::kUnary:
-      *out += expr.uop == UnaryOp::kNot ? "(NOT " : "(-";
-      AppendExpr(*expr.args[0], dialect, out, params);
+    case ExprKind::kUnary: {
+      bool negate = expr.uop == UnaryOp::kNeg;
+      *out += negate ? "(-" : "(NOT ";
+      size_t operand = out->size();
+      AppendExpr(*expr.args[0], dialect, out);
+      // Minus over a negative literal would make "--", which SQL reads as
+      // the start of a line comment.
+      if (negate && out->compare(operand, 1, "-") == 0) {
+        out->insert(operand, 1, ' ');
+      }
       *out += ')';
       return;
+    }
     case ExprKind::kBinary:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += ' ';
       *out += BinaryOpToken(expr.bop);
       *out += ' ';
-      AppendExpr(*expr.args[1], dialect, out, params);
+      AppendExpr(*expr.args[1], dialect, out);
       *out += ')';
       return;
     case ExprKind::kIsNull:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += expr.negated ? " IS NOT NULL)" : " IS NULL)";
       return;
     case ExprKind::kInList:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += expr.negated ? " NOT IN (" : " IN (";
       for (size_t i = 1; i < expr.args.size(); ++i) {
         if (i > 1) *out += ", ";
-        AppendExpr(*expr.args[i], dialect, out, params);
+        AppendExpr(*expr.args[i], dialect, out);
       }
       *out += "))";
       return;
     case ExprKind::kBetween:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += expr.negated ? " NOT BETWEEN " : " BETWEEN ";
-      AppendExpr(*expr.args[1], dialect, out, params);
+      AppendExpr(*expr.args[1], dialect, out);
       *out += " AND ";
-      AppendExpr(*expr.args[2], dialect, out, params);
+      AppendExpr(*expr.args[2], dialect, out);
       *out += ')';
       return;
     case ExprKind::kLike:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += expr.negated ? " NOT LIKE " : " LIKE ";
-      AppendExpr(*expr.args[1], dialect, out, params);
+      AppendExpr(*expr.args[1], dialect, out);
       if (expr.args.size() > 2 && expr.args[2] != nullptr) {
         *out += " ESCAPE ";
-        AppendExpr(*expr.args[2], dialect, out, params);
+        AppendExpr(*expr.args[2], dialect, out);
       }
       *out += ')';
       return;
@@ -134,14 +131,14 @@ void AppendExpr(const Expr& expr, Dialect dialect, std::string* out,
       *out += '(';
       for (size_t i = 0; i < expr.args.size(); ++i) {
         if (i > 0) *out += ", ";
-        AppendExpr(*expr.args[i], dialect, out, params);
+        AppendExpr(*expr.args[i], dialect, out);
       }
       *out += ')';
       return;
     }
     case ExprKind::kCast:
       *out += "CAST(";
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += " AS ";
       *out += CastTypeName(expr.cast_to, dialect);
       *out += ')';
@@ -151,20 +148,20 @@ void AppendExpr(const Expr& expr, Dialect dialect, std::string* out,
       size_t arms = expr.CaseArmCount();
       for (size_t i = 0; i < arms; ++i) {
         *out += " WHEN ";
-        AppendExpr(*expr.args[2 * i], dialect, out, params);
+        AppendExpr(*expr.args[2 * i], dialect, out);
         *out += " THEN ";
-        AppendExpr(*expr.args[2 * i + 1], dialect, out, params);
+        AppendExpr(*expr.args[2 * i + 1], dialect, out);
       }
       if (expr.case_has_else) {
         *out += " ELSE ";
-        AppendExpr(*expr.CaseElse(), dialect, out, params);
+        AppendExpr(*expr.CaseElse(), dialect, out);
       }
       *out += " END)";
       return;
     }
     case ExprKind::kCollate:
       *out += '(';
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += " COLLATE ";
       *out += CollationName(expr.collation);
       *out += ')';
@@ -177,21 +174,14 @@ void AppendExpr(const Expr& expr, Dialect dialect, std::string* out,
       }
       *out += '(';
       if (expr.agg_distinct) *out += "DISTINCT ";
-      AppendExpr(*expr.args[0], dialect, out, params);
+      AppendExpr(*expr.args[0], dialect, out);
       *out += ')';
       return;
   }
   *out += '?';
 }
 
-// Appends a SELECT. `params`, when non-null, parameterizes ONLY the
-// filter positions — WHERE, HAVING, and JOIN ON — where a literal cannot
-// change the statement's shape. Select-list, GROUP BY, and ORDER BY
-// literals stay literal: swapping them through `?` would alter projected
-// values, grouping keys, or sort keys across cache hits, and LIMIT cannot
-// be a parameter at all in some engines.
-void AppendSelect(const SelectStmt& sel, Dialect dialect, std::string* out,
-                  std::vector<const SqlValue*>* params) {
+void AppendSelect(const SelectStmt& sel, Dialect dialect, std::string* out) {
   *out += "SELECT ";
   if (sel.distinct) *out += "DISTINCT ";
   if (sel.select_list.empty()) {
@@ -199,7 +189,7 @@ void AppendSelect(const SelectStmt& sel, Dialect dialect, std::string* out,
   } else {
     for (size_t i = 0; i < sel.select_list.size(); ++i) {
       if (i > 0) *out += ", ";
-      AppendExpr(*sel.select_list[i], dialect, out, nullptr);
+      AppendExpr(*sel.select_list[i], dialect, out);
     }
   }
   *out += " FROM ";
@@ -214,30 +204,30 @@ void AppendSelect(const SelectStmt& sel, Dialect dialect, std::string* out,
     *out += join.table;
     if (join.on) {
       *out += " ON ";
-      AppendExpr(*join.on, dialect, out, params);
+      AppendExpr(*join.on, dialect, out);
     }
   }
   if (sel.where) {
     *out += " WHERE ";
-    AppendExpr(*sel.where, dialect, out, params);
+    AppendExpr(*sel.where, dialect, out);
   }
   if (!sel.group_by.empty()) {
     *out += " GROUP BY ";
     for (size_t i = 0; i < sel.group_by.size(); ++i) {
       if (i > 0) *out += ", ";
-      AppendExpr(*sel.group_by[i], dialect, out, nullptr);
+      AppendExpr(*sel.group_by[i], dialect, out);
     }
   }
   if (sel.having) {
     *out += " HAVING ";
-    AppendExpr(*sel.having, dialect, out, params);
+    AppendExpr(*sel.having, dialect, out);
   }
   if (!sel.order_by.empty()) {
     *out += " ORDER BY ";
     for (size_t i = 0; i < sel.order_by.size(); ++i) {
       const OrderByItem& item = sel.order_by[i];
       if (i > 0) *out += ", ";
-      AppendExpr(*item.expr, dialect, out, nullptr);
+      AppendExpr(*item.expr, dialect, out);
       *out += item.descending ? " DESC" : " ASC";
       // PostgreSQL defaults to NULLS LAST on ASC (the reverse of the
       // SQLite/MySQL model this repo evaluates with), so the strict
@@ -256,7 +246,7 @@ void AppendSelect(const SelectStmt& sel, Dialect dialect, std::string* out,
 }  // namespace
 
 void RenderExprTo(const Expr& expr, Dialect dialect, std::string* out) {
-  AppendExpr(expr, dialect, out, nullptr);
+  AppendExpr(expr, dialect, out);
 }
 
 std::string RenderExpr(const Expr& expr, Dialect dialect) {
@@ -301,7 +291,7 @@ void RenderStmtTo(const Stmt& stmt, Dialect dialect, std::string* out) {
       *out += ')';
       if (ci.where) {
         *out += " WHERE ";
-        AppendExpr(*ci.where, dialect, out, nullptr);
+        AppendExpr(*ci.where, dialect, out);
       }
       return;
     }
@@ -325,11 +315,11 @@ void RenderStmtTo(const Stmt& stmt, Dialect dialect, std::string* out) {
         if (i > 0) *out += ", ";
         *out += up.assignments[i].column;
         *out += " = ";
-        AppendExpr(*up.assignments[i].value, dialect, out, nullptr);
+        AppendExpr(*up.assignments[i].value, dialect, out);
       }
       if (up.where) {
         *out += " WHERE ";
-        AppendExpr(*up.where, dialect, out, nullptr);
+        AppendExpr(*up.where, dialect, out);
       }
       return;
     }
@@ -339,7 +329,7 @@ void RenderStmtTo(const Stmt& stmt, Dialect dialect, std::string* out) {
       *out += del.table_name;
       if (del.where) {
         *out += " WHERE ";
-        AppendExpr(*del.where, dialect, out, nullptr);
+        AppendExpr(*del.where, dialect, out);
       }
       return;
     }
@@ -369,15 +359,14 @@ void RenderStmtTo(const Stmt& stmt, Dialect dialect, std::string* out) {
         *out += '(';
         for (size_t c = 0; c < ins.rows[r].size(); ++c) {
           if (c > 0) *out += ", ";
-          AppendExpr(*ins.rows[r][c], dialect, out, nullptr);
+          AppendExpr(*ins.rows[r][c], dialect, out);
         }
         *out += ')';
       }
       return;
     }
     case StmtKind::kSelect:
-      AppendSelect(static_cast<const SelectStmt&>(stmt), dialect, out,
-                   nullptr);
+      AppendSelect(static_cast<const SelectStmt&>(stmt), dialect, out);
       return;
     case StmtKind::kBegin:
       // MySQL accepts bare BEGIN only outside stored programs; START
@@ -406,14 +395,6 @@ std::string RenderStmt(const Stmt& stmt, Dialect dialect) {
   std::string out;
   RenderStmtTo(stmt, dialect, &out);
   return out;
-}
-
-void RenderSelectTemplate(const SelectStmt& stmt, Dialect dialect,
-                          std::string* sql,
-                          std::vector<const SqlValue*>* params) {
-  sql->clear();
-  params->clear();
-  AppendSelect(stmt, dialect, sql, params);
 }
 
 std::string RenderScript(const std::vector<StmtPtr>& statements,

@@ -25,18 +25,6 @@ std::string RenderStmt(const Stmt& stmt, Dialect dialect);
 void RenderExprTo(const Expr& expr, Dialect dialect, std::string* out);
 void RenderStmtTo(const Stmt& stmt, Dialect dialect, std::string* out);
 
-// Prepared-statement template for a SELECT: literals in the filter
-// positions (WHERE, HAVING, JOIN ON) render as `?` placeholders and
-// pointers to their values are collected into *params in bind order
-// (1-based placeholder i binds (*params)[i-1]). Literals whose position
-// affects the statement's shape — select list, GROUP BY, ORDER BY keys,
-// LIMIT — stay literal, so two templates are interchangeable exactly when
-// their text matches. The pointers borrow `stmt`'s AST. Both outputs are
-// cleared first (reuse-friendly).
-void RenderSelectTemplate(const SelectStmt& stmt, Dialect dialect,
-                          std::string* sql,
-                          std::vector<const SqlValue*>* params);
-
 // Renders a whole test case, one statement per line, ';'-terminated.
 std::string RenderScript(const std::vector<StmtPtr>& statements,
                          Dialect dialect);

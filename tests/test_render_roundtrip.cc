@@ -857,11 +857,56 @@ void TestCorpusReplaysThroughRealSqlite() {
   }
 }
 
+// Unary minus over a negative literal renders as "(- -3)": "(--3)" would
+// start an SQL line comment and leave the statement incomplete. The query
+// must render that way in every dialect and return the same rows on MiniDB
+// and on real sqlite3.
+void TestNegatedNegativeLiteralRoundTrips() {
+  CreateTableStmt ct;
+  ct.table_name = "t";
+  ct.columns = {Column("a", Affinity::kInteger)};
+  InsertStmt ins;
+  ins.table_name = "t";
+  for (int64_t v : {2, 5}) {
+    ins.rows.emplace_back();
+    ins.rows.back().push_back(MakeIntLiteral(v));
+  }
+  SelectStmt sel;
+  sel.from_tables = {"t"};
+  sel.where =
+      MakeBinary(BinaryOp::kLt, MakeColumnRef("t", "a"),
+                 MakeUnary(UnaryOp::kNeg, MakeIntLiteral(-3)));
+  for (Dialect dialect : {Dialect::kSqliteFlex, Dialect::kMysqlLike,
+                          Dialect::kPostgresStrict}) {
+    CHECK_EQ(RenderStmt(sel, dialect),
+             std::string("SELECT * FROM t WHERE (t.a < (- -3))"));
+  }
+
+  minidb::Database model(Dialect::kSqliteFlex);
+  CHECK(model.Execute(ct).ok());
+  CHECK(model.Execute(ins).ok());
+  StatementResult from_model = model.Execute(sel);
+  CHECK(from_model.ok());
+  CHECK_EQ(from_model.rows.size(), static_cast<size_t>(1));
+  if (!SqliteConnection::Available()) {
+    std::printf("  (real sqlite3 unavailable; negation replay skipped)\n");
+    return;
+  }
+  SqliteConnection real;
+  CHECK(real.Execute(ct).ok());
+  CHECK(real.Execute(ins).ok());
+  StatementResult from_real = real.Execute(sel);
+  CHECK_MSG(from_real.ok(), "real sqlite rejected: %s",
+            from_real.error.c_str());
+  CHECK(SameRowMultiset(from_real.rows, from_model.rows));
+}
+
 }  // namespace
 }  // namespace pqs
 
 int main() {
   pqs::TestGoldenRendering();
   pqs::TestCorpusReplaysThroughRealSqlite();
+  pqs::TestNegatedNegativeLiteralRoundTrips();
   return pqs::test::Summary("test_render_roundtrip");
 }

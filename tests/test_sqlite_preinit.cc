@@ -56,7 +56,7 @@ void TestAdapterRunsOnSqliteAllocator() {
 
   SelectStmt sel;
   sel.from_tables = {"t"};
-  for (int run = 0; run < 2; ++run) {  // miss, then a cached re-run
+  for (int run = 0; run < 2; ++run) {
     StatementResult r = conn.Execute(sel);
     CHECK(r.ok());
     CHECK(r.column_names == std::vector<std::string>({"a", "b"}));
@@ -70,7 +70,6 @@ void TestAdapterRunsOnSqliteAllocator() {
                                     static_cast<char>('a' + key)));
     }
   }
-  CHECK_EQ(conn.statement_cache_hits(), static_cast<uint64_t>(1));
 }
 
 }  // namespace
