@@ -8,28 +8,9 @@
 #include <limits>
 #include <utility>
 
-#include "src/common/interner.h"
 #include "src/sqlexpr/registry.h"
 
 namespace pqs {
-
-void RowSchema::Add(const std::string& table, const std::string& column) {
-  cols.emplace_back(table, column);
-  ids.emplace_back(table.empty() ? Interner::kInvalidSymbol
-                                 : Interner::Intern(table),
-                   Interner::Intern(column));
-}
-
-int RowSchema::Resolve(const Expr& column_ref) const {
-  if (!has_ids()) return IndexOf(column_ref.table, column_ref.column);
-  if (column_ref.column_sym == Expr::kSymUnresolved) {
-    column_ref.table_sym = column_ref.table.empty()
-                               ? Interner::kInvalidSymbol
-                               : Interner::Intern(column_ref.table);
-    column_ref.column_sym = Interner::Intern(column_ref.column);
-  }
-  return IndexOfSyms(column_ref.table_sym, column_ref.column_sym);
-}
 
 namespace {
 
@@ -683,7 +664,7 @@ const SqlValue* Walk(const Expr& expr, const RowView& row,
       if (row.schema == nullptr || row.values == nullptr) {
         return Fail(error, "column reference outside a row context");
       }
-      int idx = row.schema->Resolve(expr);
+      int idx = row.schema->IndexOf(expr.table, expr.column);
       if (idx < 0) return Fail(error, "no such column: " + expr.column);
       return &(*row.values)[static_cast<size_t>(idx)];
     }
@@ -923,15 +904,8 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
     }
 
     const RowSchema& rschema = *right.schema;
-    bool keep_ids = schema.has_ids() && rschema.has_ids();
     schema.cols.insert(schema.cols.end(), rschema.cols.begin(),
                        rschema.cols.end());
-    if (keep_ids) {
-      schema.ids.insert(schema.ids.end(), rschema.ids.begin(),
-                        rschema.ids.end());
-    } else {
-      schema.ids.clear();
-    }
     const RowView candidate_view{&schema, &candidate};
     std::vector<std::vector<SqlValue>> next;
     for (const std::vector<SqlValue>& lrow : *left) {

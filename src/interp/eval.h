@@ -29,17 +29,13 @@ namespace pqs {
 // projection order.
 struct RowSchema {
   std::vector<std::pair<std::string, std::string>> cols;  // (table, column)
-  // Interned (table, column) symbols parallel to `cols`, populated by Add().
-  // Schemas assembled by hand (pushing into `cols` directly) leave this
-  // empty and fall back to string resolution. Symbol ids are equality-only
-  // (src/common/interner.h) — never ordered or printed.
-  std::vector<std::pair<int32_t, int32_t>> ids;
 
-  // Appends one column and its interned symbols.
-  void Add(const std::string& table, const std::string& column);
+  void Add(const std::string& table, const std::string& column) {
+    cols.emplace_back(table, column);
+  }
 
-  bool has_ids() const { return !cols.empty() && ids.size() == cols.size(); }
-
+  // Position of `column` (qualified by `table`, or any table when `table`
+  // is empty) in projection order, or -1.
   int IndexOf(const std::string& table, const std::string& column) const {
     for (size_t i = 0; i < cols.size(); ++i) {
       if (cols[i].second != column) continue;
@@ -47,22 +43,6 @@ struct RowSchema {
     }
     return -1;
   }
-
-  // Id-based resolution; `table_sym < 0` means unqualified (any table).
-  // Only meaningful when has_ids().
-  int IndexOfSyms(int32_t table_sym, int32_t column_sym) const {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i].second != column_sym) continue;
-      if (table_sym < 0 || ids[i].first == table_sym) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  }
-
-  // Resolution for a kColumnRef node: interns the node's names once
-  // (cached on the node) and matches by id when this schema carries ids.
-  int Resolve(const Expr& column_ref) const;
 };
 
 struct RowView {

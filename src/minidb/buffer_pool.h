@@ -42,8 +42,9 @@ struct DiskPage {
 // Knobs for the paged storage layer. The defaults keep generator-scale
 // tables (3-12 rows) fully resident so the clean hot path pays only the
 // frame lookup; Stress() shrinks both axes to force splits and eviction on
-// every statement, and Flat() bypasses paging entirely (used by the ground
-// truth model and by the paging-on/off determinism tests).
+// every statement, and Flat() bypasses paging entirely (the reference the
+// storage tests compare paged storage against; both runner models are
+// paged).
 struct StorageOptions {
   bool paged = true;
   uint32_t page_rows = 64;    // rows per page (>= 1)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/interner.h"
-
 namespace pqs {
 namespace minidb {
 
@@ -142,6 +140,40 @@ bool KeyColumnsCollide(const std::vector<int>& key_indexes,
   return true;
 }
 
+// Visits a DML statement's row source until `visit(i, row)` returns false:
+// the store's rows by position when `image` is null, else the read image's
+// rows by index. The store is walked page by page, so a constraint scan
+// fetches the same pages in the same order on every caller.
+template <typename ImageRows, typename Visit>
+void ForEachSourceRow(const TableStore& store, const ImageRows* image,
+                      Visit&& visit) {
+  if (image != nullptr) {
+    for (size_t i = 0; i < image->size(); ++i) {
+      if (!visit(i, (*image)[i].data)) return;
+    }
+    return;
+  }
+  store.ForEachBatch(
+      [&](size_t base, const std::vector<SqlValue>* rows, size_t n) {
+        for (size_t r = 0; r < n; ++r) {
+          if (!visit(base + r, rows[r])) return false;
+        }
+        return true;
+      });
+}
+
+// The (key tuple, row position) entry an index over `key_cols` keeps for
+// `row` at `pos`.
+std::pair<std::vector<SqlValue>, size_t> KeyEntry(
+    const std::vector<int>& key_cols, const std::vector<SqlValue>& row,
+    size_t pos) {
+  std::pair<std::vector<SqlValue>, size_t> entry;
+  entry.first.reserve(key_cols.size());
+  for (int c : key_cols) entry.first.push_back(row[static_cast<size_t>(c)]);
+  entry.second = pos;
+  return entry;
+}
+
 // When a storage-layer bug class is armed, a paged engine runs on tiny
 // pages and a tiny pool so generator-scale tables (3-12 rows) reach page
 // splits and eviction pressure within HuntBug's default budget; the
@@ -209,26 +241,29 @@ StatementResult Database::Execute(const Stmt& stmt) {
     case StmtKind::kDropIndex:
       result = ExecuteDropIndex(static_cast<const DropIndexStmt&>(stmt));
       break;
-    case StmtKind::kInsert:
+    case StmtKind::kInsert: {
       // During the MVCC epoch all DML is diverted through the versioned
       // write path; outside it the classic single-user path is untouched.
-      result = in_epoch_
-                   ? ExecuteTxnInsert(static_cast<const InsertStmt&>(stmt))
-                   : ExecuteInsert(static_cast<const InsertStmt&>(stmt));
+      const auto& insert = static_cast<const InsertStmt&>(stmt);
+      result = in_epoch_ ? ExecuteTxnDml(insert, &Database::TxnInsertInto)
+                         : ExecuteInsert(insert);
       break;
+    }
     case StmtKind::kSelect:
       result = ExecuteSelect(static_cast<const SelectStmt&>(stmt));
       break;
-    case StmtKind::kUpdate:
-      result = in_epoch_
-                   ? ExecuteTxnUpdate(static_cast<const UpdateStmt&>(stmt))
-                   : ExecuteUpdate(static_cast<const UpdateStmt&>(stmt));
+    case StmtKind::kUpdate: {
+      const auto& update = static_cast<const UpdateStmt&>(stmt);
+      result = in_epoch_ ? ExecuteTxnDml(update, &Database::TxnUpdateInto)
+                         : ExecuteUpdate(update);
       break;
-    case StmtKind::kDelete:
-      result = in_epoch_
-                   ? ExecuteTxnDelete(static_cast<const DeleteStmt&>(stmt))
-                   : ExecuteDelete(static_cast<const DeleteStmt&>(stmt));
+    }
+    case StmtKind::kDelete: {
+      const auto& del = static_cast<const DeleteStmt&>(stmt);
+      result = in_epoch_ ? ExecuteTxnDml(del, &Database::TxnDeleteInto)
+                         : ExecuteDelete(del);
       break;
+    }
     case StmtKind::kMaintenance:
       result = ExecuteMaintenance(static_cast<const MaintenanceStmt&>(stmt));
       break;
@@ -279,7 +314,6 @@ StatementResult Database::ExecuteCreateTable(const CreateTableStmt& stmt) {
   }
   TableData table;
   table.name = stmt.table_name;
-  table.name_sym = Interner::Intern(stmt.table_name);
   table.columns = stmt.columns;
   for (const ColumnDef& def : table.columns) {
     table.schema.Add(table.name, def.name);
@@ -322,8 +356,16 @@ StatementResult Database::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
     }
     // Pairwise check over a materialized snapshot: CREATE INDEX is rare,
     // and the O(n²) scan through page cursors would thrash a tiny pool.
+    // During the epoch the store still holds committed DELETEs' tombstones,
+    // so the snapshot is the creating session's read image instead.
+    std::vector<std::vector<SqlValue>> image_rows;
+    if (in_epoch_) {
+      for (ImageRow& ir : BuildReadImage(table, CurrentTxn(), false)) {
+        image_rows.push_back(std::move(ir.data));
+      }
+    }
     const std::vector<std::vector<SqlValue>>& rows =
-        table->store.Materialized();
+        in_epoch_ ? image_rows : table->store.Materialized();
     for (size_t i = 0; i < rows.size(); ++i) {
       if (!RowCoveredByPartial(stmt.where.get(), schema, ctx, rows[i])) {
         continue;
@@ -344,7 +386,6 @@ StatementResult Database::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
 
   IndexData index;
   index.name = stmt.index_name;
-  index.name_sym = Interner::Intern(stmt.index_name);
   index.table_name = stmt.table_name;
   index.columns = stmt.columns;
   index.unique = stmt.unique;
@@ -359,14 +400,14 @@ StatementResult Database::ExecuteCreateIndex(const CreateIndexStmt& stmt) {
 }
 
 StatementResult Database::ExecuteDropIndex(const DropIndexStmt& stmt) {
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    if (indexes_[i].name != stmt.index_name) continue;
-    Mark(Feature::kDropIndex);
-    indexes_.erase(indexes_.begin() + static_cast<long>(i));
-    return StatementResult::Ok();
+  IndexData* index = FindIndex(stmt.index_name);
+  if (index == nullptr) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "no such index: " + stmt.index_name);
   }
-  return StatementResult::Failure(StatementStatus::kError,
-                                  "no such index: " + stmt.index_name);
+  Mark(Feature::kDropIndex);
+  indexes_.erase(indexes_.begin() + (index - indexes_.data()));
+  return StatementResult::Ok();
 }
 
 void Database::AddIndexEntry(IndexData* index, const TableData& table,
@@ -378,12 +419,7 @@ void Database::AddIndexEntry(IndexData* index, const TableData& table,
   if (!RowCoveredByPartial(index->where.get(), table.schema, ctx, *row)) {
     return;
   }
-  std::pair<std::vector<SqlValue>, size_t> entry;
-  entry.first.reserve(index->key_cols.size());
-  for (int c : index->key_cols) {
-    entry.first.push_back((*row)[static_cast<size_t>(c)]);
-  }
-  entry.second = pos;
+  auto entry = KeyEntry(index->key_cols, *row, pos);
   auto at = std::upper_bound(index->entries.begin(), index->entries.end(),
                              entry, KeyEntryLess);
   index->entries.insert(at, std::move(entry));
@@ -404,13 +440,7 @@ void Database::RebuildIndex(IndexData* index, const TableData& table) {
                                rows[i])) {
         continue;
       }
-      std::pair<std::vector<SqlValue>, size_t> entry;
-      entry.first.reserve(index->key_cols.size());
-      for (int c : index->key_cols) {
-        entry.first.push_back(rows[i][static_cast<size_t>(c)]);
-      }
-      entry.second = base + i;
-      index->entries.push_back(std::move(entry));
+      index->entries.push_back(KeyEntry(index->key_cols, rows[i], base + i));
     }
     return true;
   });
@@ -502,7 +532,25 @@ bool Database::CoerceForInsert(const ColumnDef& col, SqlValue* value,
 
 StatementResult Database::CheckConstraints(
     const TableData& table, const std::vector<SqlValue>& candidate,
+    const std::vector<ImageRow>* image,
     const std::vector<std::vector<SqlValue>>& pending, int exclude_row) {
+  // True if a source row other than `exclude_row`, or a pending row,
+  // satisfies `collides`.
+  auto any_collides = [&](const auto& collides) {
+    bool hit = false;
+    ForEachSourceRow(table.store, image,
+                     [&](size_t i, const std::vector<SqlValue>& row) {
+                       hit = static_cast<int>(i) != exclude_row &&
+                             collides(row);
+                       return !hit;
+                     });
+    return hit || std::any_of(pending.begin(), pending.end(), collides);
+  };
+  auto violation = [&](const std::string& what) {
+    Mark(Feature::kConstraintViolationRejected);
+    return StatementResult::Failure(StatementStatus::kConstraintViolation,
+                                    what);
+  };
   for (size_t c = 0; c < table.columns.size(); ++c) {
     const ColumnDef& col = table.columns[c];
     // SQLite quirk, preserved for fidelity with the real engine: a
@@ -513,41 +561,14 @@ StatementResult Database::CheckConstraints(
         col.not_null ||
         (col.primary_key && dialect_ != Dialect::kSqliteFlex);
     if (needs_value && candidate[c].is_null()) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "NOT NULL constraint failed: " +
-                                          col.name);
+      return violation("NOT NULL constraint failed: " + col.name);
     }
     bool must_be_distinct = col.unique || col.primary_key;
     if (!must_be_distinct || candidate[c].is_null()) continue;
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
-    };
-    bool stored_collision = false;
-    table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                 size_t n) {
-      for (size_t r = 0; r < n; ++r) {
-        if (static_cast<int>(base + r) == exclude_row) continue;
-        if (collides(rows[r])) {
-          stored_collision = true;
-          return false;
-        }
-      }
-      return true;
-    });
-    if (stored_collision) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "UNIQUE constraint failed: " +
-                                          col.name);
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
+    if (any_collides([&](const std::vector<SqlValue>& other) {
+          return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
+        })) {
+      return violation("UNIQUE constraint failed: " + col.name);
     }
   }
 
@@ -559,54 +580,27 @@ StatementResult Database::CheckConstraints(
     if (!RowCoveredByPartial(index.where.get(), schema, ctx, candidate)) {
       continue;
     }
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartial(index.where.get(), schema, ctx, other) &&
-             KeyColumnsCollide(index.key_cols, other, candidate);
-    };
-    bool stored_collision = false;
-    table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                 size_t n) {
-      for (size_t r = 0; r < n; ++r) {
-        if (static_cast<int>(base + r) == exclude_row) continue;
-        if (collides(rows[r])) {
-          stored_collision = true;
-          return false;
-        }
-      }
-      return true;
-    });
-    if (stored_collision) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "unique index constraint failed: " +
-                                          index.name);
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
+    if (any_collides([&](const std::vector<SqlValue>& other) {
+          return RowCoveredByPartial(index.where.get(), schema, ctx, other) &&
+                 KeyColumnsCollide(index.key_cols, other, candidate);
+        })) {
+      return violation("unique index constraint failed: " + index.name);
     }
   }
   return StatementResult::Ok();
 }
 
-StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
+StatementResult Database::BuildInsertRows(
+    const InsertStmt& stmt, const TableData& table,
+    const std::vector<ImageRow>* image,
+    std::vector<std::vector<SqlValue>>* accepted) {
   Mark(Feature::kInsert);
   if (stmt.rows.size() > 1) Mark(Feature::kMultiRowInsert);
 
   EvalContext ctx{dialect_, &bugs_};
   RowView no_row;  // literal rows cannot reference columns
-  std::vector<std::vector<SqlValue>> accepted;
   for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != table->columns.size()) {
+    if (row_exprs.size() != table.columns.size()) {
       return StatementResult::Failure(
           StatementStatus::kError,
           "value count does not match column count");
@@ -624,18 +618,102 @@ StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
         return StatementResult::Failure(StatementStatus::kError, error);
       }
       StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &value, &failure)) {
+      if (!CoerceForInsert(table.columns[c], &value, &failure)) {
         return failure;
       }
     }
-    StatementResult violation = CheckConstraints(*table, row, accepted);
-    if (!violation.ok()) {
-      // Statement-level abort: no row of a failing INSERT is applied,
-      // matching SQLite's default ON CONFLICT ABORT with a statement
-      // journal.
-      return violation;
+    StatementResult violation =
+        CheckConstraints(table, row, image, *accepted, -1);
+    if (!violation.ok()) return violation;
+    accepted->push_back(std::move(row));
+  }
+  return StatementResult::Ok();
+}
+
+StatementResult Database::ResolveAssignments(const UpdateStmt& stmt,
+                                             const TableData& table,
+                                             Assignments* targets) {
+  for (const UpdateStmt::Assignment& a : stmt.assignments) {
+    int c = table.schema.IndexOf(table.name, a.column);
+    if (c < 0) {
+      return StatementResult::Failure(StatementStatus::kError,
+                                      "no such column: " + a.column);
     }
-    accepted.push_back(std::move(row));
+    if (a.value == nullptr) {
+      return StatementResult::Failure(StatementStatus::kError,
+                                      "missing assignment expression");
+    }
+    targets->emplace_back(static_cast<size_t>(c), a.value.get());
+  }
+  if (targets->empty()) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "UPDATE without assignments");
+  }
+
+  Mark(Feature::kUpdate);
+  if (stmt.where == nullptr) {
+    Mark(Feature::kUpdateAllRows);
+  } else {
+    MarkExprFeatures(*stmt.where);
+  }
+  for (const auto& [c, value_expr] : *targets) MarkExprFeatures(*value_expr);
+  return StatementResult::Ok();
+}
+
+StatementResult Database::BuildUpdatedRow(const TableData& table,
+                                          const Assignments& targets,
+                                          const std::vector<SqlValue>& pre,
+                                          const std::vector<ImageRow>* image,
+                                          int exclude_row,
+                                          std::vector<SqlValue>* updated) {
+  EvalContext ctx{dialect_, &bugs_};
+  RowView view{&table.schema, &pre};
+  *updated = pre;
+  for (const auto& [c, value_expr] : targets) {
+    std::string error;
+    if (!EvaluateInto(*value_expr, view, ctx, &(*updated)[c], &error)) {
+      return StatementResult::Failure(StatementStatus::kError, error);
+    }
+    StatementResult failure;
+    if (!CoerceForInsert(table.columns[c], &(*updated)[c], &failure)) {
+      return failure;
+    }
+  }
+  return CheckConstraints(table, *updated, image, {}, exclude_row);
+}
+
+bool Database::MatchRows(const TableData& table,
+                         const std::vector<ImageRow>* image, const Expr* where,
+                         std::vector<size_t>* matched) const {
+  EvalContext ctx{dialect_, &bugs_};
+  bool failed = false;
+  ForEachSourceRow(table.store, image,
+                   [&](size_t i, const std::vector<SqlValue>& row) {
+                     if (where != nullptr &&
+                         EvaluatePredicate(*where,
+                                           RowView{&table.schema, &row}, ctx,
+                                           &failed) != Bool3::kTrue) {
+                       return !failed;
+                     }
+                     matched->push_back(i);
+                     return true;
+                   });
+  return !failed;
+}
+
+StatementResult Database::ExecuteInsert(const InsertStmt& stmt) {
+  TableData* table = FindTable(stmt.table_name);
+  if (table == nullptr) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "no such table: " + stmt.table_name);
+  }
+  std::vector<std::vector<SqlValue>> accepted;
+  StatementResult built = BuildInsertRows(stmt, *table, nullptr, &accepted);
+  if (!built.ok()) {
+    // Statement-level abort: no row of a failing INSERT is applied,
+    // matching SQLite's default ON CONFLICT ABORT with a statement
+    // journal.
+    return built;
   }
   std::vector<size_t> new_positions;
   new_positions.reserve(accepted.size());
@@ -657,31 +735,9 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     return StatementResult::Failure(StatementStatus::kError,
                                     "no such table: " + stmt.table_name);
   }
-  const RowSchema& schema = table->schema;
-  std::vector<std::pair<size_t, const Expr*>> targets;  // (column, value)
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    int c = schema.IndexOf(table->name, a.column);
-    if (c < 0) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "no such column: " + a.column);
-    }
-    if (a.value == nullptr) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "missing assignment expression");
-    }
-    targets.emplace_back(static_cast<size_t>(c), a.value.get());
-  }
-  if (targets.empty()) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "UPDATE without assignments");
-  }
-
-  Mark(Feature::kUpdate);
-  if (stmt.where == nullptr) Mark(Feature::kUpdateAllRows);
-  if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    if (a.value != nullptr) MarkExprFeatures(*a.value);
-  }
+  Assignments targets;
+  StatementResult resolved = ResolveAssignments(stmt, *table, &targets);
+  if (!resolved.ok()) return resolved;
 
   if (BugOn(BugId::kUpdateSetOrCrash) && stmt.assignments.size() >= 2 &&
       stmt.where != nullptr &&
@@ -689,26 +745,10 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     return Crash("update trigger recursion");
   }
 
-  EvalContext ctx{dialect_, &bugs_};
-
   // Pass 1: decide the matched set on the pre-update snapshot (SQL UPDATE
   // semantics: the WHERE never observes this statement's own writes).
   std::vector<size_t> matched_pos;
-  bool where_failed = false;
-  table->store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
-                                size_t n) {
-    for (size_t r = 0; r < n; ++r) {
-      if (stmt.where != nullptr) {
-        Bool3 hit = EvaluatePredicate(*stmt.where, RowView{&schema, &rows[r]},
-                                      ctx, &where_failed);
-        if (where_failed) return false;
-        if (hit != Bool3::kTrue) continue;
-      }
-      matched_pos.push_back(base + r);
-    }
-    return true;
-  });
-  if (where_failed) {
+  if (!MatchRows(*table, nullptr, stmt.where.get(), &matched_pos)) {
     return StatementResult::Failure(StatementStatus::kError,
                                     "UPDATE WHERE evaluation failed");
   }
@@ -725,11 +765,6 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
   // the former full-table copy dominated the UPDATE profile.
   std::vector<std::pair<size_t, std::vector<SqlValue>>> undo;
   undo.reserve(matched_pos.size());
-  auto rollback = [&]() {
-    for (size_t u = undo.size(); u-- > 0;) {
-      table->store.Overwrite(undo[u].first, std::move(undo[u].second));
-    }
-  };
   TableStore::Cursor cursor(table->store);
   for (size_t pos : matched_pos) {
     // Each matched row is written at most once, so the cursor still reads
@@ -742,25 +777,14 @@ StatementResult Database::ExecuteUpdate(const UpdateStmt& stmt) {
     // the pool again (the nested constraint scan can revalidate or evict
     // around the pinned page and reallocate its row vectors).
     std::vector<SqlValue> pre = *current;
-    RowView view{&schema, &pre};
-    std::vector<SqlValue> updated = pre;
-    for (const auto& [c, value_expr] : targets) {
-      std::string error;
-      if (!EvaluateInto(*value_expr, view, ctx, &updated[c], &error)) {
-        rollback();
-        return StatementResult::Failure(StatementStatus::kError, error);
+    std::vector<SqlValue> updated;
+    StatementResult row_result = BuildUpdatedRow(
+        *table, targets, pre, nullptr, static_cast<int>(pos), &updated);
+    if (!row_result.ok()) {
+      for (size_t u = undo.size(); u-- > 0;) {
+        table->store.Overwrite(undo[u].first, std::move(undo[u].second));
       }
-      StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &updated[c], &failure)) {
-        rollback();
-        return failure;
-      }
-    }
-    StatementResult violation = CheckConstraints(
-        *table, updated, {}, static_cast<int>(pos));
-    if (!violation.ok()) {
-      rollback();
-      return violation;
+      return row_result;
     }
     undo.emplace_back(pos, std::move(pre));
     table->store.Overwrite(pos, std::move(updated));
@@ -1150,8 +1174,6 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       const RowSchema& part = table->schema;
       joined_schema_storage.cols.insert(joined_schema_storage.cols.end(),
                                         part.cols.begin(), part.cols.end());
-      joined_schema_storage.ids.insert(joined_schema_storage.ids.end(),
-                                       part.ids.begin(), part.ids.end());
     }
     for (size_t c = 0; c < table->columns.size(); ++c) {
       result.column_names.push_back(table->columns[c].name);
@@ -1898,77 +1920,6 @@ std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
   return image;
 }
 
-StatementResult Database::CheckConstraintsImage(
-    const TableData& table, const std::vector<SqlValue>& candidate,
-    const std::vector<ImageRow>& image,
-    const std::vector<std::vector<SqlValue>>& pending, int exclude_row) {
-  for (size_t c = 0; c < table.columns.size(); ++c) {
-    const ColumnDef& col = table.columns[c];
-    bool needs_value =
-        col.not_null ||
-        (col.primary_key && dialect_ != Dialect::kSqliteFlex);
-    if (needs_value && candidate[c].is_null()) {
-      Mark(Feature::kConstraintViolationRejected);
-      return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                      "NOT NULL constraint failed: " +
-                                          col.name);
-    }
-    bool must_be_distinct = col.unique || col.primary_key;
-    if (!must_be_distinct || candidate[c].is_null()) continue;
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return !other[c].is_null() && ValueEquals(other[c], candidate[c]);
-    };
-    for (size_t i = 0; i < image.size(); ++i) {
-      if (static_cast<int>(i) == exclude_row) continue;
-      if (collides(image[i].data)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "UNIQUE constraint failed: " +
-                                            col.name);
-      }
-    }
-  }
-
-  const RowSchema& schema = table.schema;
-  EvalContext ctx{dialect_, &bugs_};
-  for (const IndexData& index : indexes_) {
-    if (!index.unique || index.table_name != table.name) continue;
-    if (!RowCoveredByPartial(index.where.get(), schema, ctx, candidate)) {
-      continue;
-    }
-    auto collides = [&](const std::vector<SqlValue>& other) {
-      return RowCoveredByPartial(index.where.get(), schema, ctx, other) &&
-             KeyColumnsCollide(index.key_cols, other, candidate);
-    };
-    for (size_t i = 0; i < image.size(); ++i) {
-      if (static_cast<int>(i) == exclude_row) continue;
-      if (collides(image[i].data)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
-    }
-    for (const auto& row : pending) {
-      if (collides(row)) {
-        Mark(Feature::kConstraintViolationRejected);
-        return StatementResult::Failure(StatementStatus::kConstraintViolation,
-                                        "unique index constraint failed: " +
-                                            index.name);
-      }
-    }
-  }
-  return StatementResult::Ok();
-}
-
 void Database::CorruptIndexesFromAbort(TableData* table,
                                        const Transaction& txn) {
   // Rebuild the table's indexes from the aborted transaction's overlay
@@ -1986,16 +1937,10 @@ void Database::CorruptIndexesFromAbort(TableData* table,
                                ir.data)) {
         continue;
       }
-      std::pair<std::vector<SqlValue>, size_t> entry;
-      entry.first.reserve(index.key_cols.size());
-      for (int c : index.key_cols) {
-        entry.first.push_back(ir.data[static_cast<size_t>(c)]);
-      }
-      entry.second = ir.own_insert >= 0
-                         ? table->store.size() +
-                               static_cast<size_t>(ir.own_insert)
-                         : ir.pos;
-      index.entries.push_back(std::move(entry));
+      size_t pos = ir.own_insert >= 0 ? table->store.size() +
+                                            static_cast<size_t>(ir.own_insert)
+                                      : ir.pos;
+      index.entries.push_back(KeyEntry(index.key_cols, ir.data, pos));
     }
     std::sort(index.entries.begin(), index.entries.end(), KeyEntryLess);
     index.vis.assign(index.entries.size(), IndexData::EntryVis{});
@@ -2003,82 +1948,36 @@ void Database::CorruptIndexesFromAbort(TableData* table,
   rollback_corrupted_.insert(table->name);
 }
 
-StatementResult Database::ExecuteTxnInsert(const InsertStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnInsertInto(stmt, txn);
+template <typename S>
+StatementResult Database::ExecuteTxnDml(
+    const S& stmt,
+    StatementResult (Database::*into)(const S&, TableData*, Transaction*)) {
+  TableData* table = FindTable(stmt.table_name);
+  if (table == nullptr) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "no such table: " + stmt.table_name);
+  }
+  if (Transaction* txn = CurrentTxn()) {
+    return (this->*into)(stmt, table, txn);
+  }
   // Autocommit during the epoch: an implicit single-statement transaction
   // at the latest snapshot, committed immediately. It can never conflict —
   // no other commit can interleave within one statement.
   Transaction local;
   local.open = true;
   local.begin_ts = commit_clock_;
-  StatementResult r = TxnInsertInto(stmt, &local);
-  if (r.ok()) ApplyCommit(&local);
-  return r;
-}
-
-StatementResult Database::ExecuteTxnUpdate(const UpdateStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnUpdateInto(stmt, txn);
-  Transaction local;
-  local.open = true;
-  local.begin_ts = commit_clock_;
-  StatementResult r = TxnUpdateInto(stmt, &local);
-  if (r.ok()) ApplyCommit(&local);
-  return r;
-}
-
-StatementResult Database::ExecuteTxnDelete(const DeleteStmt& stmt) {
-  if (Transaction* txn = CurrentTxn()) return TxnDeleteInto(stmt, txn);
-  Transaction local;
-  local.open = true;
-  local.begin_ts = commit_clock_;
-  StatementResult r = TxnDeleteInto(stmt, &local);
+  StatementResult r = (this->*into)(stmt, table, &local);
   if (r.ok()) ApplyCommit(&local);
   return r;
 }
 
 StatementResult Database::TxnInsertInto(const InsertStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
-  Mark(Feature::kInsert);
-  if (stmt.rows.size() > 1) Mark(Feature::kMultiRowInsert);
-
+                                        TableData* table, Transaction* txn) {
   std::vector<ImageRow> image =
       BuildReadImage(table, txn, /*for_select=*/false);
-  EvalContext ctx{dialect_, &bugs_};
-  RowView no_row;
   std::vector<std::vector<SqlValue>> accepted;
-  for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != table->columns.size()) {
-      return StatementResult::Failure(
-          StatementStatus::kError,
-          "value count does not match column count");
-    }
-    std::vector<SqlValue> row;
-    row.reserve(row_exprs.size());
-    for (size_t c = 0; c < row_exprs.size(); ++c) {
-      if (row_exprs[c] == nullptr) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "missing value expression");
-      }
-      SqlValue& value = row.emplace_back();
-      std::string error;
-      if (!EvaluateInto(*row_exprs[c], no_row, ctx, &value, &error)) {
-        return StatementResult::Failure(StatementStatus::kError, error);
-      }
-      StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &value, &failure)) {
-        return failure;
-      }
-    }
-    StatementResult violation =
-        CheckConstraintsImage(*table, row, image, accepted, -1);
-    if (!violation.ok()) return violation;  // statement-level rollback
-    accepted.push_back(std::move(row));
-  }
+  StatementResult built = BuildInsertRows(stmt, *table, &image, &accepted);
+  if (!built.ok()) return built;  // statement-level rollback
   // Nothing reached the write set until every row passed; apply now.
   TxnWrites& w = txn->writes[table->name];
   for (auto& row : accepted) {
@@ -2089,56 +1988,18 @@ StatementResult Database::TxnInsertInto(const InsertStmt& stmt,
 }
 
 StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
-  const RowSchema& schema = table->schema;
-  std::vector<std::pair<size_t, const Expr*>> targets;
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    int c = schema.IndexOf(table->name, a.column);
-    if (c < 0) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "no such column: " + a.column);
-    }
-    if (a.value == nullptr) {
-      return StatementResult::Failure(StatementStatus::kError,
-                                      "missing assignment expression");
-    }
-    targets.emplace_back(static_cast<size_t>(c), a.value.get());
-  }
-  if (targets.empty()) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "UPDATE without assignments");
-  }
+                                        TableData* table, Transaction* txn) {
+  Assignments targets;
+  StatementResult resolved = ResolveAssignments(stmt, *table, &targets);
+  if (!resolved.ok()) return resolved;
 
-  Mark(Feature::kUpdate);
-  if (stmt.where == nullptr) Mark(Feature::kUpdateAllRows);
-  if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
-  for (const UpdateStmt::Assignment& a : stmt.assignments) {
-    if (a.value != nullptr) MarkExprFeatures(*a.value);
-  }
-
-  EvalContext ctx{dialect_, &bugs_};
   std::vector<ImageRow> image =
       BuildReadImage(table, txn, /*for_select=*/false);
-
   // Pass 1: the matched set, decided on the pre-update snapshot image.
   std::vector<size_t> matched;
-  for (size_t i = 0; i < image.size(); ++i) {
-    bool hit = true;
-    if (stmt.where != nullptr) {
-      bool error = false;
-      hit = EvaluatePredicate(*stmt.where, RowView{&schema, &image[i].data},
-                              ctx, &error) == Bool3::kTrue;
-      if (error) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "UPDATE WHERE evaluation failed");
-      }
-    }
-    if (hit) matched.push_back(i);
+  if (!MatchRows(*table, &image, stmt.where.get(), &matched)) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "UPDATE WHERE evaluation failed");
   }
   if (matched.empty()) return StatementResult::Ok();
 
@@ -2149,21 +2010,11 @@ StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
   std::vector<std::pair<size_t, std::vector<SqlValue>>> changes;
   changes.reserve(matched.size());
   for (size_t i : matched) {
-    RowView view{&schema, &image[i].data};
-    std::vector<SqlValue> updated = image[i].data;
-    for (const auto& [c, value_expr] : targets) {
-      std::string error;
-      if (!EvaluateInto(*value_expr, view, ctx, &updated[c], &error)) {
-        return StatementResult::Failure(StatementStatus::kError, error);
-      }
-      StatementResult failure;
-      if (!CoerceForInsert(table->columns[c], &updated[c], &failure)) {
-        return failure;
-      }
-    }
-    StatementResult violation = CheckConstraintsImage(
-        *table, updated, image, {}, static_cast<int>(i));
-    if (!violation.ok()) return violation;
+    std::vector<SqlValue> updated;
+    StatementResult row_result =
+        BuildUpdatedRow(*table, targets, image[i].data, &image,
+                        static_cast<int>(i), &updated);
+    if (!row_result.ok()) return row_result;
     image[i].data = updated;  // later checks see this statement's writes
     changes.emplace_back(i, std::move(updated));
   }
@@ -2179,32 +2030,16 @@ StatementResult Database::TxnUpdateInto(const UpdateStmt& stmt,
 }
 
 StatementResult Database::TxnDeleteInto(const DeleteStmt& stmt,
-                                        Transaction* txn) {
-  TableData* table = FindTable(stmt.table_name);
-  if (table == nullptr) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "no such table: " + stmt.table_name);
-  }
+                                        TableData* table, Transaction* txn) {
   Mark(Feature::kDelete);
   if (stmt.where != nullptr) MarkExprFeatures(*stmt.where);
 
-  const RowSchema& schema = table->schema;
-  EvalContext ctx{dialect_, &bugs_};
   std::vector<ImageRow> image =
       BuildReadImage(table, txn, /*for_select=*/false);
   std::vector<size_t> matched;
-  for (size_t i = 0; i < image.size(); ++i) {
-    bool hit = true;
-    if (stmt.where != nullptr) {
-      bool error = false;
-      hit = EvaluatePredicate(*stmt.where, RowView{&schema, &image[i].data},
-                              ctx, &error) == Bool3::kTrue;
-      if (error) {
-        return StatementResult::Failure(StatementStatus::kError,
-                                        "DELETE WHERE evaluation failed");
-      }
-    }
-    if (hit) matched.push_back(i);
+  if (!MatchRows(*table, &image, stmt.where.get(), &matched)) {
+    return StatementResult::Failure(StatementStatus::kError,
+                                    "DELETE WHERE evaluation failed");
   }
   TxnWrites& w = txn->writes[table->name];
   for (size_t i : matched) {
@@ -2219,17 +2054,15 @@ StatementResult Database::TxnDeleteInto(const DeleteStmt& stmt,
 }
 
 Database::TableData* Database::FindTable(const std::string& name) {
-  const int32_t sym = Interner::Intern(name);
   for (TableData& table : tables_) {
-    if (table.name_sym == sym) return &table;
+    if (table.name == name) return &table;
   }
   return nullptr;
 }
 
 Database::IndexData* Database::FindIndex(const std::string& name) {
-  const int32_t sym = Interner::Intern(name);
   for (IndexData& index : indexes_) {
-    if (index.name_sym == sym) return &index;
+    if (index.name == name) return &index;
   }
   return nullptr;
 }

@@ -56,13 +56,15 @@ class Database : public Connection {
   size_t index_count() const { return indexes_.size(); }
 
   // Read-only view of a table's stored rows in position order (nullptr
-  // when the table does not exist) — identical to the row set a bare
-  // `SELECT *` returns on a clean instance. The runner's ground-truth
-  // state comparison reads the model through this instead of paying for a
-  // full SELECT round trip; on a clean paged engine the materialized copy
-  // is cached per table version, so repeated reads stay as cheap as the
-  // old direct vector access. The pointer is invalidated by the next
-  // mutation of the same table.
+  // when the table does not exist). For use outside the MVCC epoch only:
+  // there it is the row set a bare `SELECT *` returns on a clean instance,
+  // while inside it the store also holds tombstones and misses open
+  // transactions' writes. The runner's ground-truth state comparison
+  // reads the model through this instead of paying for a full SELECT
+  // round trip; on a clean paged engine the materialized copy is cached
+  // per table version, so repeated reads stay as cheap as the old direct
+  // vector access. The pointer is invalidated by the next mutation of the
+  // same table.
   const std::vector<std::vector<SqlValue>>* TableRows(
       const std::string& name) {
     TableData* table = FindTable(name);
@@ -148,12 +150,10 @@ class Database : public Connection {
   };
   struct TableData {
     std::string name;
-    int32_t name_sym = -1;  // interned `name` (equality-only)
     std::vector<ColumnDef> columns;
-    // Single-table row schema with interned column symbols, built once at
-    // CREATE TABLE. Every scan, constraint check, and index-maintenance
-    // path borrows this instead of re-materializing (table, column) string
-    // pairs per statement.
+    // Single-table row schema, built once at CREATE TABLE. Every scan,
+    // constraint check, and index-maintenance path borrows this instead of
+    // re-materializing (table, column) string pairs per statement.
     RowSchema schema;
     // The row heap: flat or paged behind the connection's buffer pool
     // (storage.h). Row *positions* (page-strided ids, dense on a clean
@@ -167,7 +167,6 @@ class Database : public Connection {
   };
   struct IndexData {
     std::string name;
-    int32_t name_sym = -1;  // interned `name` (equality-only)
     std::string table_name;
     std::vector<std::string> columns;
     bool unique = false;
@@ -204,15 +203,19 @@ class Database : public Connection {
   StatementResult ExecuteBegin();
   StatementResult ExecuteCommit();
   StatementResult ExecuteRollback();
-  // During the epoch all DML is diverted here: inside a transaction it
-  // buffers into the write set; outside one it runs as an implicit
-  // single-statement transaction committed immediately.
-  StatementResult ExecuteTxnInsert(const InsertStmt& stmt);
-  StatementResult ExecuteTxnUpdate(const UpdateStmt& stmt);
-  StatementResult ExecuteTxnDelete(const DeleteStmt& stmt);
-  StatementResult TxnInsertInto(const InsertStmt& stmt, Transaction* txn);
-  StatementResult TxnUpdateInto(const UpdateStmt& stmt, Transaction* txn);
-  StatementResult TxnDeleteInto(const DeleteStmt& stmt, Transaction* txn);
+  // During the epoch all DML is diverted here: `into` buffers into the
+  // session's open transaction, or into an implicit single-statement
+  // transaction committed immediately (autocommit).
+  template <typename S>
+  StatementResult ExecuteTxnDml(
+      const S& stmt,
+      StatementResult (Database::*into)(const S&, TableData*, Transaction*));
+  StatementResult TxnInsertInto(const InsertStmt& stmt, TableData* table,
+                                Transaction* txn);
+  StatementResult TxnUpdateInto(const UpdateStmt& stmt, TableData* table,
+                                Transaction* txn);
+  StatementResult TxnDeleteInto(const DeleteStmt& stmt, TableData* table,
+                                Transaction* txn);
   // Returns the active session's open transaction, or nullptr.
   Transaction* CurrentTxn();
   // Starts version bookkeeping on first BEGIN: every existing row gets meta
@@ -235,13 +238,6 @@ class Database : public Connection {
   std::vector<ImageRow> BuildReadImage(TableData* table,
                                        const Transaction* txn,
                                        bool for_select);
-  // CheckConstraints against a read image instead of the store: collision
-  // scans run over `image` rows (skipping `exclude_row`, an index into
-  // `image`) plus the statement's own `pending` rows.
-  StatementResult CheckConstraintsImage(
-      const TableData& table, const std::vector<SqlValue>& candidate,
-      const std::vector<ImageRow>& image,
-      const std::vector<std::vector<SqlValue>>& pending, int exclude_row);
   // Rebuilds `index->vis` from the owning table's row meta (clears it
   // outside the epoch).
   void RefreshIndexVis(IndexData* index, const TableData& table);
@@ -271,14 +267,45 @@ class Database : public Connection {
                      const EvalContext& ctx, std::vector<size_t>* positions,
                      bool* used_partial);
 
+  // --- DML front half (DESIGN §14). --------------------------------------
+  // Shared by the plain write path and the MVCC one; only the back halves
+  // (store apply vs. write-set buffering) differ. Each reads the
+  // statement's row source: the table's store, rows by position, when
+  // `image` is null; else a transaction's read image, rows by index.
+  using Assignments = std::vector<std::pair<size_t, const Expr*>>;
   // Returns an error/violation result if `candidate` (to be added to
-  // `table`) breaks a declared constraint, also considering `pending` rows
-  // of the same statement. `exclude_row` (≥ 0) skips one stored row in the
-  // collision scans — the row an UPDATE is about to replace.
+  // `table`) breaks a declared constraint, against the source's rows and
+  // the statement's own `pending` rows. `exclude_row` (≥ 0) skips the
+  // source's row of that position or index in the collision scans — the
+  // row an UPDATE is about to replace.
   StatementResult CheckConstraints(
       const TableData& table, const std::vector<SqlValue>& candidate,
-      const std::vector<std::vector<SqlValue>>& pending,
-      int exclude_row = -1);
+      const std::vector<ImageRow>* image,
+      const std::vector<std::vector<SqlValue>>& pending, int exclude_row);
+  // Evaluates, coerces and checks every row of an INSERT into `*accepted`,
+  // stopping at the first failure (the whole statement then aborts).
+  StatementResult BuildInsertRows(
+      const InsertStmt& stmt, const TableData& table,
+      const std::vector<ImageRow>* image,
+      std::vector<std::vector<SqlValue>>* accepted);
+  // Resolves an UPDATE's SET list to (column position, value) targets and
+  // marks the statement's coverage features.
+  StatementResult ResolveAssignments(const UpdateStmt& stmt,
+                                     const TableData& table,
+                                     Assignments* targets);
+  // Applies `targets` to the pre-update row `pre` into `*updated`, coerces
+  // the new values and checks the result, skipping the replaced row
+  // `exclude_row` of the source.
+  StatementResult BuildUpdatedRow(const TableData& table,
+                                  const Assignments& targets,
+                                  const std::vector<SqlValue>& pre,
+                                  const std::vector<ImageRow>* image,
+                                  int exclude_row,
+                                  std::vector<SqlValue>* updated);
+  // Collects the source rows (positions or image indexes) on which `where`
+  // (null = every row) is TRUE. Returns false if evaluating `where` fails.
+  bool MatchRows(const TableData& table, const std::vector<ImageRow>* image,
+                 const Expr* where, std::vector<size_t>* matched) const;
   // Applies dialect insert-position coercion of `value` into `col`.
   // Returns false (and fills *failure) when the dialect rejects the value.
   bool CoerceForInsert(const ColumnDef& col, SqlValue* value,

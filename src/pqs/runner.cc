@@ -119,12 +119,9 @@ bool PivotWorstCaseRank(
     for (size_t t = 0; t < from.size(); ++t) {
       size_t width = from[t]->columns.size();
       if (offset + width > joined_schema.cols.size()) return false;
-      auto slice = [&](const auto& all, auto* part) {
-        part->assign(all.begin() + static_cast<long>(offset),
-                     all.begin() + static_cast<long>(offset + width));
-      };
-      slice(joined_schema.cols, &schemas[t].cols);
-      if (joined_schema.has_ids()) slice(joined_schema.ids, &schemas[t].ids);
+      schemas[t].cols.assign(
+          joined_schema.cols.begin() + static_cast<long>(offset),
+          joined_schema.cols.begin() + static_cast<long>(offset + width));
       inputs[t] = {&schemas[t], &table_rows[t]};
       offset += width;
     }

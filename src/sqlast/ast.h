@@ -96,14 +96,6 @@ struct Expr {
   SqlValue literal;                  // kLiteral
   std::string table;                 // kColumnRef (may be empty = unqualified)
   std::string column;                // kColumnRef
-  // kColumnRef: interned symbols of table/column (src/common/interner.h),
-  // resolved lazily on the first id-based schema lookup and cached on the
-  // node. kSymUnresolved = not yet interned; an empty (unqualified) table
-  // interns to Interner::kInvalidSymbol. Equality-only ids — never ordered
-  // or printed, so caching them cannot perturb deterministic output.
-  static constexpr int32_t kSymUnresolved = -2;
-  mutable int32_t table_sym = kSymUnresolved;
-  mutable int32_t column_sym = kSymUnresolved;
   UnaryOp uop = UnaryOp::kNot;       // kUnary
   BinaryOp bop = BinaryOp::kEq;      // kBinary
   bool negated = false;              // IS NOT NULL / NOT IN / NOT BETWEEN /

@@ -1,16 +1,14 @@
 // Hot-path substrate tests (DESIGN §11): the expression evaluator must
 // reproduce a recorded golden corpus of outcomes in every dialect, the
 // size-classed node pool must recycle memory within each class without
-// aliasing across classes or threads, libsqlite3's memory methods over the
-// pool must keep SQLite's allocator contract, and the interner must
-// round-trip symbols.
+// aliasing across classes or threads, and libsqlite3's memory methods over
+// the pool must keep SQLite's allocator contract.
 //
 // The golden corpus pins evaluator semantics without a second evaluator to
 // compare against: every generated predicate's value class, value, error
 // flag and error message on every corpus row. Run with `--workers N` (the
-// TSan CI job uses 4) to drive the thread-local NodePool caches, the
-// cross-thread block handoff and the interner's global table from
-// concurrent threads.
+// TSan CI job uses 4) to drive the thread-local NodePool caches and the
+// cross-thread block handoff from concurrent threads.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "src/common/arena.h"
-#include "src/common/interner.h"
 #include "src/common/rng.h"
 #include "src/engine/connection.h"
 #include "src/interp/eval.h"
@@ -304,24 +301,6 @@ void TestSqliteRunsOnPooledHeap() {
 }
 
 // ---------------------------------------------------------------------------
-// Interner
-// ---------------------------------------------------------------------------
-
-void TestInternerRoundTrip() {
-  size_t size_before = Interner::Size();
-  int32_t a = Interner::Intern("hotpath_tbl");
-  int32_t b = Interner::Intern("hotpath_col");
-  CHECK(a != b);
-  CHECK(a != Interner::kInvalidSymbol);
-  CHECK_EQ(Interner::Intern("hotpath_tbl"), a);  // stable across calls
-  CHECK_EQ(Interner::Name(a), std::string("hotpath_tbl"));
-  CHECK_EQ(Interner::Name(b), std::string("hotpath_col"));
-  CHECK_EQ(Interner::Name(Interner::kInvalidSymbol), std::string());
-  CHECK_EQ(Interner::Name(1 << 30), std::string());
-  CHECK(Interner::Size() >= size_before + 2);
-}
-
-// ---------------------------------------------------------------------------
 // Evaluator golden corpus
 // ---------------------------------------------------------------------------
 
@@ -491,7 +470,6 @@ int main(int argc, char** argv) {
   pqs::TestNodePoolSlabsBoundedByPeakLive();
   pqs::TestSqliteHeapContract();
   pqs::TestSqliteRunsOnPooledHeap();
-  pqs::TestInternerRoundTrip();
   pqs::TestEvaluatorGoldenCorpus(workers);
   return pqs::test::Summary("test_hotpath");
 }

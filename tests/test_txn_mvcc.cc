@@ -4,7 +4,9 @@
 // (committed state == serial replay on clean engines, zero false findings),
 // seeded schedule-replay identity across worker counts, default-budget
 // HuntBug detection of the transaction bugs, a serial differential sweep
-// against real sqlite3, and the Reset-with-open-transaction regression.
+// against real sqlite3, the Reset-with-open-transaction regression, and
+// the write-path parity property: one constraint-heavy DML stream gives
+// the same outcomes run plainly and run inside the epoch.
 //
 // Usage: test_txn_mvcc [--workers N]   (N also exercises the sharded path)
 #include <cstdlib>
@@ -226,6 +228,200 @@ void TestAutocommitDuringEpoch() {
   CHECK_EQ(RowCount(&db, "t"), size_t{1});
   CHECK(Commit(&db).ok());
   CHECK_EQ(RowCount(&db, "t"), size_t{2});
+}
+
+// Regression: inside the epoch CREATE UNIQUE INDEX scanned the store,
+// which still holds the tombstones of committed DELETEs, so a key freed by
+// a deleted row counted as a duplicate. Outside the epoch it never did.
+void TestCreateUniqueIndexIgnoresTombstones() {
+  for (bool epoch : {false, true}) {
+    minidb::Database db(Dialect::kSqliteFlex);
+    CHECK(db.Execute(*MakeTable("t")).ok());
+    CHECK(db.Execute(*InsertRow("t", 1, "a")).ok());
+    if (epoch) {
+      CHECK(Session(&db, 0).ok());
+      CHECK(Begin(&db).ok());
+    }
+    CHECK(Session(&db, 1).ok());
+    CHECK(db.Execute(*DeleteWhereAEq("t", 1)).ok());
+    CHECK(db.Execute(*InsertRow("t", 1, "z")).ok());
+    CreateIndexStmt index;
+    index.index_name = "i0";
+    index.table_name = "t";
+    index.columns = {"a"};
+    index.unique = true;
+    StatementResult created = db.Execute(index);
+    CHECK_MSG(created.ok(), "epoch=%d: %s", epoch ? 1 : 0,
+              created.error.c_str());
+    CHECK_EQ(db.in_mvcc_epoch(), epoch);
+    // The index exists and enforces its key.
+    CHECK(db.Execute(*InsertRow("t", 1, "y")).status ==
+          StatementStatus::kConstraintViolation);
+    CHECK_EQ(RowCount(&db, "t"), size_t{1});
+  }
+}
+
+// --- Write-path parity: the plain DML path and the MVCC one share one
+// --- front half (resolve, evaluate, coerce, constraint-check), so a
+// --- constraint-heavy stream must give the same status for every
+// --- statement and the same table after each one, whether the engine
+// --- runs it plainly or inside the epoch as autocommit statements.
+
+std::string RowsKey(const StatementResult& r) {
+  std::string key;
+  for (const std::vector<SqlValue>& row : r.rows) {
+    for (const SqlValue& v : row) {
+      key += std::to_string(static_cast<int>(v.cls)) + ":" + v.ToDisplay() +
+             "|";
+    }
+    key += "\n";
+  }
+  return key;
+}
+
+ExprPtr RandomValue(Rng* rng, bool text) {
+  if (rng->Chance(0.15)) return MakeLiteral(SqlValue::Null());
+  if (text) {
+    return MakeLiteral(SqlValue::Text(rng->Pick({"u", "v", "w", "x", "y"})));
+  }
+  return MakeLiteral(SqlValue::Int(rng->IntIn(-1, 8)));
+}
+
+// A WHERE over `a` or `c`: a range (or no WHERE) for UPDATE, one key for
+// DELETE so the table keeps a few rows.
+ExprPtr RandomWhere(Rng* rng, bool range) {
+  if (range && rng->Chance(0.2)) return nullptr;
+  const char* col = rng->Pick({"a", "c"});
+  BinaryOp op = range ? rng->Pick({BinaryOp::kGe, BinaryOp::kLt})
+                      : BinaryOp::kEq;
+  return MakeBinary(op, MakeColumnRef("t", col),
+                    MakeLiteral(SqlValue::Int(rng->IntIn(-1, 8))));
+}
+
+// One statement of the stream over t(a INT PRIMARY KEY, b TEXT UNIQUE,
+// c INT, d INT) with a unique partial index on c: multi-row INSERTs
+// (duplicates within the statement included), UPDATEs whose writes collide
+// on a later matched row, one-key DELETEs, and partial CREATE UNIQUE INDEX
+// on d over data that may hold duplicates.
+StmtPtr RandomWrite(Rng* rng, int* next_index) {
+  uint64_t roll = rng->Below(12);
+  if (roll < 5) {
+    auto insert = std::make_unique<InsertStmt>();
+    insert->table_name = "t";
+    int64_t n = rng->IntIn(1, 3);
+    for (int64_t i = 0; i < n; ++i) {
+      insert->rows.emplace_back();
+      insert->rows.back().push_back(RandomValue(rng, false));
+      insert->rows.back().push_back(RandomValue(rng, true));
+      insert->rows.back().push_back(RandomValue(rng, false));
+      insert->rows.back().push_back(RandomValue(rng, false));
+    }
+    return insert;
+  }
+  if (roll < 9) {
+    auto update = std::make_unique<UpdateStmt>();
+    update->table_name = "t";
+    update->assignments.emplace_back();
+    UpdateStmt::Assignment& set = update->assignments.back();
+    switch (rng->Below(4)) {
+      case 0:  // shifts keys into the next matched row's key
+        set.column = "a";
+        set.value = MakeBinary(BinaryOp::kAdd, MakeColumnRef("t", "a"),
+                               MakeLiteral(SqlValue::Int(1)));
+        break;
+      case 1:  // one literal for every matched row of a UNIQUE column
+        set.column = "b";
+        set.value = RandomValue(rng, true);
+        break;
+      case 2:  // moves rows into and out of the partial unique index
+        set.column = "c";
+        set.value = MakeBinary(BinaryOp::kSub, MakeColumnRef("t", "c"),
+                               MakeLiteral(SqlValue::Int(1)));
+        break;
+      default:  // checked only by the unique indexes the stream creates
+        set.column = "d";
+        set.value = RandomValue(rng, false);
+        break;
+    }
+    update->where = RandomWhere(rng, true);
+    return update;
+  }
+  if (roll < 11) {
+    auto del = std::make_unique<DeleteStmt>();
+    del->table_name = "t";
+    del->where = RandomWhere(rng, false);
+    return del;
+  }
+  auto index = std::make_unique<CreateIndexStmt>();
+  index->index_name = "u" + std::to_string((*next_index)++);
+  index->table_name = "t";
+  index->columns = {"d"};
+  index->unique = true;
+  index->where = MakeBinary(BinaryOp::kGe, MakeColumnRef("t", "d"),
+                            MakeLiteral(SqlValue::Int(rng->IntIn(-1, 8))));
+  return index;
+}
+
+void TestWritePathParity() {
+  for (Dialect dialect : {Dialect::kSqliteFlex, Dialect::kMysqlLike,
+                          Dialect::kPostgresStrict}) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      minidb::Database plain(dialect);
+      minidb::Database versioned(dialect);
+      auto create = std::make_unique<CreateTableStmt>();
+      create->table_name = "t";
+      create->columns.resize(4);
+      create->columns[0] = {"a", "INT", Affinity::kInteger, false, true,
+                            false};
+      create->columns[1] = {"b", "TEXT", Affinity::kText, true, false, false};
+      create->columns[2] = {"c", "INT", Affinity::kInteger, false, false,
+                            false};
+      create->columns[3] = {"d", "INT", Affinity::kInteger, false, false,
+                            false};
+      CreateIndexStmt partial;
+      partial.index_name = "p";
+      partial.table_name = "t";
+      partial.columns = {"c"};
+      partial.unique = true;
+      partial.where = MakeBinary(BinaryOp::kGt, MakeColumnRef("t", "c"),
+                                 MakeLiteral(SqlValue::Int(0)));
+      for (minidb::Database* db : {&plain, &versioned}) {
+        CHECK(db->Execute(*create).ok());
+        CHECK(db->Execute(partial).ok());
+      }
+      // An idle open transaction in session 1 holds `versioned` inside the
+      // epoch; the stream runs in session 0 as autocommit statements.
+      CHECK(Session(&versioned, 1).ok());
+      CHECK(Begin(&versioned).ok());
+      CHECK(Session(&versioned, 0).ok());
+
+      Rng rng(seed);
+      int next_index = 0;
+      SelectStmt fetch = SelectAll("t");
+      for (int i = 0; i < 60; ++i) {
+        StmtPtr stmt = RandomWrite(&rng, &next_index);
+        StatementResult a = plain.Execute(*stmt);
+        StatementResult b = versioned.Execute(*stmt);
+        std::string sql = RenderStmt(*stmt, dialect);
+        bool same_outcome = a.status == b.status && a.error == b.error;
+        CHECK_MSG(same_outcome,
+                  "dialect %d seed %llu: %s -> plain %d '%s', epoch %d '%s'",
+                  static_cast<int>(dialect),
+                  static_cast<unsigned long long>(seed), sql.c_str(),
+                  static_cast<int>(a.status), a.error.c_str(),
+                  static_cast<int>(b.status), b.error.c_str());
+        StatementResult rows_a = plain.Execute(fetch);
+        StatementResult rows_b = versioned.Execute(fetch);
+        CHECK(rows_a.ok() && rows_b.ok());
+        bool same_rows = RowsKey(rows_a) == RowsKey(rows_b);
+        CHECK_MSG(same_rows, "dialect %d seed %llu: tables differ after %s",
+                  static_cast<int>(dialect),
+                  static_cast<unsigned long long>(seed), sql.c_str());
+        if (!same_outcome || !same_rows) break;  // the engines diverged
+      }
+      CHECK(versioned.in_mvcc_epoch());
+    }
+  }
 }
 
 // Regression (satellite 4): a reset must roll back transactions an aborted
@@ -653,6 +849,8 @@ int main(int argc, char** argv) {
   pqs::TestTransactionStatementErrors();
   pqs::TestFirstCommitterWins();
   pqs::TestAutocommitDuringEpoch();
+  pqs::TestCreateUniqueIndexIgnoresTombstones();
+  pqs::TestWritePathParity();
   pqs::TestResetWithOpenTransaction();
   pqs::TestSqliteResetWithOpenTransaction();
   pqs::TestLostUpdateHook();
