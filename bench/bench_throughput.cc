@@ -11,9 +11,7 @@
 // the wall clock.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -344,13 +342,10 @@ std::string MeasureSqliteThroughput() {
   return buf;
 }
 
-// One telemetry-instrumented run of the sweep workload with wall-clock
-// spans enabled, exported as the "telemetry" section. The logical-clock
-// histograms ("phase_profile") are deterministic — byte-identical across
-// worker counts and machines — while the wall-clock histograms
-// ("phase_wall_micros") are the bench-only opt-in that ties Algorithm-1
-// stages to real time. check_perf_smoke.py gates on the profile's pipeline
-// stages being populated.
+// One run of the sweep workload with the bench-only wall-clock spans
+// enabled, exported as the "telemetry" section: the deterministic counters
+// plus "phase_wall_micros", which ties Algorithm-1 stages to real time.
+// check_perf_smoke.py gates on the pipeline stages having recorded spans.
 std::string MeasurePhaseProfile() {
   RunnerOptions opts;
   opts.seed = 20200604;
@@ -365,68 +360,16 @@ std::string MeasurePhaseProfile() {
   obs::SetPhaseWallClock(false);
 
   bench::PrintHeader("Phase profile: Algorithm-1 pipeline stages");
-  printf("%20s %10s %12s %10s %14s\n", "phase", "spans", "ticks/span",
-         "max_ticks", "wall(us)/span");
+  printf("%20s %10s %14s\n", "phase", "spans", "wall(us)/span");
   for (int p = 0; p < static_cast<int>(obs::Phase::kCount_); ++p) {
     obs::Phase phase = static_cast<obs::Phase>(p);
-    const obs::Histogram& ticks = report.metrics.phase_ticks(phase);
     const obs::Histogram& wall = report.metrics.phase_wall_micros(phase);
-    printf("%20s %10llu %12.2f %10llu %14.2f\n", obs::PhaseName(phase),
-           static_cast<unsigned long long>(ticks.count()),
-           ticks.count() > 0
-               ? static_cast<double>(ticks.sum()) / ticks.count()
-               : 0.0,
-           static_cast<unsigned long long>(ticks.max()),
+    printf("%20s %10llu %14.2f\n", obs::PhaseName(phase),
+           static_cast<unsigned long long>(wall.count()),
            wall.count() > 0 ? static_cast<double>(wall.sum()) / wall.count()
                             : 0.0);
   }
   return "  \"telemetry\": " + report.metrics.ToJson(true) + ",\n";
-}
-
-// Kill-switch cost: the 1-worker workload with telemetry enabled vs
-// disabled (disabled leaves the session TLS slot null, so every emit is a
-// null-branch). The best of two runs with each setting makes a pair, and
-// the pairs alternate which setting runs first, so drift in the host's
-// speed lands on both sides. A single best-of-3 comparison swung from 0.89 to 1.18;
-// the median of the per-pair ratios is what check_perf_smoke.py gates
-// (fails below 0.90), with the quartiles exported as its noise band.
-std::string MeasureTelemetryOverhead() {
-  constexpr int kPairs = 9;
-  std::vector<double> ratios;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    SweepPoint on;
-    SweepPoint off;
-    for (int side = 0; side < 2; ++side) {
-      bool enabled = (pair + side) % 2 == 0;
-      obs::SetTelemetryEnabled(enabled);
-      (enabled ? on : off) = MeasureWorkers(1, 2);
-    }
-    obs::SetTelemetryEnabled(true);
-    ratios.push_back(off.statements_per_second > 0
-                         ? on.statements_per_second / off.statements_per_second
-                         : 0.0);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  // Nearest-rank quantile of the sorted ratios.
-  auto quantile = [&ratios](double q) {
-    size_t rank = static_cast<size_t>(std::ceil(q * ratios.size()));
-    return ratios[rank > 0 ? rank - 1 : 0];
-  };
-  double median = quantile(0.5);
-  double p25 = quantile(0.25);
-  double p75 = quantile(0.75);
-  bench::PrintHeader("Telemetry overhead: enabled vs kill-switched");
-  printf("  %d interleaved pairs, on/off throughput ratio: median %.4f, "
-         "quartiles %.4f..%.4f\n",
-         kPairs, median, p25, p75);
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "  \"telemetry_overhead\": {\"pairs\": %d, "
-                "\"throughput_ratio_on_vs_off\": %.4f, "
-                "\"ratio_p25\": %.4f, \"ratio_p75\": %.4f, "
-                "\"ratio_quartile_spread\": %.4f},\n",
-                kPairs, median, p25, p75, p75 - p25);
-  return buf;
 }
 
 // Transaction-mix sweep (DESIGN §14): the interleaved K-session MVCC
@@ -634,8 +577,7 @@ int main(int argc, char** argv) {
                                        pqs::MeasureSqliteThroughput() +
                                        pqs::MeasureZipfWorkload() +
                                        pqs::MeasureTxnWorkload() +
-                                       pqs::MeasurePhaseProfile() +
-                                       pqs::MeasureTelemetryOverhead());
+                                       pqs::MeasurePhaseProfile());
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

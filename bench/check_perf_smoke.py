@@ -5,9 +5,9 @@ Fails (exit 1) when the bench JSON is missing the tail-latency /
 zipf-workload structure DESIGN §11 promises, when the 1-worker sweep
 throughput, the scan rows/sec or the real-sqlite3 1-worker throughput
 drops more than 30% below its checked-in floor
-(bench/throughput_floor.json), or when the median telemetry on/off
-throughput ratio over interleaved pairs falls below 0.90. Keys are asserted by name so a refactor
-that silently drops a reported metric breaks CI, not the perf trajectory.
+(bench/throughput_floor.json), or when a pipeline stage recorded no
+wall-clock phase spans. Keys are asserted by name so a refactor that
+silently drops a reported metric breaks CI, not the perf trajectory.
 
 Usage: check_perf_smoke.py BENCH_throughput.json throughput_floor.json
 """
@@ -112,37 +112,20 @@ def main(argv):
     telemetry = bench.get("telemetry")
     if not isinstance(telemetry, dict):
         fail("telemetry section missing")
-    profile = telemetry.get("phase_profile")
-    if not isinstance(profile, dict):
-        fail("telemetry.phase_profile section missing")
-    # Stages every minidb run exercises must have recorded spans. "render"
-    # is legitimately 0 on minidb (only the sqlite3 adapter renders SQL
-    # text) and "reduce" only fires on findings, so neither is gated.
-    for phase in ("generate", "rectify", "engine_execute",
-                  "ground_truth_replay", "oracle_check"):
-        stage = profile.get(phase)
-        if not isinstance(stage, dict):
-            fail("phase_profile.%s missing" % phase)
-        if stage.get("spans", 0) <= 0:
-            fail("phase_profile.%s recorded no spans" % phase)
-    if "phase_wall_micros" not in telemetry:
+    wall = telemetry.get("phase_wall_micros")
+    if not isinstance(wall, dict):
         fail("telemetry.phase_wall_micros missing (bench runs opt into "
              "wall-clock spans)")
-
-    overhead = bench.get("telemetry_overhead")
-    if not isinstance(overhead, dict):
-        fail("telemetry_overhead section missing")
-    # The ratio is the median over interleaved on/off pairs; a single pair
-    # on a shared runner is too noisy to gate on.
-    if overhead.get("pairs", 0) < 9:
-        fail("telemetry_overhead has %s pairs, expected at least 9"
-             % overhead.get("pairs"))
-    ratio = overhead.get("throughput_ratio_on_vs_off", 0.0)
-    if ratio < 0.90:
-        fail("telemetry-on throughput is %.1f%% of telemetry-off in the "
-             "median pair (must stay above 90%%; quartiles %.4f..%.4f)"
-             % (ratio * 100.0, overhead.get("ratio_p25", 0.0),
-                overhead.get("ratio_p75", 0.0)))
+    # Stages every minidb run exercises must have recorded spans. "render"
+    # is legitimately 0 on minidb (only the sqlite3 adapter renders SQL
+    # text), so it is not gated.
+    for phase in ("generate", "rectify", "engine_execute",
+                  "ground_truth_replay", "oracle_check"):
+        stage = wall.get(phase)
+        if not isinstance(stage, dict):
+            fail("phase_wall_micros.%s missing" % phase)
+        if stage.get("spans", 0) <= 0:
+            fail("phase_wall_micros.%s recorded no spans" % phase)
 
     one_worker = [p for p in sweep if p.get("workers") == 1]
     if not one_worker:

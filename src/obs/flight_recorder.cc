@@ -19,10 +19,6 @@ const char* EventKindName(EventKind kind) {
       return "oracle_check";
     case EventKind::kFindingRecorded:
       return "finding";
-    case EventKind::kPhaseBegin:
-      return "phase_begin";
-    case EventKind::kPhaseEnd:
-      return "phase_end";
     case EventKind::kTxnBegin:
       return "txn_begin";
     case EventKind::kTxnCommit:

@@ -29,8 +29,6 @@ enum class EventKind : uint8_t {
   kCacheInvalidation,    // a=frames dropped      (buffer-pool flush)
   kOracleCheck,          // a=oracle ordinal, b=1 if it fired
   kFindingRecorded,      // a=oracle ordinal
-  kPhaseBegin,           // a=Phase ordinal, b=nesting depth
-  kPhaseEnd,             // a=Phase ordinal, b=tick delta since begin
   kTxnBegin,             // a=session, b=snapshot timestamp
   kTxnCommit,            // a=session, b=commit timestamp
   kTxnAbort,             // a=session, b=1 conflict / 0 explicit ROLLBACK

@@ -7,8 +7,6 @@ namespace obs {
 
 const char* CounterName(Counter c) {
   switch (c) {
-    case Counter::kStatementsExecuted:
-      return "statements_executed";
     case Counter::kStatementErrors:
       return "statement_errors";
     case Counter::kPivotSelections:
@@ -33,18 +31,6 @@ const char* CounterName(Counter c) {
   return "?";
 }
 
-const char* GaugeName(Gauge g) {
-  switch (g) {
-    case Gauge::kMaxSpanDepth:
-      return "max_span_depth";
-    case Gauge::kMaxFlightEvents:
-      return "max_flight_events";
-    case Gauge::kCount_:
-      break;
-  }
-  return "?";
-}
-
 const char* PhaseName(Phase p) {
   switch (p) {
     case Phase::kGenerate:
@@ -59,8 +45,6 @@ const char* PhaseName(Phase p) {
       return "ground_truth_replay";
     case Phase::kOracleCheck:
       return "oracle_check";
-    case Phase::kReduce:
-      return "reduce";
     case Phase::kCount_:
       break;
   }
@@ -88,11 +72,7 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   for (size_t i = 0; i < static_cast<size_t>(Counter::kCount_); ++i) {
     counters_[i] += other.counters_[i];
   }
-  for (size_t i = 0; i < static_cast<size_t>(Gauge::kCount_); ++i) {
-    if (other.gauges_[i] > gauges_[i]) gauges_[i] = other.gauges_[i];
-  }
   for (size_t i = 0; i < static_cast<size_t>(Phase::kCount_); ++i) {
-    phase_ticks_[i].Merge(other.phase_ticks_[i]);
     phase_wall_us_[i].Merge(other.phase_wall_us_[i]);
   }
 }
@@ -119,16 +99,6 @@ std::string MetricsRegistry::ToJson(bool include_wall) const {
   jb.BeginObject("counters");
   for (size_t i = 0; i < static_cast<size_t>(Counter::kCount_); ++i) {
     jb.Field(CounterName(static_cast<Counter>(i)), counters_[i]);
-  }
-  jb.EndObject();
-  jb.BeginObject("gauges");
-  for (size_t i = 0; i < static_cast<size_t>(Gauge::kCount_); ++i) {
-    jb.Field(GaugeName(static_cast<Gauge>(i)), gauges_[i]);
-  }
-  jb.EndObject();
-  jb.BeginObject("phase_profile");
-  for (size_t i = 0; i < static_cast<size_t>(Phase::kCount_); ++i) {
-    AppendHistogram(&jb, PhaseName(static_cast<Phase>(i)), phase_ticks_[i]);
   }
   jb.EndObject();
   if (include_wall) {

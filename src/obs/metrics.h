@@ -1,14 +1,16 @@
-// Metrics registry: named counters, gauges, and exact-bucket histograms.
+// Metrics registry: named counters and exact-bucket wall-clock histograms.
 //
 // One registry per worker session, no atomics on the hot path, merged
-// value-wise after the run. Because counter increments are a pure function
-// of the session's seed and histogram buckets are exact (power-of-two
-// boundaries, merge = add counts, unlike approximating HDR schemes), the
-// merged registry of an N-worker campaign is byte-identical to the
-// 1-worker run once sessions merge in plan order.
+// value-wise after the run. Counter increments are a pure function of the
+// session's seed, so the merged counters of an N-worker campaign are
+// byte-identical to the 1-worker run. The wall-clock phase histograms
+// (bench opt-in) have exact power-of-two buckets, so merge order never
+// changes them, but they hold wall time and stay out of deterministic
+// output.
 //
 // The registry counts what engines and other layers emit; the runner's own
-// tallies live in pqs::RunStats only, never in both (DESIGN §13).
+// tallies — statements executed among them — live in pqs::RunStats only,
+// never in both (DESIGN §13).
 //
 // Metric identity is a closed enum, not a string lookup: registration races
 // and hash-order iteration are the two classic ways metric output goes
@@ -25,8 +27,7 @@ namespace obs {
 
 // Monotonic counters. Keep in sync with CounterName().
 enum class Counter : uint8_t {
-  kStatementsExecuted = 0,
-  kStatementErrors,
+  kStatementErrors = 0,
   kPivotSelections,
   kPoolHits,           // buffer-pool page hits
   kPoolMisses,         //   "      "   page faults
@@ -40,15 +41,8 @@ enum class Counter : uint8_t {
   kCount_,  // sentinel
 };
 
-// Gauges record a level; merge takes the max (high-water semantics).
-enum class Gauge : uint8_t {
-  kMaxSpanDepth = 0,   // deepest phase-span nesting observed
-  kMaxFlightEvents,    // most events ever emitted by one session's ring
-  kCount_,
-};
-
 // Algorithm-1 pipeline phases, in pipeline order. Keep in sync with
-// PhaseName() and the phase_profile section of BENCH_throughput.json.
+// PhaseName() and the phase_wall_micros section of BENCH_throughput.json.
 enum class Phase : uint8_t {
   kGenerate = 0,
   kRectify,
@@ -56,12 +50,10 @@ enum class Phase : uint8_t {
   kEngineExecute,
   kGroundTruthReplay,
   kOracleCheck,
-  kReduce,
   kCount_,
 };
 
 const char* CounterName(Counter c);
-const char* GaugeName(Gauge g);
 const char* PhaseName(Phase p);
 
 // Exact-bucket histogram: bucket i counts values in [2^(i-1), 2^i), with
@@ -95,41 +87,26 @@ class MetricsRegistry {
     return counters_[static_cast<size_t>(c)];
   }
 
-  // High-water gauge: keeps the max of all observed values.
-  void GaugeMax(Gauge g, uint64_t value) {
-    size_t i = static_cast<size_t>(g);
-    if (value > gauges_[i]) gauges_[i] = value;
-  }
-  uint64_t gauge(Gauge g) const { return gauges_[static_cast<size_t>(g)]; }
-
-  // Phase histograms record logical-clock tick deltas per span. Wall-clock
-  // micros are recorded separately and only in bench opt-in mode; they are
-  // excluded from deterministic output (ToJson(false)).
-  void RecordPhaseTicks(Phase p, uint64_t ticks) {
-    phase_ticks_[static_cast<size_t>(p)].Record(ticks);
-  }
+  // Phase histograms record wall-clock micros per span, only in bench
+  // opt-in mode; they are excluded from deterministic output
+  // (ToJson(false)).
   void RecordPhaseWallMicros(Phase p, uint64_t micros) {
     phase_wall_us_[static_cast<size_t>(p)].Record(micros);
-  }
-  const Histogram& phase_ticks(Phase p) const {
-    return phase_ticks_[static_cast<size_t>(p)];
   }
   const Histogram& phase_wall_micros(Phase p) const {
     return phase_wall_us_[static_cast<size_t>(p)];
   }
 
-  // Value-wise merge: counters add, gauges keep the max, histograms add.
+  // Value-wise merge: counters add, histograms add.
   void Merge(const MetricsRegistry& other);
 
-  // Compact JSON object: {"counters": {...}, "gauges": {...},
-  // "phase_profile": {...}}. With include_wall the per-phase wall-clock
-  // histograms are added; deterministic consumers must pass false.
+  // Compact JSON object: {"counters": {...}}. With include_wall the
+  // per-phase wall-clock histograms are added as "phase_wall_micros";
+  // deterministic consumers must pass false.
   std::string ToJson(bool include_wall) const;
 
  private:
   uint64_t counters_[static_cast<size_t>(Counter::kCount_)] = {};
-  uint64_t gauges_[static_cast<size_t>(Gauge::kCount_)] = {};
-  Histogram phase_ticks_[static_cast<size_t>(Phase::kCount_)];
   Histogram phase_wall_us_[static_cast<size_t>(Phase::kCount_)];
 };
 

@@ -8,7 +8,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<bool> g_telemetry_enabled{true};
 std::atomic<bool> g_phase_wall_clock{false};
 
 thread_local SessionTelemetry* t_session = nullptr;
@@ -22,14 +21,6 @@ uint64_t WallMicros() {
 
 }  // namespace
 
-void SetTelemetryEnabled(bool enabled) {
-  g_telemetry_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool TelemetryEnabled() {
-  return g_telemetry_enabled.load(std::memory_order_relaxed);
-}
-
 void SetPhaseWallClock(bool enabled) {
   g_phase_wall_clock.store(enabled, std::memory_order_relaxed);
 }
@@ -42,34 +33,20 @@ SessionTelemetry* CurrentTelemetry() { return t_session; }
 
 ScopedSessionTelemetry::ScopedSessionTelemetry(SessionTelemetry* session)
     : previous_(t_session) {
-  t_session = TelemetryEnabled() ? session : nullptr;
+  t_session = session;
 }
 
 ScopedSessionTelemetry::~ScopedSessionTelemetry() { t_session = previous_; }
 
-ScopedPhase::ScopedPhase(Phase phase) : session_(t_session), phase_(phase) {
-  if (session_ == nullptr) return;
-  start_tick_ = session_->clock;
-  ++session_->span_depth;
-  session_->metrics.GaugeMax(Gauge::kMaxSpanDepth, session_->span_depth);
-  session_->recorder.Emit(session_->clock, EventKind::kPhaseBegin,
-                          static_cast<uint32_t>(phase_),
-                          session_->span_depth);
-  if (PhaseWallClockEnabled()) start_wall_us_ = WallMicros();
+ScopedPhase::ScopedPhase(Phase phase)
+    : session_(PhaseWallClockEnabled() ? t_session : nullptr), phase_(phase) {
+  if (session_ != nullptr) start_wall_us_ = WallMicros();
 }
 
 ScopedPhase::~ScopedPhase() {
   if (session_ == nullptr) return;
-  uint64_t ticks = session_->clock - start_tick_;
-  session_->metrics.RecordPhaseTicks(phase_, ticks);
-  if (start_wall_us_ != 0) {
-    session_->metrics.RecordPhaseWallMicros(phase_,
-                                            WallMicros() - start_wall_us_);
-  }
-  session_->recorder.Emit(session_->clock, EventKind::kPhaseEnd,
-                          static_cast<uint32_t>(phase_),
-                          static_cast<uint32_t>(ticks));
-  --session_->span_depth;
+  session_->metrics.RecordPhaseWallMicros(phase_,
+                                          WallMicros() - start_wall_us_);
 }
 
 }  // namespace obs

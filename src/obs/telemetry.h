@@ -5,16 +5,15 @@
 // a thread-local slot for the session's duration (each session runs entirely
 // on one thread — the sharding invariant the runner already relies on).
 // Engine internals (BufferPool, SqliteConnection) emit through the free
-// helpers below, which are a TLS load plus a null check when no session is
-// installed. The process-wide kill switch
-// disables installation itself, so with telemetry off the per-event cost is
-// the null branch and nothing else — enforced by the perf-smoke gate.
+// helpers below, which are a TLS load plus a null check; engines also run
+// outside any session (unit tests, reduction probes), and then every emit
+// is a no-op.
 //
-// Determinism contract (DESIGN.md §13): everything emitted in deterministic
-// mode is keyed to the session's logical clock — the count of engine
-// statements executed — never wall time. Wall-clock span durations exist
-// only behind SetPhaseWallClock(true), which benches opt into, and are
-// excluded from deterministic exports.
+// Determinism contract (DESIGN.md §13): counters and the flight ring are
+// keyed to the session's logical clock — the count of engine statements
+// executed — never wall time. Phase spans time wall micros only, only
+// behind SetPhaseWallClock(true), which benches opt into, and are excluded
+// from deterministic exports.
 #ifndef PQS_SRC_OBS_TELEMETRY_H_
 #define PQS_SRC_OBS_TELEMETRY_H_
 
@@ -26,13 +25,8 @@
 namespace pqs {
 namespace obs {
 
-// Process-wide kill switch. Safe to toggle between runs; not meant to be
-// flipped while sessions are in flight.
-void SetTelemetryEnabled(bool enabled);
-bool TelemetryEnabled();
-
-// Bench opt-in: also record wall-clock span durations. Never enabled on
-// deterministic campaign paths.
+// Bench opt-in: ScopedPhase records wall-clock span durations. Never
+// enabled on deterministic campaign paths.
 void SetPhaseWallClock(bool enabled);
 bool PhaseWallClockEnabled();
 
@@ -44,16 +38,14 @@ struct SessionTelemetry {
 
   MetricsRegistry metrics;
   FlightRecorder recorder;
-  uint64_t clock = 0;      // logical clock: engine statements executed
-  uint32_t span_depth = 0; // current phase-span nesting
+  uint64_t clock = 0;  // logical clock: engine statements executed
 };
 
 // The session installed on this thread, or nullptr.
 SessionTelemetry* CurrentTelemetry();
 
-// Installs `session` in the thread-local slot for this scope. Installs
-// nothing (leaving emits as no-ops) when the kill switch is off or
-// `session` is null.
+// Installs `session` in the thread-local slot for this scope (null leaves
+// emits as no-ops).
 class ScopedSessionTelemetry {
  public:
   explicit ScopedSessionTelemetry(SessionTelemetry* session);
@@ -73,14 +65,14 @@ inline void Count(Counter c, uint64_t delta = 1) {
   if (t != nullptr) t->metrics.Count(c, delta);
 }
 
-// One engine statement executed: advances the logical clock, counts it, and
-// drops a kStatement event in the ring. `kind_ordinal` is the StmtKind,
-// `failed` marks StatementStatus::kError.
+// One engine statement executed: advances the logical clock and drops a
+// kStatement event in the ring (the statement itself is tallied in
+// RunStats, not here). `kind_ordinal` is the StmtKind, `failed` marks
+// StatementStatus::kError.
 inline void CountStatement(uint32_t kind_ordinal, bool failed) {
   SessionTelemetry* t = CurrentTelemetry();
   if (t == nullptr) return;
   ++t->clock;
-  t->metrics.Count(Counter::kStatementsExecuted);
   if (failed) t->metrics.Count(Counter::kStatementErrors);
   t->recorder.Emit(t->clock, EventKind::kStatement, kind_ordinal,
                    failed ? 1u : 0u);
@@ -99,9 +91,9 @@ inline void PivotSelected(uint32_t table_ordinal, uint32_t row_count) {
                    row_count);
 }
 
-// Scoped span over one Algorithm-1 phase. Records the logical-tick delta
-// into the phase histogram (plus wall micros when the bench opt-in is on)
-// and bracketing kPhaseBegin/kPhaseEnd events in the ring.
+// Scoped wall-clock span over one Algorithm-1 phase. Does nothing unless a
+// session is installed and the bench opt-in is on; then records the span's
+// wall micros into the phase's histogram. It never touches the ring.
 class ScopedPhase {
  public:
   explicit ScopedPhase(Phase phase);
@@ -111,9 +103,8 @@ class ScopedPhase {
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-  SessionTelemetry* session_;  // captured at entry; null when idle
+  SessionTelemetry* session_;  // captured at entry; null when not timing
   Phase phase_;
-  uint64_t start_tick_ = 0;
   uint64_t start_wall_us_ = 0;
 };
 

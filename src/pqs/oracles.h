@@ -57,10 +57,10 @@ struct Finding {
   std::vector<SqlValue> pivot;
   std::string message;
   uint64_t seed = 0;
-  // Flight-recorder provenance: the session's most recent events at the
-  // moment the finding was recorded, oldest first (empty only when the
-  // telemetry kill switch was off). The last event is always the
-  // kFindingRecorded marker for this finding.
+  // Flight-recorder provenance: the session's most recent events
+  // (statements, pivots, oracle checks, evictions, txn markers) at the
+  // moment the finding was recorded, oldest first. Never empty for a
+  // runner finding: the last event is always its kFindingRecorded marker.
   std::vector<obs::FlightEvent> flight;
 
   Finding() = default;

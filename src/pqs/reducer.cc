@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/interp/eval.h"
-#include "src/obs/telemetry.h"
 
 namespace pqs {
 
@@ -25,8 +24,6 @@ bool ReplaySetup(Connection* conn, const std::vector<StmtPtr>& statements) {
   for (size_t i = 0; i + 1 < statements.size(); ++i) {
     if (statements[i] == nullptr) continue;
     StatementResult r = conn->Execute(*statements[i]);
-    obs::CountStatement(static_cast<uint32_t>(statements[i]->kind()),
-                        !r.ok());
     if (r.status == StatementStatus::kCrash ||
         r.status == StatementStatus::kUnsupported) {
       return false;
@@ -171,10 +168,6 @@ bool FindingReproduces(const EngineFactory& buggy, const Finding& finding,
 
 Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
                       const EngineFactory* reference) {
-  // Reduction probes profile under kReduce when a telemetry session is
-  // installed; campaign-level reduction runs outside any session and the
-  // span is then a no-op.
-  obs::ScopedPhase span(obs::Phase::kReduce);
   Finding out;
   out.oracle = finding.oracle;
   out.dialect = finding.dialect;

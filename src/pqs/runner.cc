@@ -978,10 +978,8 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
 }
 
 // Runs one plan task under a fresh per-session telemetry context (registry
-// + flight ring) and harvests the registry into the result. When the kill
-// switch is off, installation leaves the thread-local slot null and every
-// emit in the session is a single predictable branch. The whole session is
-// timed for the latency hook; the clock is only read when a hook is
+// + flight ring) and harvests the registry into the result. The whole
+// session is timed for the latency hook; the clock is only read when a hook is
 // installed, so unhooked runs pay nothing, and the hook cannot change the
 // result, so reports stay byte-identical either way.
 DbRunResult RunTask(const WorkerEngineFactory& factory, int worker,
@@ -995,8 +993,6 @@ DbRunResult RunTask(const WorkerEngineFactory& factory, int worker,
     obs::ScopedSessionTelemetry install(&session);
     out = RunOneDatabaseImpl(factory, worker, options, task.seed);
   }
-  session.metrics.GaugeMax(obs::Gauge::kMaxFlightEvents,
-                           session.recorder.total_emitted());
   out.metrics = session.metrics;
   if (options.session_latency_hook) {
     std::chrono::duration<double> elapsed =

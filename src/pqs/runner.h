@@ -53,7 +53,7 @@ struct RunnerOptions {
 };
 
 // The report's tally set: the runner's own events, counted here only
-// (DESIGN §13), so the telemetry kill switch never changes them.
+// (DESIGN §13); the telemetry registry never mirrors them.
 struct RunStats {
   uint64_t statements_executed = 0;  // every Execute() on the connection
   uint64_t queries_checked = 0;      // oracle-checked SELECTs
@@ -115,10 +115,10 @@ struct RunStats {
 
 struct RunReport {
   RunStats stats;
-  // Telemetry registry merged from every session in plan order: counters,
-  // gauges, and per-phase logical-tick histograms (src/obs). All-zero when
-  // the telemetry kill switch is off. Like `stats`, byte-identical for
-  // every worker count.
+  // Telemetry registry merged from every session in plan order (src/obs):
+  // engine-side counters, byte-identical for every worker count like
+  // `stats`, plus per-phase wall-clock histograms that fill only when a
+  // bench calls obs::SetPhaseWallClock(true).
   obs::MetricsRegistry metrics;
   std::vector<Finding> findings;
   // True when the engine answered kUnsupported (e.g. stub SQLite adapter);

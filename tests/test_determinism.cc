@@ -257,10 +257,9 @@ std::string Fingerprint(const RunReport& r) {
   return out;
 }
 
-// Telemetry is observe-only: flipping its process-wide kill switch must
-// leave every report byte-identical, for every oracle family and for the
-// interleaved-transaction branch.
-// With telemetry off the merged metrics registry is additionally all-zero.
+// Telemetry is observe-only: turning on the benches' wall-clock phase spans
+// must leave every report byte-identical, deterministic metrics included,
+// for every oracle family and for the interleaved-transaction branch.
 void TestTelemetryOnOffSameReport() {
   struct Case {
     OracleFamily family;
@@ -297,29 +296,27 @@ void TestTelemetryOnOffSameReport() {
       PqsRunner runner(factory, options);
       return runner.Run();
     };
-    CHECK(obs::TelemetryEnabled());
-    RunReport with_telemetry = run();
-    obs::SetTelemetryEnabled(false);
-    RunReport without_telemetry = run();
-    obs::SetTelemetryEnabled(true);
-    CHECK_EQ(Fingerprint(with_telemetry), Fingerprint(without_telemetry));
-    // The registry itself is part of what telemetry adds: off ⇒ all-zero.
-    CHECK_EQ(without_telemetry.metrics.ToJson(false),
-             obs::MetricsRegistry().ToJson(false));
-    CHECK(with_telemetry.metrics.counter(
-              obs::Counter::kStatementsExecuted) > 0);
+    CHECK(!obs::PhaseWallClockEnabled());
+    RunReport plain = run();
+    obs::SetPhaseWallClock(true);
+    RunReport timed = run();
+    obs::SetPhaseWallClock(false);
+    CHECK_EQ(Fingerprint(plain), Fingerprint(timed));
+    CHECK_EQ(plain.metrics.ToJson(false), timed.metrics.ToJson(false));
+    // Only the timed run records wall spans.
+    const obs::Phase kExec = obs::Phase::kEngineExecute;
+    CHECK(timed.metrics.phase_wall_micros(kExec).count() > 0);
+    CHECK_EQ(plain.metrics.phase_wall_micros(kExec).count(),
+             static_cast<uint64_t>(0));
     if (c.txn_sessions > 1) {
-      // The transaction branch is exercised for real: its tallies live in
-      // RunStats and survive the kill switch, and it found the bug.
-      CHECK(without_telemetry.stats.txn_commits > 0);
-      CHECK(!with_telemetry.findings.empty());
+      // The transaction branch is exercised for real: it committed and
+      // found the bug.
+      CHECK(plain.stats.txn_commits > 0);
+      CHECK(!plain.findings.empty());
     }
-    // Findings carry flight provenance exactly when telemetry was on.
-    for (const Finding& f : with_telemetry.findings) {
-      CHECK(!f.flight.empty());
-    }
-    for (const Finding& f : without_telemetry.findings) {
-      CHECK(f.flight.empty());
+    // Every finding carries flight provenance either way.
+    for (const RunReport* r : {&plain, &timed}) {
+      for (const Finding& f : r->findings) CHECK(!f.flight.empty());
     }
   }
 }
@@ -467,27 +464,12 @@ std::string RenderGoldenReport(const RunReport& r) {
   field("txn_serial_replays", s.txn_serial_replays);
   field("unsupported_engine", r.unsupported_engine ? 1 : 0);
   for (obs::Counter c :
-       {obs::Counter::kStatementsExecuted, obs::Counter::kStatementErrors,
-        obs::Counter::kPivotSelections, obs::Counter::kPoolHits,
-        obs::Counter::kPoolMisses, obs::Counter::kPoolEvictions,
-        obs::Counter::kPoolWritebacks, obs::Counter::kStmtCacheHits,
-        obs::Counter::kStmtCacheMisses, obs::Counter::kCacheInvalidations}) {
+       {obs::Counter::kStatementErrors, obs::Counter::kPivotSelections,
+        obs::Counter::kPoolHits, obs::Counter::kPoolMisses,
+        obs::Counter::kPoolEvictions, obs::Counter::kPoolWritebacks,
+        obs::Counter::kStmtCacheHits, obs::Counter::kStmtCacheMisses,
+        obs::Counter::kCacheInvalidations}) {
     field(std::string("counter.") + obs::CounterName(c), r.metrics.counter(c));
-  }
-  for (obs::Gauge g : {obs::Gauge::kMaxSpanDepth, obs::Gauge::kMaxFlightEvents}) {
-    field(std::string("gauge.") + obs::GaugeName(g), r.metrics.gauge(g));
-  }
-  for (int p = 0; p < static_cast<int>(obs::Phase::kCount_); ++p) {
-    const obs::Histogram& h =
-        r.metrics.phase_ticks(static_cast<obs::Phase>(p));
-    out += "  phase." + std::string(obs::PhaseName(static_cast<obs::Phase>(p))) +
-           " count=" + std::to_string(h.count()) +
-           " sum=" + std::to_string(h.sum()) +
-           " max=" + std::to_string(h.max()) + " buckets=";
-    for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
-      out += std::to_string(h.bucket(b));
-      out += b + 1 < obs::Histogram::kBuckets ? "," : "\n";
-    }
   }
   field("findings", r.findings.size());
   for (const Finding& f : r.findings) {

@@ -1,9 +1,9 @@
-// PR-9 telemetry subsystem: JSON serializer units, exact-bucket histogram
-// merge identity (the property that makes N-worker metric output byte-
-// identical to 1-worker), flight-recorder ring wraparound, phase-span
-// nesting under the logical clock, kill-switch no-op behavior, and
-// end-to-end checks that runner/campaign findings carry a non-empty
-// flight-recorder dump whose merged metrics are worker-count-invariant.
+// Telemetry subsystem: JSON serializer units, exact-bucket histogram merge
+// identity, flight-recorder ring wraparound, the logical clock and the
+// opt-in wall-clock phase spans (no-ops without a session), and end-to-end
+// checks that runner/campaign findings carry a flight-recorder dump that
+// reaches back over their last 64 statements and whose merged metrics are
+// worker-count-invariant.
 //
 // Accepts `--workers N` (the CI ThreadSanitizer job passes 4); every
 // property is worker-count-invariant.
@@ -70,37 +70,37 @@ void TestHistogramExactBucketMerge() {
   values.push_back(1u << 20);  // clamps to the open-ended last bucket
 
   obs::MetricsRegistry single;
-  for (uint64_t v : values) single.RecordPhaseTicks(obs::Phase::kGenerate, v);
+  for (uint64_t v : values) {
+    single.RecordPhaseWallMicros(obs::Phase::kGenerate, v);
+  }
 
   constexpr int kShards = 4;
   obs::MetricsRegistry shards[kShards];
   for (size_t i = 0; i < values.size(); ++i) {
-    shards[i % kShards].RecordPhaseTicks(obs::Phase::kGenerate, values[i]);
+    shards[i % kShards].RecordPhaseWallMicros(obs::Phase::kGenerate,
+                                              values[i]);
   }
   obs::MetricsRegistry merged;
   for (int s = 0; s < kShards; ++s) merged.Merge(shards[s]);
 
-  CHECK_EQ(merged.ToJson(false), single.ToJson(false));
-  const obs::Histogram& h = merged.phase_ticks(obs::Phase::kGenerate);
+  CHECK_EQ(merged.ToJson(true), single.ToJson(true));
+  const obs::Histogram& h = merged.phase_wall_micros(obs::Phase::kGenerate);
   CHECK_EQ(h.count(), static_cast<uint64_t>(values.size()));
   CHECK_EQ(h.max(), static_cast<uint64_t>(1u << 20));
   CHECK(h.bucket(0) > 0);  // the explicit zero landed in bucket 0
 
-  // Counters add, gauges take the max.
+  // Counters add.
   obs::MetricsRegistry a;
   obs::MetricsRegistry b;
   a.Count(obs::Counter::kPoolHits, 3);
   b.Count(obs::Counter::kPoolHits, 4);
-  a.GaugeMax(obs::Gauge::kMaxSpanDepth, 2);
-  b.GaugeMax(obs::Gauge::kMaxSpanDepth, 5);
   a.Merge(b);
   CHECK_EQ(a.counter(obs::Counter::kPoolHits), static_cast<uint64_t>(7));
-  CHECK_EQ(a.gauge(obs::Gauge::kMaxSpanDepth), static_cast<uint64_t>(5));
 
   // Wall-clock histograms appear only under include_wall.
   CHECK(single.ToJson(false).find("phase_wall_micros") == std::string::npos);
   CHECK(single.ToJson(true).find("phase_wall_micros") != std::string::npos);
-  CHECK(single.ToJson(false).find("phase_profile") != std::string::npos);
+  CHECK_EQ(single.ToJson(false), obs::MetricsRegistry().ToJson(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -131,80 +131,63 @@ void TestRingWraparound() {
 }
 
 // ---------------------------------------------------------------------------
-// Span nesting under the logical clock
+// Logical clock and wall-clock spans
 // ---------------------------------------------------------------------------
 
-void TestSpanNestingLogicalClock() {
-  obs::SessionTelemetry session;
+// Three statements (one failed) inside nested phase spans.
+void EmitNestedSpans() {
+  obs::ScopedPhase outer(obs::Phase::kOracleCheck);
   {
-    obs::ScopedSessionTelemetry install(&session);
-    obs::ScopedPhase outer(obs::Phase::kOracleCheck);
-    {
-      obs::ScopedPhase inner(obs::Phase::kEngineExecute);
-      obs::CountStatement(0, false);
-      obs::CountStatement(0, true);
-    }
+    obs::ScopedPhase inner(obs::Phase::kEngineExecute);
     obs::CountStatement(0, false);
+    obs::CountStatement(0, true);
   }
-  // Logical clock advanced once per statement; spans recorded tick deltas.
-  CHECK_EQ(session.clock, static_cast<uint64_t>(3));
-  CHECK_EQ(session.metrics.counter(obs::Counter::kStatementsExecuted),
-           static_cast<uint64_t>(3));
-  CHECK_EQ(session.metrics.counter(obs::Counter::kStatementErrors),
-           static_cast<uint64_t>(1));
-  CHECK_EQ(session.metrics.gauge(obs::Gauge::kMaxSpanDepth),
-           static_cast<uint64_t>(2));
-  const obs::Histogram& inner_h =
-      session.metrics.phase_ticks(obs::Phase::kEngineExecute);
-  CHECK_EQ(inner_h.count(), static_cast<uint64_t>(1));
-  CHECK_EQ(inner_h.sum(), static_cast<uint64_t>(2));  // two stmts inside
-  const obs::Histogram& outer_h =
-      session.metrics.phase_ticks(obs::Phase::kOracleCheck);
-  CHECK_EQ(outer_h.count(), static_cast<uint64_t>(1));
-  CHECK_EQ(outer_h.sum(), static_cast<uint64_t>(3));  // all three stmts
-
-  // Ring order: begin(outer), begin(inner), stmt, stmt, end(inner), stmt,
-  // end(outer) — phase begin/end events bracket correctly.
-  std::vector<obs::FlightEvent> dump = session.recorder.Dump();
-  CHECK_EQ(dump.size(), static_cast<size_t>(7));
-  CHECK(dump[0].kind == obs::EventKind::kPhaseBegin);
-  CHECK_EQ(dump[0].a, static_cast<uint32_t>(obs::Phase::kOracleCheck));
-  CHECK_EQ(dump[0].b, static_cast<uint32_t>(1));  // depth 1
-  CHECK(dump[1].kind == obs::EventKind::kPhaseBegin);
-  CHECK_EQ(dump[1].b, static_cast<uint32_t>(2));  // depth 2
-  CHECK(dump[2].kind == obs::EventKind::kStatement);
-  CHECK(dump[4].kind == obs::EventKind::kPhaseEnd);
-  CHECK_EQ(dump[4].a, static_cast<uint32_t>(obs::Phase::kEngineExecute));
-  CHECK_EQ(dump[4].b, static_cast<uint32_t>(2));  // tick delta
-  CHECK(dump[6].kind == obs::EventKind::kPhaseEnd);
-  CHECK_EQ(dump[6].a, static_cast<uint32_t>(obs::Phase::kOracleCheck));
-  // Spans closed cleanly.
-  CHECK_EQ(session.span_depth, static_cast<uint32_t>(0));
+  obs::CountStatement(0, false);
 }
 
-// ---------------------------------------------------------------------------
-// Kill switch
-// ---------------------------------------------------------------------------
-
-void TestKillSwitchNoOp() {
-  CHECK(obs::TelemetryEnabled());
-  obs::SetTelemetryEnabled(false);
-  obs::SessionTelemetry session;
-  {
-    // Installation under a disabled switch leaves the TLS slot null, so
-    // every emit in scope is a no-op.
-    obs::ScopedSessionTelemetry install(&session);
+void TestLogicalClockAndWallSpans() {
+  for (bool wall : {false, true}) {
+    obs::SetPhaseWallClock(wall);
+    obs::SessionTelemetry session;
+    {
+      obs::ScopedSessionTelemetry install(&session);
+      CHECK(obs::CurrentTelemetry() == &session);
+      EmitNestedSpans();
+    }
+    // With no session installed every emit is a no-op: engines run outside
+    // sessions in unit tests and reduction probes.
     CHECK(obs::CurrentTelemetry() == nullptr);
+    EmitNestedSpans();
     obs::Count(obs::Counter::kPoolHits);
-    obs::CountStatement(0, false);
     obs::Emit(obs::EventKind::kEviction, 1, 2);
-    obs::ScopedPhase span(obs::Phase::kGenerate);
+    obs::PivotSelected(0, 1);
+    obs::SetPhaseWallClock(false);
+    CHECK_EQ(session.metrics.counter(obs::Counter::kPoolHits),
+             static_cast<uint64_t>(0));
+    CHECK_EQ(session.metrics.counter(obs::Counter::kPivotSelections),
+             static_cast<uint64_t>(0));
+    // The logical clock advanced once per statement.
+    CHECK_EQ(session.clock, static_cast<uint64_t>(3));
+    CHECK_EQ(session.metrics.counter(obs::Counter::kStatementErrors),
+             static_cast<uint64_t>(1));
+    // The ring holds the statements and nothing else: spans emit no events.
+    std::vector<obs::FlightEvent> dump = session.recorder.Dump();
+    CHECK_EQ(dump.size(), static_cast<size_t>(3));
+    for (size_t i = 0; i < dump.size(); ++i) {
+      CHECK(dump[i].kind == obs::EventKind::kStatement);
+      CHECK_EQ(dump[i].tick, static_cast<uint64_t>(i + 1));
+      CHECK_EQ(dump[i].b, static_cast<uint32_t>(i == 1 ? 1 : 0));  // failed
+    }
+    // Without the opt-in spans record nothing; with it, each closed span
+    // records one wall sample.
+    uint64_t samples = wall ? 1 : 0;
+    for (obs::Phase p :
+         {obs::Phase::kOracleCheck, obs::Phase::kEngineExecute}) {
+      CHECK_EQ(session.metrics.phase_wall_micros(p).count(), samples);
+    }
+    CHECK_EQ(session.metrics.phase_wall_micros(obs::Phase::kGenerate).count(),
+             static_cast<uint64_t>(0));
   }
-  obs::SetTelemetryEnabled(true);
-  CHECK_EQ(session.clock, static_cast<uint64_t>(0));
-  CHECK_EQ(session.recorder.total_emitted(), static_cast<uint64_t>(0));
-  CHECK_EQ(session.metrics.ToJson(false),
-           obs::MetricsRegistry().ToJson(false));
 }
 
 // ---------------------------------------------------------------------------
@@ -237,18 +220,10 @@ void TestWorkerMetricIdentity() {
     // The merged registry is byte-identical across worker counts — the
     // same guarantee RunStats::Merge gives the classic counters.
     CHECK_EQ(sharded.metrics.ToJson(false), sequential.metrics.ToJson(false));
-    // The registry actually carried the migrated stats.
-    CHECK(sequential.metrics.counter(obs::Counter::kStatementsExecuted) > 0);
-    CHECK_EQ(sequential.metrics.counter(obs::Counter::kStatementsExecuted),
-             sequential.stats.statements_executed);
+    // The registry actually carried the engine-side counters.
     CHECK(sequential.metrics.counter(obs::Counter::kPoolHits) > 0);
     CHECK(sequential.metrics.counter(obs::Counter::kPivotSelections) > 0 ||
           family != OracleFamily::kContainment);
-    // Phase spans fired for the pipeline stages every family exercises.
-    for (obs::Phase p : {obs::Phase::kGenerate, obs::Phase::kEngineExecute,
-                         obs::Phase::kGroundTruthReplay}) {
-      CHECK(sequential.metrics.phase_ticks(p).count() > 0);
-    }
     // Finding provenance: every finding ships a non-empty flight dump
     // whose final event is its own kFindingRecorded marker, identically
     // across worker counts (the ring is per-session, not per-worker).
@@ -273,9 +248,29 @@ void TestWorkerMetricIdentity() {
   }
 }
 
+// Flight-ring reach: with T the finding's last tick, the dump holds
+// exactly one kStatement event for each tick from max(1, T-63) to T, so a
+// finding always explains at least its last 64 statements.
+void CheckFlightReach(const Finding& finding, const char* name) {
+  CHECK_MSG(!finding.flight.empty(), "bug %s: empty flight dump", name);
+  if (finding.flight.empty()) return;
+  uint64_t last = finding.flight.back().tick;
+  uint64_t first = last > 64 ? last - 63 : 1;
+  std::vector<int> seen(last + 1, 0);
+  for (const obs::FlightEvent& e : finding.flight) {
+    if (e.kind == obs::EventKind::kStatement && e.tick <= last) ++seen[e.tick];
+  }
+  uint64_t tick = first;
+  while (tick <= last && seen[tick] == 1) ++tick;
+  CHECK_MSG(tick > last, "bug %s: tick %llu of %llu has %d statement events",
+            name, static_cast<unsigned long long>(tick),
+            static_cast<unsigned long long>(last),
+            tick <= last ? seen[tick] : 1);
+}
+
 // Campaign sweep over the whole bug registry: every detected finding —
 // whatever oracle fired (containment, error, crash, NoREC, TLP) — still
-// carries its flight dump after reduction.
+// carries its flight dump after reduction, reaching back 64 statements.
 void TestCampaignFindingsCarryFlight() {
   CampaignOptions options;
   options.seed = 20200604;
@@ -288,8 +283,7 @@ void TestCampaignFindingsCarryFlight() {
   for (const BugHuntResult& r : report.results) {
     if (!r.detected) continue;
     ++detected;
-    CHECK_MSG(!r.reduced.flight.empty(),
-              "bug %s: reduced finding lost its flight dump", r.name);
+    CheckFlightReach(r.reduced, r.name);
   }
   CHECK(detected > 0);
 }
@@ -308,8 +302,7 @@ int main(int argc, char** argv) {
   pqs::TestJsonBuilder();
   pqs::TestHistogramExactBucketMerge();
   pqs::TestRingWraparound();
-  pqs::TestSpanNestingLogicalClock();
-  pqs::TestKillSwitchNoOp();
+  pqs::TestLogicalClockAndWallSpans();
   pqs::TestWorkerMetricIdentity();
   pqs::TestCampaignFindingsCarryFlight();
   return pqs::test::Summary("test_obs");
