@@ -48,7 +48,6 @@ void BM_QueryThroughputByRows(benchmark::State& state) {
     opts.queries_per_database = 20;
     opts.gen.min_rows = rows;
     opts.gen.max_rows = rows;
-    opts.gen.max_tables = 3;
     EngineFactory factory = []() -> ConnectionPtr {
       return std::make_unique<minidb::Database>(Dialect::kSqliteFlex);
     };

@@ -105,7 +105,10 @@ std::string MeasureZipfWorkload() {
     bench::LatencyRecorder latency;
   };
   // Weights 1, 1/2, 1/3, 1/4 over 96 databases → 46, 23, 15, 12.
-  Bucket buckets[] = {{4, 46}, {8, 23}, {16, 15}, {32, 12}};
+  Bucket buckets[] = {{4, 46, 0, 0, {}},
+                      {8, 23, 0, 0, {}},
+                      {16, 15, 0, 0, {}},
+                      {32, 12, 0, 0, {}}};
 
   bench::LatencyRecorder recorder;
   EngineFactory factory = []() -> ConnectionPtr {

@@ -34,7 +34,6 @@ BufferPool::BufferPool(uint32_t frames, uint64_t seed, const BugConfig* bugs)
 void BufferPool::Reset() {
   frames_.assign(configured_frames_, Frame());
   hand_ = initial_hand_;
-  ++epoch_;
 }
 
 int BufferPool::FindFrame(uint32_t table, uint32_t page) const {
@@ -71,7 +70,6 @@ void BufferPool::EvictFrame(int index) {
   Frame& f = frames_[index];
   if (!f.in_use) return;
   ++stats_.evictions;
-  ++epoch_;
   obs::Count(obs::Counter::kPoolEvictions);
   obs::Emit(obs::EventKind::kEviction, f.table, f.page);
   if (f.dirty) {
@@ -110,7 +108,6 @@ int BufferPool::Fetch(uint32_t table, uint32_t page, DiskPage* disk,
       f.rows = f.backing->rows;
       f.dirty = false;
       f.update_dirtied = false;
-      ++epoch_;
     }
     f.ref = true;
     ++f.pins;
@@ -161,7 +158,6 @@ void BufferPool::FlushTable(uint32_t table) {
       f.update_dirtied = false;
       ++stats_.dirty_writebacks;
       obs::Count(obs::Counter::kPoolWritebacks);
-      ++epoch_;
     }
   }
 }
@@ -178,7 +174,6 @@ void BufferPool::DiscardTable(uint32_t table) {
       f.pins = 0;
       f.backing = nullptr;
       f.rows.clear();
-      ++epoch_;
     }
   }
   // A wholesale discard is a cache invalidation: every cached frame of the

@@ -8,7 +8,7 @@
 // dirty frames back to their disk page before reuse.
 //
 // Determinism: the pool has no wall-clock or address-dependent state. The
-// clock hand starts at a position derived from the configured seed and
+// clock hand starts at a position derived from the constructor's seed and
 // advances only as a function of the fetch/unpin sequence, so two engines
 // configured identically and driven with the same statement stream evict
 // the same pages in the same order — which keeps N-worker campaign reports
@@ -49,7 +49,6 @@ struct StorageOptions {
   bool paged = true;
   uint32_t page_rows = 64;    // rows per page (>= 1)
   uint32_t pool_frames = 32;  // frames in the pool (clamped up to >= 4)
-  uint64_t seed = 0x9e3779b97f4a7c15ull;  // clock-hand start derivation
 
   static StorageOptions Flat() {
     StorageOptions o;
@@ -133,12 +132,6 @@ class BufferPool {
   // across resets.
   void Reset();
 
-  // Monotonic counter bumped whenever pool activity could have changed
-  // what a subsequent read observes (eviction, write-back, revalidation).
-  // Only meaningful to cache-invalidation when storage bugs are armed; on
-  // a clean pool, frame traffic never changes logical content.
-  uint64_t epoch() const { return epoch_; }
-
   const Stats& stats() const { return stats_; }
   size_t frame_count() const { return frames_.size(); }
   int pinned_frames() const;
@@ -160,7 +153,6 @@ class BufferPool {
   size_t initial_hand_ = 0;
   const BugConfig* bugs_;  // not owned; may be null (clean pool)
   Stats stats_;
-  uint64_t epoch_ = 0;
 };
 
 }  // namespace minidb

@@ -176,16 +176,15 @@ std::pair<std::vector<SqlValue>, size_t> KeyEntry(
 
 // When a storage-layer bug class is armed, a paged engine runs on tiny
 // pages and a tiny pool so generator-scale tables (3-12 rows) reach page
-// splits and eviction pressure within HuntBug's default budget; the
-// caller's seed is preserved so shard determinism is unaffected.
+// splits and eviction pressure within HuntBug's default budget.
 StorageOptions ArmStorage(StorageOptions opts, const BugConfig& bugs) {
-  if (opts.paged && HasStorageBug(bugs)) {
-    uint64_t seed = opts.seed;
-    opts = StorageOptions::Stress();
-    opts.seed = seed;
-  }
+  if (opts.paged && HasStorageBug(bugs)) opts = StorageOptions::Stress();
   return opts;
 }
+
+// Every engine's pool derives its clock-hand start from this one seed, so
+// identically configured engines evict in the same order.
+constexpr uint64_t kPoolSeed = 0x9e3779b97f4a7c15ull;
 
 }  // namespace
 
@@ -193,7 +192,7 @@ Database::Database(Dialect dialect, BugConfig bugs, StorageOptions storage)
     : dialect_(dialect),
       bugs_(bugs),
       storage_opts_(ArmStorage(storage, bugs)),
-      pool_(storage_opts_.pool_frames, storage_opts_.seed, &bugs_) {}
+      pool_(storage_opts_.pool_frames, kPoolSeed, &bugs_) {}
 
 std::string Database::EngineName() const {
   return std::string("minidb-") + DialectName(dialect_);

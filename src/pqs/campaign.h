@@ -27,13 +27,13 @@ const char* ReportOutcomeName(ReportOutcome outcome);
 struct CampaignOptions {
   uint64_t seed = 1;
   // Detection budget per bug: up to this many generated databases...
-  // (480 holds the whole 42-bug registry's worst observed detection
-  // latency across seeds with headroom; the heavy tail moved from the
-  // data-dependent expression bugs to the index-maintenance classes —
-  // update-index-stale and partial-index-update-miss need an UPDATE to an
-  // indexed column *and* a prompt index-scanned query over it, observed up
-  // to ~410 databases on adversarial seeds. Cheap on average: HuntBug
-  // stops at the first finding, so only the tail pays.)
+  // (480 finds all 57 registry bugs on the default seeds. The heavy tail
+  // is the index-maintenance classes — update-index-stale and
+  // partial-index-update-miss need an UPDATE to an indexed column *and* a
+  // prompt index-scanned query over it, observed up to ~410 databases on
+  // adversarial seeds — and across many seeds the budget still misses
+  // update-index-stale about once in ~360 hunts. Cheap on average:
+  // HuntBug stops at the first finding, so only the tail pays.)
   int databases_per_bug = 480;
   // ...with this many oracle-checked queries each.
   int queries_per_database = 20;

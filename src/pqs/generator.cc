@@ -43,41 +43,42 @@ bool IsNumericAffinity(Affinity a) {
   return a == Affinity::kInteger || a == Affinity::kReal;
 }
 
+// Generation constants no caller varies (GeneratorOptions holds the ones
+// that some caller does).
+constexpr int kMaxTables = 3;
+constexpr int kMaxColumns = 4;
+constexpr double kIndexProbability = 0.7;         // ≥1 CREATE INDEX per table
+constexpr double kPartialIndexProbability = 0.4;  // ...of which partial
+constexpr double kNullProbability = 0.18;         // NULL cell values
+constexpr double kMultiTableQueryProbability = 0.35;
+constexpr double kLeftJoinProbability = 0.35;   // join step is LEFT ...
+constexpr double kCrossJoinProbability = 0.15;  // ... or CROSS (else INNER)
+constexpr int kMaxOrderKeys = 2;
+// Aggregate query space (GenerateAggregateQuery, TLP checks only).
+// Probability an aggregate query is the dedicated COUNT(DISTINCT c) shape
+// (its partials recombine by value-set union, not summation).
+constexpr double kCountDistinctProbability = 0.2;
+// Probability an aggregate query groups by one column.
+constexpr double kGroupByProbability = 0.45;
+// Probability a grouped query carries a HAVING clause (a numeric aggregate
+// compared against a small integer literal).
+constexpr double kHavingProbability = 0.5;
+
 }  // namespace
 
 std::string GeneratorOptions::Validate() const {
-  auto check_count = [](const char* name, int v) -> std::string {
-    if (v < 0) return std::string(name) + " must be non-negative";
-    return "";
-  };
-  auto check_prob = [](const char* name, double p) -> std::string {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return std::string(name) + " must be within [0, 1]";
-    }
-    return "";
-  };
   const std::pair<const char*, int> counts[] = {
       {"min_rows", min_rows},
       {"max_rows", max_rows},
-      {"max_tables", max_tables},
-      {"max_columns", max_columns},
       {"max_predicate_depth", max_predicate_depth},
-      {"max_order_keys", max_order_keys},
   };
   for (const auto& [name, v] : counts) {
-    std::string err = check_count(name, v);
-    if (!err.empty()) return err;
+    if (v < 0) return std::string(name) + " must be non-negative";
   }
   if (min_rows > max_rows) return "min_rows must not exceed max_rows";
   const std::pair<const char*, double> probs[] = {
-      {"index_probability", index_probability},
-      {"partial_index_probability", partial_index_probability},
-      {"null_probability", null_probability},
-      {"multi_table_query_probability", multi_table_query_probability},
       {"explicit_join_probability", explicit_join_probability},
       {"third_table_probability", third_table_probability},
-      {"left_join_probability", left_join_probability},
-      {"cross_join_probability", cross_join_probability},
       {"distinct_probability", distinct_probability},
       {"order_by_probability", order_by_probability},
       {"limit_probability", limit_probability},
@@ -87,61 +88,23 @@ std::string GeneratorOptions::Validate() const {
       {"collate_probability", collate_probability},
       {"like_escape_probability", like_escape_probability},
       {"in_list_null_probability", in_list_null_probability},
-      {"tlp_rows_shape_probability", tlp_rows_shape_probability},
-      {"count_distinct_probability", count_distinct_probability},
-      {"group_by_probability", group_by_probability},
-      {"having_probability", having_probability},
   };
   for (const auto& [name, p] : probs) {
-    std::string err = check_prob(name, p);
-    if (!err.empty()) return err;
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return std::string(name) + " must be within [0, 1]";
+    }
   }
-  const std::pair<const char*, double> weights[] = {
-      {"pivot_check_weight", pivot_check_weight},
-      {"insert_weight", insert_weight},
-      {"update_weight", update_weight},
-      {"delete_weight", delete_weight},
-      {"create_index_weight", create_index_weight},
-      {"drop_index_weight", drop_index_weight},
-      {"maintenance_weight", maintenance_weight},
-  };
-  for (const auto& [name, w] : weights) {
-    if (!(w >= 0.0)) return std::string(name) + " must be non-negative";
-  }
-  if (!(pivot_check_weight > 0.0)) {
-    return "pivot_check_weight must be positive";
-  }
-  std::string err = check_count("max_actions_per_check",
-                                max_actions_per_check);
-  if (!err.empty()) return err;
-  err = check_prob("partial_probe_probability", partial_probe_probability);
-  if (!err.empty()) return err;
+  if (!(delete_weight >= 0.0)) return "delete_weight must be non-negative";
   if (txn_sessions < 1 || txn_sessions > 8) {
     return "txn_sessions must be within [1, 8]";
-  }
-  const std::pair<const char*, double> txn_probs[] = {
-      {"txn_begin_probability", txn_begin_probability},
-      {"txn_commit_probability", txn_commit_probability},
-      {"txn_rollback_probability", txn_rollback_probability},
-  };
-  for (const auto& [name, p] : txn_probs) {
-    err = check_prob(name, p);
-    if (!err.empty()) return err;
-  }
-  if (txn_commit_probability + txn_rollback_probability > 1.0) {
-    return "txn_commit_probability + txn_rollback_probability must not "
-           "exceed 1";
-  }
-  if (max_txn_statements < 1) {
-    return "max_txn_statements must be positive";
   }
   return "";
 }
 
 JoinKind Generator::RandomJoinKind(Rng* rng) const {
   double roll = rng->Unit();
-  if (roll < options_.left_join_probability) return JoinKind::kLeft;
-  if (roll < options_.left_join_probability + options_.cross_join_probability) {
+  if (roll < kLeftJoinProbability) return JoinKind::kLeft;
+  if (roll < kLeftJoinProbability + kCrossJoinProbability) {
     return JoinKind::kCross;
   }
   return JoinKind::kInner;
@@ -195,16 +158,12 @@ SqlValue Generator::RandomValueFor(Affinity affinity, Rng* rng) const {
 
 DatabasePlan Generator::GenerateDatabase(Rng* rng) const {
   DatabasePlan plan;
-  int table_count =
-      static_cast<int>(rng->IntIn(1, options_.max_tables > 0
-                                         ? options_.max_tables
-                                         : 1));
+  int table_count = static_cast<int>(rng->IntIn(1, kMaxTables));
   int column_counter = 0;
   for (int t = 0; t < table_count; ++t) {
     TableSchema table;
     table.name = "t" + std::to_string(t);
-    int column_count = static_cast<int>(
-        rng->IntIn(1, options_.max_columns > 0 ? options_.max_columns : 1));
+    int column_count = static_cast<int>(rng->IntIn(1, kMaxColumns));
     bool has_pk = false;
     for (int c = 0; c < column_count; ++c) {
       ColumnDef col;
@@ -235,7 +194,7 @@ DatabasePlan Generator::GenerateDatabase(Rng* rng) const {
   // Indexes, before data so unique indexes constrain the inserts.
   int index_counter = 0;
   for (const TableSchema& table : plan.tables) {
-    for (int i = 0; i < 2 && rng->Chance(options_.index_probability); ++i) {
+    for (int i = 0; i < 2 && rng->Chance(kIndexProbability); ++i) {
       plan.statements.push_back(GenerateIndex(
           table, "i" + std::to_string(index_counter++), rng));
     }
@@ -274,7 +233,7 @@ std::unique_ptr<CreateIndexStmt> Generator::GenerateIndex(
     }
   }
   index->unique = rng->Chance(0.25);
-  if (rng->Chance(options_.partial_index_probability)) {
+  if (rng->Chance(kPartialIndexProbability)) {
     const ColumnDef& col = table.columns[rng->Below(table.columns.size())];
     double form = rng->Unit();
     if (form < 0.5) {
@@ -297,7 +256,7 @@ std::vector<ExprPtr> Generator::GenerateRowValues(const TableSchema& table,
   std::vector<ExprPtr> row;
   row.reserve(table.columns.size());
   for (const ColumnDef& col : table.columns) {
-    double null_p = col.not_null ? 0.02 : options_.null_probability;
+    double null_p = col.not_null ? 0.02 : kNullProbability;
     if (rng->Chance(null_p)) {
       row.push_back(MakeNullLiteral());
       continue;
@@ -450,7 +409,7 @@ QueryShape Generator::GenerateQueryShape(const DatabasePlan& plan,
   shape.tables.push_back(&plan.tables[first]);
 
   if (plan.tables.size() > 1 &&
-      rng->Chance(options_.multi_table_query_probability)) {
+      rng->Chance(kMultiTableQueryProbability)) {
     // Remaining tables, in declaration order, for growing the FROM list.
     std::vector<const TableSchema*> remaining;
     for (size_t t = 0; t < plan.tables.size(); ++t) {
@@ -474,8 +433,7 @@ QueryShape Generator::GenerateQueryShape(const DatabasePlan& plan,
 
   shape.distinct = rng->Chance(options_.distinct_probability);
   if (rng->Chance(options_.order_by_probability)) {
-    int keys = static_cast<int>(rng->IntIn(
-        1, options_.max_order_keys > 0 ? options_.max_order_keys : 1));
+    int keys = static_cast<int>(rng->IntIn(1, kMaxOrderKeys));
     for (int k = 0; k < keys; ++k) {
       const TableSchema* table = nullptr;
       const ColumnDef* col = PickColumn(shape.tables, &table, rng);
@@ -926,7 +884,7 @@ std::unique_ptr<SelectStmt> Generator::GenerateAggregateQuery(
   }
 
   // Dedicated COUNT(DISTINCT c) shape: exactly one item, no grouping.
-  if (rng->Chance(options_.count_distinct_probability)) {
+  if (rng->Chance(kCountDistinctProbability)) {
     const ColumnDef& col = table.columns[rng->Below(table.columns.size())];
     q->select_list.push_back(MakeAggregate(
         AggFunc::kCount, MakeColumnRef(table.name, col.name),
@@ -972,7 +930,7 @@ std::unique_ptr<SelectStmt> Generator::GenerateAggregateQuery(
     }
   };
 
-  const bool grouped = rng->Chance(options_.group_by_probability);
+  const bool grouped = rng->Chance(kGroupByProbability);
   if (grouped) {
     const ColumnDef& key = table.columns[rng->Below(table.columns.size())];
     q->group_by.push_back(MakeColumnRef(table.name, key.name));
@@ -984,7 +942,7 @@ std::unique_ptr<SelectStmt> Generator::GenerateAggregateQuery(
     q->select_list.push_back(gen_agg(/*numeric_only=*/false));
   }
 
-  if (grouped && rng->Chance(options_.having_probability)) {
+  if (grouped && rng->Chance(kHavingProbability)) {
     // HAVING: a numeric aggregate against a small integer bound, so the
     // comparison is statically typed in every dialect. AVG yields REAL;
     // numeric-vs-numeric comparisons are legal even under strict typing.

@@ -20,6 +20,9 @@
 
 namespace pqs {
 
+// Only the knobs some caller sets live here; every other generation
+// constant sits next to the code that reads it (generator.cc, scheduler.cc,
+// runner.cc).
 struct GeneratorOptions {
   // Algorithm-3 rectification toggle. With it off, the runner still tallies
   // raw predicate outcomes but must skip the containment check — a raw
@@ -28,15 +31,8 @@ struct GeneratorOptions {
 
   int min_rows = 3;
   int max_rows = 12;
-  int max_tables = 3;
-  int max_columns = 4;
   // Composite predicate nesting (leaves add their own internal depth).
   int max_predicate_depth = 3;
-
-  double index_probability = 0.7;            // ≥1 CREATE INDEX per table
-  double partial_index_probability = 0.4;    // ...of which partial
-  double null_probability = 0.18;            // NULL cell values
-  double multi_table_query_probability = 0.35;
 
   // --- Query-shape features (joins / DISTINCT / ORDER BY / LIMIT). -------
   // Probability a multi-table query uses explicit JOIN syntax (INNER /
@@ -44,14 +40,11 @@ struct GeneratorOptions {
   double explicit_join_probability = 0.55;
   // Probability an explicit join chain grows to a third table.
   double third_table_probability = 0.5;
-  double left_join_probability = 0.35;   // join step is LEFT ...
-  double cross_join_probability = 0.15;  // ... or CROSS (else INNER)
   double distinct_probability = 0.3;
   double order_by_probability = 0.45;
   // LIMIT attach probability, given an ORDER BY (LIMIT without ORDER BY is
   // generated more rarely; its sound bound is the whole result).
   double limit_probability = 0.5;
-  int max_order_keys = 2;
 
   // --- Typed expression subsystem (functions / CAST / CASE / LIKE ESCAPE
   // --- / collations / NULL-bearing IN lists). ---------------------------
@@ -70,39 +63,10 @@ struct GeneratorOptions {
   // Probability an IN list includes a NULL element (UNKNOWN semantics).
   double in_list_null_probability = 0.25;
 
-  // --- Aggregate query space (metamorphic-oracle campaigns only; the
-  // --- containment oracle cannot judge aggregates, so the runner calls
-  // --- GenerateAggregateQuery exclusively on the TLP path). -------------
-  // Probability a TLP check uses the plain row-set shape (SELECT * with
-  // multiset-union recombination) instead of an aggregate query.
-  double tlp_rows_shape_probability = 0.25;
-  // Probability an aggregate query is the dedicated COUNT(DISTINCT c)
-  // shape (its partials recombine by value-set union, not summation).
-  double count_distinct_probability = 0.2;
-  // Probability an aggregate query groups by one column.
-  double group_by_probability = 0.45;
-  // Probability a grouped query carries a HAVING clause (a numeric
-  // aggregate compared against a small integer literal).
-  double having_probability = 0.5;
-
-  // --- Statement-level mutation stream (indexes / UPDATE / DELETE /
-  // --- maintenance — DESIGN §9). ----------------------------------------
-  // Weighted statement mix the ActionScheduler draws between pivot checks:
-  // each batch keeps drawing from the mix until the pivot-check action
-  // comes up (capped at max_actions_per_check). Zeroing every mutation
-  // weight reproduces the earlier all-SELECT sessions.
-  double pivot_check_weight = 6.0;
-  double insert_weight = 1.0;
-  double update_weight = 1.2;
+  // --- Statement-level mutation stream (DESIGN §9). ---------------------
+  // DELETE's weight in the ActionScheduler's statement mix; the other
+  // weights are constants in scheduler.cc. Zero gives a DELETE-free stream.
   double delete_weight = 0.7;
-  double create_index_weight = 0.5;
-  double drop_index_weight = 0.25;
-  double maintenance_weight = 0.3;
-  int max_actions_per_check = 6;
-  // Probability a generated WHERE AND-prepends the predicate of a live
-  // partial index over the queried table, which is what makes the
-  // partial-index scan planner (and its bug classes) reachable.
-  double partial_probe_probability = 0.3;
 
   // --- Interleaved transaction sessions (MVCC campaigns — DESIGN §14). --
   // Number of logical sessions the scheduler interleaves. 1 (the default)
@@ -110,21 +74,11 @@ struct GeneratorOptions {
   // the transaction branch: BEGIN/COMMIT/ROLLBACK streams over K sessions
   // with snapshot-isolation checks and the serial-replay oracle.
   int txn_sessions = 1;
-  // Probability an idle session opens a transaction rather than issuing
-  // one autocommit DML statement.
-  double txn_begin_probability = 0.6;
-  // Per-step probability an open transaction COMMITs...
-  double txn_commit_probability = 0.35;
-  // ...or ROLLBACKs (else it issues another DML statement inside the
-  // transaction).
-  double txn_rollback_probability = 0.08;
-  // Forced-COMMIT cap on statements inside one transaction, so every
-  // transaction resolves within a bounded number of scheduler steps.
-  int max_txn_statements = 6;
 
-  // Validates ranges: depths/counts non-negative, row bounds ordered, and
-  // every probability within [0, 1]. Returns an empty string when valid,
-  // else a description of the first offending field. RunnerOptions /
+  // Validates ranges: depths/counts non-negative, row bounds ordered,
+  // every probability within [0, 1], delete_weight non-negative and
+  // txn_sessions within [1, 8]. Returns an empty string when valid, else a
+  // description of the first offending field. RunnerOptions /
   // CampaignOptions setup calls this so a bad CLI flag fails loudly
   // instead of silently skewing generation.
   std::string Validate() const;

@@ -107,10 +107,6 @@ void AggregateStats::Add(const TestCaseStats& tc) {
   with_delete += tc.has_delete ? 1 : 0;
   with_drop_index += tc.has_drop_index ? 1 : 0;
   with_maintenance += tc.has_maintenance ? 1 : 0;
-  with_aggregate += tc.has_aggregate ? 1 : 0;
-  with_group_by += tc.has_group_by ? 1 : 0;
-  with_having += tc.has_having ? 1 : 0;
-  with_transaction += tc.has_transaction ? 1 : 0;
 }
 
 void AggregateStats::Merge(const AggregateStats& other) {
@@ -144,10 +140,6 @@ void AggregateStats::Merge(const AggregateStats& other) {
   with_delete += other.with_delete;
   with_drop_index += other.with_drop_index;
   with_maintenance += other.with_maintenance;
-  with_aggregate += other.with_aggregate;
-  with_group_by += other.with_group_by;
-  with_having += other.with_having;
-  with_transaction += other.with_transaction;
 }
 
 double AggregateStats::AverageLoc() const {
@@ -215,11 +207,6 @@ TestCaseStats AnalyzeTestCase(const Finding& finding) {
       case StmtKind::kMaintenance:
         stats.has_maintenance = true;
         break;
-      case StmtKind::kBegin:
-      case StmtKind::kCommit:
-      case StmtKind::kRollback:
-        stats.has_transaction = true;
-        break;
       case StmtKind::kSelect: {
         const auto& sel = static_cast<const SelectStmt&>(*s);
         stats.has_explicit_join |= !sel.joins.empty();
@@ -243,9 +230,6 @@ TestCaseStats AnalyzeTestCase(const Finding& finding) {
         stats.has_distinct |= sel.distinct;
         stats.has_order_by |= !sel.order_by.empty();
         stats.has_limit |= sel.limit >= 0;
-        stats.has_aggregate |= sel.HasAggregates();
-        stats.has_group_by |= !sel.group_by.empty();
-        stats.has_having |= sel.having != nullptr;
         break;
       }
       default:

@@ -110,12 +110,6 @@ struct TestCaseStats {
   bool has_delete = false;
   bool has_drop_index = false;
   bool has_maintenance = false;
-  // Aggregate buckets (PR 6): grouping grammar in any SELECT.
-  bool has_aggregate = false;
-  bool has_group_by = false;
-  bool has_having = false;
-  // Transaction bucket (PR 10): explicit BEGIN/COMMIT/ROLLBACK present.
-  bool has_transaction = false;
 };
 
 struct CategoryStat {
@@ -152,12 +146,6 @@ struct AggregateStats {
   size_t with_delete = 0;
   size_t with_drop_index = 0;
   size_t with_maintenance = 0;
-  // Aggregate buckets.
-  size_t with_aggregate = 0;
-  size_t with_group_by = 0;
-  size_t with_having = 0;
-  // Transaction bucket.
-  size_t with_transaction = 0;
 
   void Add(const TestCaseStats& tc);
   // Value merge of per-shard aggregates: Merge(a, b) of disjoint shards

@@ -630,6 +630,11 @@ void ContainmentCheck(Session& s) {
 // on as for containment — a mutation the engine lost is caught before it
 // can masquerade as a metamorphic mismatch — then the family's transformed
 // queries run in place of the pivot-containment query.
+//
+// Probability a TLP check uses the plain row-set shape (SELECT * with
+// multiset-union recombination) instead of an aggregate query.
+constexpr double kTlpRowsShapeProbability = 0.25;
+
 void MetamorphicCheck(Session& s) {
   const RunnerOptions& options = s.options;
   RunStats& stats = s.out.stats;
@@ -674,7 +679,7 @@ void MetamorphicCheck(Session& s) {
     std::unique_ptr<SelectStmt> full;
     {
       obs::ScopedPhase span(obs::Phase::kGenerate);
-      if (s.rng.Chance(options.gen.tlp_rows_shape_probability)) {
+      if (s.rng.Chance(kTlpRowsShapeProbability)) {
         // Plain row-set shape: SELECT * recombined by multiset union.
         full = std::make_unique<SelectStmt>();
         full->from_tables.push_back(table.name);

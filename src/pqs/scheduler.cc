@@ -8,6 +8,37 @@
 
 namespace pqs {
 
+namespace {
+
+// Statement-mix weights (DESIGN §9): each batch keeps drawing from the mix
+// until the pivot-check action comes up, capped at kMaxActionsPerCheck.
+// DELETE's weight is GeneratorOptions::delete_weight.
+constexpr double kPivotCheckWeight = 6.0;
+constexpr double kInsertWeight = 1.0;
+constexpr double kUpdateWeight = 1.2;
+constexpr double kCreateIndexWeight = 0.5;
+constexpr double kDropIndexWeight = 0.25;
+constexpr double kMaintenanceWeight = 0.3;
+constexpr int kMaxActionsPerCheck = 6;
+// Probability a generated WHERE AND-prepends the predicate of a live
+// partial index over the queried table, which is what makes the
+// partial-index scan planner (and its bug classes) reachable.
+constexpr double kPartialProbeProbability = 0.3;
+
+// Transaction stream (DESIGN §14). Probability an idle session opens a
+// transaction rather than issuing one autocommit DML statement.
+constexpr double kTxnBeginProbability = 0.6;
+// Per-step probability an open transaction COMMITs...
+constexpr double kTxnCommitProbability = 0.35;
+// ...or ROLLBACKs (else it issues another DML statement inside the
+// transaction).
+constexpr double kTxnRollbackProbability = 0.08;
+// Forced-COMMIT cap on statements inside one transaction, so every
+// transaction resolves within a bounded number of scheduler steps.
+constexpr int kMaxTxnStatements = 6;
+
+}  // namespace
+
 ActionScheduler::ActionScheduler(const Generator* generator,
                                  const GeneratorOptions& options,
                                  const DatabasePlan* plan)
@@ -56,11 +87,10 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
   // Drawing the batch is pure generation; covers every caller.
   obs::ScopedPhase span(obs::Phase::kGenerate);
   std::vector<StmtPtr> batch;
-  const GeneratorOptions& o = options_;
-  double mutation_total = o.insert_weight + o.update_weight +
-                          o.delete_weight + o.create_index_weight +
-                          o.drop_index_weight + o.maintenance_weight;
-  if (!(mutation_total > 0.0)) return batch;
+  const double delete_weight = options_.delete_weight;
+  double mutation_total = kInsertWeight + kUpdateWeight + delete_weight +
+                          kCreateIndexWeight + kDropIndexWeight +
+                          kMaintenanceWeight;
   // live_ is only updated by Observe() once the batch executes, so the
   // statements already drawn this batch must be accounted for here:
   // an index chosen as a DROP victim cannot be dropped twice, and an
@@ -71,17 +101,17 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
   // visit-order-dependent and diverge from real SQLite).
   std::vector<std::string> dropped_in_batch;
   std::vector<std::pair<std::string, std::string>> unique_cols_in_batch;
-  for (int i = 0; i < o.max_actions_per_check; ++i) {
-    double roll = rng->Unit() * (o.pivot_check_weight + mutation_total);
-    if (roll < o.pivot_check_weight) break;  // the pivot check comes up
-    roll -= o.pivot_check_weight;
+  for (int i = 0; i < kMaxActionsPerCheck; ++i) {
+    double roll = rng->Unit() * (kPivotCheckWeight + mutation_total);
+    if (roll < kPivotCheckWeight) break;  // the pivot check comes up
+    roll -= kPivotCheckWeight;
     const TableSchema* table = PickTable(rng);
-    if (roll < o.insert_weight) {
+    if (roll < kInsertWeight) {
       batch.push_back(generator_->GenerateInsertRows(*table, rng));
       continue;
     }
-    roll -= o.insert_weight;
-    if (roll < o.update_weight) {
+    roll -= kInsertWeight;
+    if (roll < kUpdateWeight) {
       std::vector<std::string> literal_only = LiteralOnlyColumns(*table);
       for (const auto& [index_table, col] : unique_cols_in_batch) {
         if (index_table == table->name) literal_only.push_back(col);
@@ -90,13 +120,13 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
           *table, literal_only, IndexedColumns(*table), rng));
       continue;
     }
-    roll -= o.update_weight;
-    if (roll < o.delete_weight) {
+    roll -= kUpdateWeight;
+    if (roll < delete_weight) {
       batch.push_back(generator_->GenerateDelete(*table, rng));
       continue;
     }
-    roll -= o.delete_weight;
-    if (roll < o.create_index_weight) {
+    roll -= delete_weight;
+    if (roll < kCreateIndexWeight) {
       auto index = generator_->GenerateIndex(
           *table, "i" + std::to_string(index_counter_++), rng);
       if (index->unique) {
@@ -107,8 +137,8 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
       batch.push_back(std::move(index));
       continue;
     }
-    roll -= o.create_index_weight;
-    if (roll < o.drop_index_weight) {
+    roll -= kCreateIndexWeight;
+    if (roll < kDropIndexWeight) {
       std::vector<const LiveIndex*> droppable;
       for (const LiveIndex& index : live_) {
         bool gone = false;
@@ -134,15 +164,14 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
 }
 
 StmtPtr ActionScheduler::NextTxnDml(Rng* rng) {
-  const GeneratorOptions& o = options_;
   const TableSchema* table = PickTable(rng);
-  double dml_total = o.insert_weight + o.update_weight + o.delete_weight;
-  double roll = rng->Unit() * (dml_total > 0.0 ? dml_total : 1.0);
-  if (dml_total <= 0.0 || roll < o.insert_weight) {
+  double roll = rng->Unit() *
+                (kInsertWeight + kUpdateWeight + options_.delete_weight);
+  if (roll < kInsertWeight) {
     return generator_->GenerateInsertRows(*table, rng);
   }
-  roll -= o.insert_weight;
-  if (roll < o.update_weight) {
+  roll -= kInsertWeight;
+  if (roll < kUpdateWeight) {
     return generator_->GenerateUpdate(*table, LiteralOnlyColumns(*table),
                                       IndexedColumns(*table), rng);
   }
@@ -152,20 +181,17 @@ StmtPtr ActionScheduler::NextTxnDml(Rng* rng) {
 std::vector<SessionAction> ActionScheduler::NextTxnBatch(Rng* rng) {
   obs::ScopedPhase span(obs::Phase::kGenerate);
   std::vector<SessionAction> batch;
-  const GeneratorOptions& o = options_;
-  int sessions = o.txn_sessions < 1 ? 1 : o.txn_sessions;
+  const int sessions = options_.txn_sessions;
   if (txn_sessions_.empty()) {
     txn_sessions_.resize(static_cast<size_t>(sessions));
   }
   // The batch length mirrors NextBatch's weighted stopping rule (the pivot
   // check "comes up"), scaled by the session count so each session gets a
   // comparable number of steps between checks.
-  double dml_total = o.insert_weight + o.update_weight + o.delete_weight;
-  if (!(dml_total > 0.0)) dml_total = 1.0;
-  int cap = o.max_actions_per_check * sessions;
+  double dml_total = kInsertWeight + kUpdateWeight + options_.delete_weight;
+  int cap = kMaxActionsPerCheck * sessions;
   for (int i = 0; i < cap; ++i) {
-    if (rng->Unit() * (o.pivot_check_weight + dml_total) <
-        o.pivot_check_weight) {
+    if (rng->Unit() * (kPivotCheckWeight + dml_total) < kPivotCheckWeight) {
       break;
     }
     int s = static_cast<int>(rng->Below(static_cast<size_t>(sessions)));
@@ -173,24 +199,24 @@ std::vector<SessionAction> ActionScheduler::NextTxnBatch(Rng* rng) {
     SessionAction action;
     action.session = s;
     if (!state.in_txn) {
-      if (rng->Chance(o.txn_begin_probability)) {
+      if (rng->Chance(kTxnBeginProbability)) {
         action.stmt = std::make_unique<BeginStmt>();
         state.in_txn = true;
         state.stmts_in_txn = 0;
       } else {
         action.stmt = NextTxnDml(rng);  // autocommit statement
       }
-    } else if (state.stmts_in_txn >= o.max_txn_statements) {
+    } else if (state.stmts_in_txn >= kMaxTxnStatements) {
       // Forced resolution: every transaction commits within a bounded
       // number of steps, so no schedule ends with work stuck open.
       action.stmt = std::make_unique<CommitStmt>();
       state.in_txn = false;
     } else {
       double r = rng->Unit();
-      if (r < o.txn_commit_probability) {
+      if (r < kTxnCommitProbability) {
         action.stmt = std::make_unique<CommitStmt>();
         state.in_txn = false;
-      } else if (r < o.txn_commit_probability + o.txn_rollback_probability) {
+      } else if (r < kTxnCommitProbability + kTxnRollbackProbability) {
         action.stmt = std::make_unique<RollbackStmt>();
         state.in_txn = false;
       } else {
@@ -240,7 +266,7 @@ void ActionScheduler::Observe(const Stmt& stmt, bool applied) {
 
 ExprPtr ActionScheduler::MaybePartialIndexProbe(const std::string& table,
                                                 Rng* rng) const {
-  if (!rng->Chance(options_.partial_probe_probability)) return nullptr;
+  if (!rng->Chance(kPartialProbeProbability)) return nullptr;
   std::vector<const LiveIndex*> partial;
   for (const LiveIndex& index : live_) {
     if (index.table == table && index.where != nullptr) {

@@ -5,11 +5,11 @@
 // pivot checks it keeps mutating the state — more inserts, UPDATE/DELETE,
 // index creation and removal, maintenance statements — and re-selects the
 // pivot afterwards. The scheduler owns that stream: it draws the next
-// statement kind from the weights in GeneratorOptions, asks the Generator
-// for a concrete statement, and tracks the live index inventory (fed back
-// from the ground-truth model's accept/reject decisions) so DROP INDEX
-// always names a real index and UPDATE knows which columns sit under a
-// unique index. Every draw comes from the session's private RNG stream,
+// statement kind from the weights in scheduler.cc (DELETE's comes from
+// GeneratorOptions::delete_weight), asks the Generator for a concrete
+// statement, and tracks the live index inventory (fed back from the
+// ground-truth model's accept/reject decisions) so DROP INDEX always names
+// a real index and UPDATE knows which columns sit under a unique index. Every draw comes from the session's private RNG stream,
 // so scheduling is deterministic under ShardPlan sharding.
 #ifndef PQS_SRC_PQS_SCHEDULER_H_
 #define PQS_SRC_PQS_SCHEDULER_H_
@@ -40,16 +40,15 @@ class ActionScheduler {
 
   // Mutation statements to execute before the next pivot check: keeps
   // drawing from the weighted mix until the pivot-check action comes up,
-  // capped at options.max_actions_per_check. Empty when every mutation
-  // weight is zero.
+  // capped at kMaxActionsPerCheck draws.
   std::vector<StmtPtr> NextBatch(Rng* rng);
 
   // Interleaved transaction stream over options.txn_sessions logical
   // sessions (DESIGN §14). Each drawn step picks a session from the RNG and
   // advances that session's state machine: an idle session BEGINs (with
-  // txn_begin_probability) or issues one autocommit DML statement; an open
+  // kTxnBeginProbability) or issues one autocommit DML statement; an open
   // transaction COMMITs / ROLLBACKs / issues DML inside the transaction,
-  // with a forced COMMIT once it reaches max_txn_statements. The whole
+  // with a forced COMMIT once it reaches kMaxTxnStatements. The whole
   // interleaving is a pure function of the session's RNG stream, so
   // transaction schedules replay byte-identically under ShardPlan sharding.
   // DDL and maintenance never appear in the stream — indexes come from the
@@ -63,7 +62,7 @@ class ActionScheduler {
   void Observe(const Stmt& stmt, bool applied);
 
   // Clone of a live partial-index predicate over `table`, gated on
-  // options.partial_probe_probability; null otherwise. The runner ANDs it
+  // kPartialProbeProbability; null otherwise. The runner ANDs it
   // in front of generated WHERE clauses so the partial-index scan planner
   // is reachable.
   ExprPtr MaybePartialIndexProbe(const std::string& table, Rng* rng) const;

@@ -18,6 +18,7 @@ MetaVerdict ClassifyStatus(StatementStatus s) {
       return MetaVerdict::kOk;
     case StatementStatus::kConstraintViolation:
     case StatementStatus::kError:
+    case StatementStatus::kTxnConflict:
       return MetaVerdict::kEngineError;
     case StatementStatus::kCrash:
       return MetaVerdict::kEngineCrash;

@@ -397,6 +397,20 @@ void TestGeneratorOptionsValidate() {
   bad_prob.function_probability = -0.1;
   CHECK(!bad_prob.Validate().empty());
 
+  GeneratorOptions bad_sessions;
+  bad_sessions.txn_sessions = 0;
+  CHECK(!bad_sessions.Validate().empty());
+  bad_sessions.txn_sessions = 9;
+  CHECK(!bad_sessions.Validate().empty());
+  bad_sessions.txn_sessions = 8;
+  CHECK_EQ(bad_sessions.Validate(), std::string(""));
+
+  GeneratorOptions bad_weight;
+  bad_weight.delete_weight = -1.0;
+  CHECK(!bad_weight.Validate().empty());
+  bad_weight.delete_weight = 0.0;  // a DELETE-free stream is valid
+  CHECK_EQ(bad_weight.Validate(), std::string(""));
+
   // The runner refuses to run on invalid options and says why.
   RunnerOptions ro;
   ro.gen.case_probability = 2.0;
@@ -411,7 +425,7 @@ void TestGeneratorOptionsValidate() {
 
   // The campaign layer refuses too.
   CampaignOptions co;
-  co.gen.null_probability = -1.0;
+  co.gen.in_list_null_probability = -1.0;
   BugHuntResult hunt = HuntBug(BugId::kLikeEscapeMiss, co);
   CHECK(!hunt.detected);
   CHECK(!hunt.invalid_options.empty());  // never-hunted is distinguishable
