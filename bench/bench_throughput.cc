@@ -9,9 +9,15 @@
 // merged report is seed-deterministic at every worker count, so the sweep
 // also doubles as a quick sanity check that sharding changes nothing but
 // the wall clock.
+//
+// Stdout holds every section's deterministic counts first, then the
+// kTimingsMarker line, then every section's wall-clock figures: two runs
+// of one binary print byte-identical text up to the marker.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -29,6 +35,24 @@
 namespace pqs {
 
 namespace {
+
+constexpr const char* kTimingsMarker =
+    "--- wall-clock timings below; they vary from run to run ---";
+
+// printf of one line into a string: the wall-clock sections are collected
+// while the count sections print, and go to stdout after kTimingsMarker.
+void Appendf(std::string* out, const char* format, ...) {
+  char line[512];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(line, sizeof line, format, args);
+  va_end(args);
+  *out += line;
+}
+
+void AppendHeader(std::string* out, const char* title) {
+  Appendf(out, "\n=== %s ===\n", title);
+}
 
 struct SweepPoint {
   int workers = 1;
@@ -93,7 +117,7 @@ SweepPoint MeasureWorkers(int workers, int reps = 3) {
 // small; occasionally the generator rolls a large cross product). The
 // tail buckets are what stress per-row costs; the recorder's percentiles
 // make their latency visible next to the aggregate rate.
-std::string MeasureZipfWorkload() {
+std::string MeasureZipfWorkload(std::string* timings) {
   struct Bucket {
     int max_rows;
     int databases;  // 96 total, split by zipf(s=1) weights 1/k
@@ -139,24 +163,30 @@ std::string MeasureZipfWorkload() {
     total_statements += bucket.statements;
   }
 
-  bench::PrintHeader("Zipf-skewed table sizes: session latency tail");
-  printf("%10s %10s %10s %14s %10s %10s\n", "max_rows", "databases",
-         "seconds", "stmts/sec", "p50(ms)", "p99(ms)");
+  bench::PrintHeader("Zipf-skewed table sizes: statements per bucket");
+  printf("%10s %10s %12s\n", "max_rows", "databases", "statements");
   for (Bucket& bucket : buckets) {
-    printf("%10d %10d %10.4f %14.0f %10.3f %10.3f\n", bucket.max_rows,
-           bucket.databases, bucket.seconds,
-           bucket.seconds > 0
-               ? static_cast<double>(bucket.statements) / bucket.seconds
-               : 0.0,
-           bucket.latency.Percentile(50) * 1e3,
-           bucket.latency.Percentile(99) * 1e3);
+    printf("%10d %10d %12llu\n", bucket.max_rows, bucket.databases,
+           static_cast<unsigned long long>(bucket.statements));
   }
-  printf("  aggregate: %.4fs, %.0f stmts/sec; session latency %s\n",
-         total_seconds,
-         total_seconds > 0
-             ? static_cast<double>(total_statements) / total_seconds
-             : 0.0,
-         recorder.JsonFields().c_str());
+  AppendHeader(timings, "Zipf-skewed table sizes: session latency tail");
+  Appendf(timings, "%10s %10s %14s %10s %10s\n", "max_rows", "seconds",
+          "stmts/sec", "p50(ms)", "p99(ms)");
+  for (Bucket& bucket : buckets) {
+    Appendf(timings, "%10d %10.4f %14.0f %10.3f %10.3f\n", bucket.max_rows,
+            bucket.seconds,
+            bucket.seconds > 0
+                ? static_cast<double>(bucket.statements) / bucket.seconds
+                : 0.0,
+            bucket.latency.Percentile(50) * 1e3,
+            bucket.latency.Percentile(99) * 1e3);
+  }
+  Appendf(timings, "  aggregate: %.4fs, %.0f stmts/sec; session latency %s\n",
+          total_seconds,
+          total_seconds > 0
+              ? static_cast<double>(total_statements) / total_seconds
+              : 0.0,
+          recorder.JsonFields().c_str());
 
   std::string json = "  \"zipf_workload\": {\"buckets\": [\n";
   for (size_t i = 0; i < sizeof buckets / sizeof buckets[0]; ++i) {
@@ -187,7 +217,7 @@ std::string MeasureZipfWorkload() {
 // 10^5+ rows never fit the default 32 frames. Per-sweep latency goes
 // through the recorder so the large-table tail is visible, and the pool
 // counters land in the JSON so eviction behavior is trackable over time.
-std::string MeasureScanRows() {
+std::string MeasureScanRows(std::string* timings) {
   struct Point {
     int64_t rows;
     double build_seconds = 0;
@@ -269,14 +299,19 @@ std::string MeasureScanRows() {
     points.push_back(std::move(point));
   }
 
-  bench::PrintHeader("Paged scan throughput: rows/second by table size");
-  printf("%10s %8s %10s %14s %12s %12s\n", "rows", "sweeps", "build(s)",
-         "rows/sec", "pool hits", "evictions");
+  bench::PrintHeader("Paged scan: buffer-pool work by table size");
+  printf("%10s %8s %12s %12s\n", "rows", "sweeps", "pool hits",
+         "evictions");
   for (const Point& p : points) {
-    printf("%10lld %8d %10.3f %14.0f %12llu %12llu\n",
-           static_cast<long long>(p.rows), p.sweeps, p.build_seconds,
-           p.rows_per_second, static_cast<unsigned long long>(p.pool.hits),
+    printf("%10lld %8d %12llu %12llu\n", static_cast<long long>(p.rows),
+           p.sweeps, static_cast<unsigned long long>(p.pool.hits),
            static_cast<unsigned long long>(p.pool.evictions));
+  }
+  AppendHeader(timings, "Paged scan throughput: rows/second by table size");
+  Appendf(timings, "%10s %10s %14s\n", "rows", "build(s)", "rows/sec");
+  for (const Point& p : points) {
+    Appendf(timings, "%10lld %10.3f %14.0f\n", static_cast<long long>(p.rows),
+            p.build_seconds, p.rows_per_second);
   }
 
   std::string json = "  \"scan_rows_sweep\": [\n";
@@ -307,7 +342,7 @@ std::string MeasureScanRows() {
 // the seeded 48-database x 25-query containment loop on SqliteConnection,
 // best of 3. check_perf_smoke.py gates it against its floor whenever
 // `sqlite_available` says the build links libsqlite3.
-std::string MeasureSqliteThroughput() {
+std::string MeasureSqliteThroughput(std::string* timings) {
   if (!SqliteConnection::Available()) {
     printf("\n(real sqlite3 unavailable; its throughput bench skipped)\n");
     return "  \"sqlite_available\": false,\n";
@@ -333,9 +368,11 @@ std::string MeasureSqliteThroughput() {
   double sqlite_rate =
       best > 0 ? static_cast<double>(statements) / best : 0.0;
 
-  bench::PrintHeader("Real sqlite3 end-to-end throughput (1 worker)");
-  printf("  %llu statements in %.4fs (best of 3): %.0f stmts/sec\n",
-         static_cast<unsigned long long>(statements), best, sqlite_rate);
+  bench::PrintHeader("Real sqlite3 end-to-end run (1 worker)");
+  printf("  %llu statements\n", static_cast<unsigned long long>(statements));
+  AppendHeader(timings, "Real sqlite3 end-to-end throughput (1 worker)");
+  Appendf(timings, "  %.4fs (best of 3): %.0f stmts/sec\n", best,
+          sqlite_rate);
 
   char buf[160];
   std::snprintf(buf, sizeof buf,
@@ -349,7 +386,7 @@ std::string MeasureSqliteThroughput() {
 // enabled, exported as the "telemetry" section: the deterministic counters
 // plus "phase_wall_micros", which ties Algorithm-1 stages to real time.
 // check_perf_smoke.py gates on the pipeline stages having recorded spans.
-std::string MeasurePhaseProfile() {
+std::string MeasurePhaseProfile(std::string* timings) {
   RunnerOptions opts;
   opts.seed = 20200604;
   opts.databases = 192;
@@ -363,14 +400,17 @@ std::string MeasurePhaseProfile() {
   obs::SetPhaseWallClock(false);
 
   bench::PrintHeader("Phase profile: Algorithm-1 pipeline stages");
-  printf("%20s %10s %14s\n", "phase", "spans", "wall(us)/span");
+  printf("%20s %10s\n", "phase", "spans");
+  AppendHeader(timings, "Phase profile: wall time per span");
+  Appendf(timings, "%20s %14s\n", "phase", "wall(us)/span");
   for (int p = 0; p < static_cast<int>(obs::Phase::kCount_); ++p) {
     obs::Phase phase = static_cast<obs::Phase>(p);
     const obs::Histogram& wall = report.metrics.phase_wall_micros(phase);
-    printf("%20s %10llu %14.2f\n", obs::PhaseName(phase),
-           static_cast<unsigned long long>(wall.count()),
-           wall.count() > 0 ? static_cast<double>(wall.sum()) / wall.count()
-                            : 0.0);
+    printf("%20s %10llu\n", obs::PhaseName(phase),
+           static_cast<unsigned long long>(wall.count()));
+    Appendf(timings, "%20s %14.2f\n", obs::PhaseName(phase),
+            wall.count() > 0 ? static_cast<double>(wall.sum()) / wall.count()
+                             : 0.0);
   }
   return "  \"telemetry\": " + report.metrics.ToJson(true) + ",\n";
 }
@@ -382,7 +422,7 @@ std::string MeasurePhaseProfile() {
 // way the worker sweep tracks the autocommit loop's. The commit/conflict
 // tallies land in the JSON so check_perf_smoke.py can assert the workload
 // actually transacted.
-std::string MeasureTxnWorkload() {
+std::string MeasureTxnWorkload(std::string* timings) {
   struct TxnPoint {
     int sessions = 0;
     double seconds = 0;
@@ -418,17 +458,22 @@ std::string MeasureTxnWorkload() {
   }
 
   bench::PrintHeader("Transaction mix: K interleaved MVCC sessions");
-  printf("%10s %10s %14s %10s %10s %10s %10s\n", "sessions", "seconds",
-         "stmts/sec", "begins", "commits", "rollbacks", "conflicts");
+  printf("%10s %12s %10s %10s %10s %10s\n", "sessions", "statements",
+         "begins", "commits", "rollbacks", "conflicts");
   for (const TxnPoint& p : points) {
-    printf("%10d %10.4f %14.0f %10llu %10llu %10llu %10llu\n", p.sessions,
-           p.seconds,
-           p.seconds > 0 ? static_cast<double>(p.statements) / p.seconds
-                         : 0.0,
+    printf("%10d %12llu %10llu %10llu %10llu %10llu\n", p.sessions,
+           static_cast<unsigned long long>(p.statements),
            static_cast<unsigned long long>(p.stats.txn_begins),
            static_cast<unsigned long long>(p.stats.txn_commits),
            static_cast<unsigned long long>(p.stats.txn_rollbacks),
            static_cast<unsigned long long>(p.stats.txn_conflicts));
+  }
+  AppendHeader(timings, "Transaction mix: throughput");
+  Appendf(timings, "%10s %10s %14s\n", "sessions", "seconds", "stmts/sec");
+  for (const TxnPoint& p : points) {
+    Appendf(timings, "%10d %10.4f %14.0f\n", p.sessions, p.seconds,
+            p.seconds > 0 ? static_cast<double>(p.statements) / p.seconds
+                          : 0.0);
   }
 
   std::string json = "  \"txn_workload\": [\n";
@@ -456,25 +501,37 @@ std::string MeasureTxnWorkload() {
   return json;
 }
 
-void RunWorkerSweep(int max_workers, const std::string& extra_json) {
+void RunWorkerSweep(int max_workers, const std::string& extra_json,
+                    std::string* timings) {
   std::vector<int> counts;
   for (int w = 1; w < max_workers; w *= 2) counts.push_back(w);
   counts.push_back(max_workers);
 
-  unsigned cores = std::thread::hardware_concurrency();
-  bench::PrintHeader("Worker sweep: aggregate PQS throughput");
-  printf("(minidb sqlite dialect, fixed seed; %u hardware thread(s) —\n"
-         " speedup saturates at the core count)\n", cores);
-  printf("%8s %10s %16s %12s %8s %10s\n", "workers", "seconds", "stmts/sec",
-         "tests/sec", "speedup", "p99(ms)");
-
   std::vector<SweepPoint> sweep;
   for (int w : counts) sweep.push_back(MeasureWorkers(w));
+  // The merged report is the same at every worker count, so these counts
+  // repeat down the column.
+  bench::PrintHeader("Worker sweep: statements and tests per run");
+  printf("%8s %12s %10s\n", "workers", "statements", "tests");
+  for (const SweepPoint& p : sweep) {
+    printf("%8d %12llu %10llu\n", p.workers,
+           static_cast<unsigned long long>(p.statements),
+           static_cast<unsigned long long>(p.tests));
+  }
+
+  unsigned cores = std::thread::hardware_concurrency();
+  AppendHeader(timings, "Worker sweep: aggregate PQS throughput");
+  Appendf(timings,
+          "(minidb sqlite dialect, fixed seed; %u hardware thread(s) —\n"
+          " speedup saturates at the core count)\n",
+          cores);
+  Appendf(timings, "%8s %10s %16s %12s %8s %10s\n", "workers", "seconds",
+          "stmts/sec", "tests/sec", "speedup", "p99(ms)");
   double base = sweep.front().tests_per_second;
   for (const SweepPoint& p : sweep) {
-    printf("%8d %10.4f %16.0f %12.0f %7.2fx %10.3f\n", p.workers, p.seconds,
-           p.statements_per_second, p.tests_per_second,
-           base > 0 ? p.tests_per_second / base : 0.0, p.p99_ms);
+    Appendf(timings, "%8d %10.4f %16.0f %12.0f %7.2fx %10.3f\n", p.workers,
+            p.seconds, p.statements_per_second, p.tests_per_second,
+            base > 0 ? p.tests_per_second / base : 0.0, p.p99_ms);
   }
 
   std::string json = "{\n  \"bench\": \"throughput\",\n";
@@ -576,11 +633,18 @@ int main(int argc, char** argv) {
   argc = out;
   if (max_workers < 1) max_workers = 1;
 
-  pqs::RunWorkerSweep(max_workers, pqs::MeasureScanRows() +
-                                       pqs::MeasureSqliteThroughput() +
-                                       pqs::MeasureZipfWorkload() +
-                                       pqs::MeasureTxnWorkload() +
-                                       pqs::MeasurePhaseProfile());
+  // Sections run and print in this order; the JSON lists them in the
+  // order of the final concatenation.
+  std::string timings;
+  std::string phase = pqs::MeasurePhaseProfile(&timings);
+  std::string txn = pqs::MeasureTxnWorkload(&timings);
+  std::string zipf = pqs::MeasureZipfWorkload(&timings);
+  std::string sqlite = pqs::MeasureSqliteThroughput(&timings);
+  std::string scan = pqs::MeasureScanRows(&timings);
+  pqs::RunWorkerSweep(max_workers, scan + sqlite + zipf + txn + phase,
+                      &timings);
+  printf("\n%s\n%s", pqs::kTimingsMarker, timings.c_str());
+  std::fflush(stdout);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -37,10 +37,6 @@ class Rng {
 
   bool Chance(double p) { return Unit() < p; }
 
-  // Split off an independent stream (used per-database so that adding a
-  // query to one database does not shift every later database's choices).
-  Rng Fork() { return Rng(Next()); }
-
   // Derives the seed of the `stream`-th independent substream of `seed`
   // (splitmix64 stream splitting). Distinct stream indexes provably yield
   // distinct seeds for the same base: stream -> seed is a composition of

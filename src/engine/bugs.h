@@ -153,7 +153,6 @@ class BugConfig {
   }
 
   void Enable(BugId id) { mask_ |= Bit(id); }
-  void Disable(BugId id) { mask_ &= ~Bit(id); }
   bool enabled(BugId id) const { return (mask_ & Bit(id)) != 0; }
   bool any() const { return mask_ != 0; }
 

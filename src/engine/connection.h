@@ -2,9 +2,9 @@
 //
 // Everything above this line of the stack (runner, oracles, reducer,
 // campaign, benches) talks to a database exclusively through Connection:
-// submit one typed AST statement, get back a typed result set plus an
-// error/crash status. Everything below it (MiniDB, the real-SQLite adapter,
-// future sharded/async/remote backends) implements it. Keeping this surface
+// submit one typed AST statement, get back its rows plus a status.
+// Everything below it (MiniDB, the real-SQLite adapter, future
+// sharded/async/remote backends) implements it. Keeping this surface
 // narrow is what lets later work swap engines without touching the runner.
 #ifndef PQS_SRC_ENGINE_CONNECTION_H_
 #define PQS_SRC_ENGINE_CONNECTION_H_
@@ -52,7 +52,6 @@ enum class StatementStatus {
 struct StatementResult {
   StatementStatus status = StatementStatus::kOk;
   std::string error;  // diagnostic when status != kOk
-  std::vector<std::string> column_names;
   std::vector<std::vector<SqlValue>> rows;
 
   bool ok() const { return status == StatementStatus::kOk; }

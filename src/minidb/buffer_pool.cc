@@ -150,18 +150,6 @@ void BufferPool::Unpin(int frame_index) {
   if (f.pins > 0) --f.pins;
 }
 
-void BufferPool::FlushTable(uint32_t table) {
-  for (Frame& f : frames_) {
-    if (f.in_use && f.table == table && f.dirty) {
-      f.backing->rows = f.rows;
-      f.dirty = false;
-      f.update_dirtied = false;
-      ++stats_.dirty_writebacks;
-      obs::Count(obs::Counter::kPoolWritebacks);
-    }
-  }
-}
-
 void BufferPool::DiscardTable(uint32_t table) {
   uint32_t dropped = 0;
   for (Frame& f : frames_) {

@@ -114,15 +114,10 @@ class BufferPool {
   Frame& frame(int i) { return frames_[i]; }
   const Frame& frame(int i) const { return frames_[i]; }
 
-  // Writes every dirty frame of `table` back to its disk page (subject to
-  // the evict-drops-dirty bug NOT applying: an explicit flush models a
-  // checkpoint and is kept correct so Materialize sees mutations).
-  void FlushTable(uint32_t table);
-
   // Forgets every frame of `table` without write-back. Used when the
-  // table's disk image is rewritten wholesale (DELETE compaction, DROP,
-  // Clear): the frames' content is dead and their backing pointers would
-  // dangle.
+  // table's disk image is rewritten wholesale (DELETE compaction, MVCC
+  // history pruning): the frames' content is dead and their backing
+  // pointers would dangle.
   void DiscardTable(uint32_t table);
 
   // Drops every frame without write-back and rewinds the clock hand to its

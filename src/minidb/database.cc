@@ -1036,10 +1036,6 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       stmt.order_by.empty() && !stmt.distinct && stmt.limit < 0) {
     Mark(Feature::kSelect);
     StatementResult fast;
-    fast.column_names.reserve(from[0]->columns.size());
-    for (const ColumnDef& def : from[0]->columns) {
-      fast.column_names.push_back(def.name);
-    }
     fast.rows = from[0]->store.Materialized();
     return fast;
   }
@@ -1167,20 +1163,19 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   // Combined (joined) schema in FROM order. Single-table statements (the
   // pivot-fetch hot path) borrow the table's cached schema outright.
   RowSchema joined_schema_storage;
-  StatementResult result;
+  int column_offset = 0;
   for (const TableData* table : from) {
     if (from.size() > 1) {
       const RowSchema& part = table->schema;
       joined_schema_storage.cols.insert(joined_schema_storage.cols.end(),
                                         part.cols.begin(), part.cols.end());
     }
-    for (size_t c = 0; c < table->columns.size(); ++c) {
-      result.column_names.push_back(table->columns[c].name);
+    for (size_t c = 0; c < table->columns.size(); ++c, ++column_offset) {
       if (unique_null_col < 0 && BugOn(BugId::kUniqueNullLost) &&
           stmt.where != nullptr &&
           stmt.where->ContainsIsNull(/*negated_form=*/false) &&
           table->columns[c].unique) {
-        unique_null_col = static_cast<int>(result.column_names.size()) - 1;
+        unique_null_col = column_offset;
       }
     }
   }
@@ -1224,34 +1219,24 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     }
   }
   if (from.size() == 1 && stmt.joins.empty()) {
-    if (in_epoch_) {
-      // In-transaction reads always scan the snapshot image. Autocommit
-      // reads (snapshot = latest committed state) may still go through the
-      // planner: index entries carry version visibility windows, and the
-      // current store row at a visible entry's position *is* the latest
-      // committed version.
-      if (cur_txn == nullptr && use_index_scan_ && stmt.where != nullptr) {
-        bool used_partial = false;
-        used_index = PlanIndexScan(*from[0], *stmt.where, ctx,
-                                   &index_positions, &used_partial);
-        if (used_index) {
-          scan_store = &from[0]->store;
-          Mark(Feature::kIndexScan);
-          if (used_partial) Mark(Feature::kPartialIndexScan);
-        }
+    // In-transaction reads always scan the snapshot image. Autocommit
+    // reads in the epoch (snapshot = latest committed state) may still go
+    // through the planner: index entries carry version visibility windows,
+    // and the current store row at a visible entry's position *is* the
+    // latest committed version.
+    if (use_index_scan_ && stmt.where != nullptr && cur_txn == nullptr) {
+      bool used_partial = false;
+      used_index = PlanIndexScan(*from[0], *stmt.where, ctx,
+                                 &index_positions, &used_partial);
+      if (used_index) {
+        Mark(Feature::kIndexScan);
+        if (used_partial) Mark(Feature::kPartialIndexScan);
       }
-      if (!used_index) direct_rows = &epoch_rows[0];
-    } else {
+    }
+    if (used_index || !in_epoch_) {
       scan_store = &from[0]->store;
-      if (use_index_scan_ && stmt.where != nullptr) {
-        bool used_partial = false;
-        used_index = PlanIndexScan(*from[0], *stmt.where, ctx,
-                                   &index_positions, &used_partial);
-        if (used_index) {
-          Mark(Feature::kIndexScan);
-          if (used_partial) Mark(Feature::kPartialIndexScan);
-        }
-      }
+    } else {
+      direct_rows = &epoch_rows[0];
     }
   } else {
     std::vector<JoinInput> inputs;
@@ -1293,6 +1278,7 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   // projection error. `movable` is the batch itself when its rows belong
   // to this statement (the joined set, the snapshot image): surviving rows
   // are then moved out of it instead of copied.
+  StatementResult result;
   StatementResult scan_failure;
   bool scan_failed = false;
   SqlValue where_value;
@@ -1446,10 +1432,6 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       return StatementResult::Failure(StatementStatus::kError,
                                       relational_error);
     }
-    result.column_names.clear();
-    for (size_t i = 0; i < stmt.select_list.size(); ++i) {
-      result.column_names.push_back("expr" + std::to_string(i));
-    }
     return result;
   }
 
@@ -1487,17 +1469,6 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     result.rows = std::move(sorted);
   }
   ApplyLimit(stmt.limit, !stmt.order_by.empty(), ctx, &result.rows);
-
-  if (stmt.select_list.empty() && result.column_names.empty()) {
-    return StatementResult::Failure(StatementStatus::kError,
-                                    "SELECT * with no columns");
-  }
-  if (!stmt.select_list.empty()) {
-    result.column_names.clear();
-    for (size_t i = 0; i < stmt.select_list.size(); ++i) {
-      result.column_names.push_back("expr" + std::to_string(i));
-    }
-  }
   return result;
 }
 
@@ -1595,7 +1566,7 @@ bool Database::PlanIndexScan(const TableData& table, const Expr& where,
 
 Database::Transaction* Database::CurrentTxn() {
   auto it = txns_.find(active_session_);
-  if (it == txns_.end() || !it->second.open) return nullptr;
+  if (it == txns_.end()) return nullptr;
   return &it->second;
 }
 
@@ -1682,7 +1653,6 @@ StatementResult Database::ExecuteBegin() {
   }
   EnterEpoch();
   Transaction txn;
-  txn.open = true;
   txn.begin_ts = commit_clock_;
   txns_[active_session_] = std::move(txn);
   Mark(Feature::kTxnBegin);
@@ -1781,7 +1751,7 @@ void Database::ApplyCommit(Transaction* txn) {
 
 StatementResult Database::ExecuteCommit() {
   auto it = txns_.find(active_session_);
-  if (it == txns_.end() || !it->second.open) {
+  if (it == txns_.end()) {
     return StatementResult::Failure(
         StatementStatus::kError, "cannot commit - no transaction is active");
   }
@@ -1803,7 +1773,7 @@ StatementResult Database::ExecuteCommit() {
 
 StatementResult Database::ExecuteRollback() {
   auto it = txns_.find(active_session_);
-  if (it == txns_.end() || !it->second.open) {
+  if (it == txns_.end()) {
     return StatementResult::Failure(
         StatementStatus::kError,
         "cannot rollback - no transaction is active");
@@ -1825,8 +1795,7 @@ StatementResult Database::ExecuteRollback() {
 std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
                                                          const Transaction* txn,
                                                          bool for_select) {
-  const uint64_t snap =
-      (txn != nullptr && txn->open) ? txn->begin_ts : commit_clock_;
+  const uint64_t snap = txn != nullptr ? txn->begin_ts : commit_clock_;
   const TxnWrites* own = nullptr;
   if (txn != nullptr) {
     auto wit = txn->writes.find(table->name);
@@ -1861,7 +1830,7 @@ std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
             bool substituted = false;
             for (const auto& [sid, other] : txns_) {
               (void)sid;
-              if (&other == txn || !other.open) continue;
+              if (&other == txn) continue;
               auto owit = other.writes.find(table->name);
               if (owit == other.writes.end()) continue;
               auto ouit = owit->second.updated.find(pos);
@@ -1906,7 +1875,7 @@ std::vector<Database::ImageRow> Database::BuildReadImage(TableData* table,
   if (for_select && BugOn(BugId::kTxnDirtyRead)) {
     for (const auto& [sid, other] : txns_) {
       (void)sid;
-      if (&other == txn || !other.open) continue;
+      if (&other == txn) continue;
       auto owit = other.writes.find(table->name);
       if (owit == other.writes.end()) continue;
       const TxnWrites& ow = owit->second;
@@ -1963,7 +1932,6 @@ StatementResult Database::ExecuteTxnDml(
   // at the latest snapshot, committed immediately. It can never conflict —
   // no other commit can interleave within one statement.
   Transaction local;
-  local.open = true;
   local.begin_ts = commit_clock_;
   StatementResult r = (this->*into)(stmt, table, &local);
   if (r.ok()) ApplyCommit(&local);

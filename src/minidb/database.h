@@ -52,7 +52,6 @@ class Database : public Connection {
   void set_coverage_sink(CoverageMap* sink) { coverage_ = sink; }
   CoverageMap* coverage_sink() const { return coverage_; }
 
-  size_t table_count() const { return tables_.size(); }
   size_t index_count() const { return indexes_.size(); }
 
   // Read-only view of a table's stored rows in position order (nullptr
@@ -89,7 +88,6 @@ class Database : public Connection {
   // transaction), when version history is pruned back to a flat heap.
   bool in_mvcc_epoch() const { return in_epoch_; }
   uint64_t commit_clock() const { return commit_clock_; }
-  int active_session() const { return active_session_; }
   size_t open_transactions() const { return txns_.size(); }
 
  private:
@@ -137,7 +135,6 @@ class Database : public Connection {
     }
   };
   struct Transaction {
-    bool open = false;
     uint64_t begin_ts = 0;  // snapshot: sees commits with ts <= begin_ts
     std::map<std::string, TxnWrites> writes;
   };

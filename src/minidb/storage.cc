@@ -91,8 +91,6 @@ void TableStore::ReplaceAll(std::vector<StoredRow> rows) {
   next_slot_ = disk_.back().rows.size();
 }
 
-void TableStore::Clear() { ReplaceAll({}); }
-
 const StoredRow* TableStore::Cursor::TryRow(size_t pos) {
   const TableStore& s = *store_;
   if (!s.paged_) {

@@ -45,7 +45,6 @@ class TableStore {
 
   // Rewrites the whole heap densely from `rows` (DELETE compaction).
   void ReplaceAll(std::vector<StoredRow> rows);
-  void Clear();
 
   // Logical row count: rows appended minus rows compacted away. Under
   // injected storage bugs the physical content can hold fewer rows; use

@@ -78,12 +78,6 @@ void JsonBuilder::Field(const std::string& key, uint64_t value) {
   out_ += std::to_string(value);
 }
 
-void JsonBuilder::Field(const std::string& key, int64_t value) {
-  Comma();
-  Key(key);
-  out_ += std::to_string(value);
-}
-
 void JsonBuilder::Field(const std::string& key, bool value) {
   Comma();
   Key(key);
@@ -107,19 +101,6 @@ void JsonBuilder::Field(const std::string& key, const std::string& value) {
 void JsonBuilder::Element(uint64_t value) {
   Comma();
   out_ += std::to_string(value);
-}
-
-void JsonBuilder::Element(const std::string& value) {
-  Comma();
-  out_.push_back('"');
-  out_ += JsonEscape(value);
-  out_.push_back('"');
-}
-
-void JsonBuilder::RawField(const std::string& key, const std::string& json) {
-  Comma();
-  Key(key);
-  out_ += json;
 }
 
 }  // namespace obs

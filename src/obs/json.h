@@ -46,10 +46,6 @@ class JsonBuilder {
   void EndArray() { CloseScope(']'); }
 
   void Field(const std::string& key, uint64_t value);
-  void Field(const std::string& key, int64_t value);
-  void Field(const std::string& key, int value) {
-    Field(key, static_cast<int64_t>(value));
-  }
   void Field(const std::string& key, bool value);
   // Doubles carry an explicit precision so artifacts stay byte-stable
   // across compilers (default %g formatting is not).
@@ -57,11 +53,6 @@ class JsonBuilder {
   void Field(const std::string& key, const std::string& value);
   // Array element forms (no key).
   void Element(uint64_t value);
-  void Element(const std::string& value);
-
-  // Splices an already-formatted JSON value (e.g. a nested builder's
-  // output) as the value of `key`. The caller vouches for its validity.
-  void RawField(const std::string& key, const std::string& json);
 
   const std::string& str() const { return out_; }
   std::string TakeString() { return std::move(out_); }

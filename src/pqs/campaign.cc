@@ -10,20 +10,6 @@
 
 namespace pqs {
 
-const char* ReportOutcomeName(ReportOutcome outcome) {
-  switch (outcome) {
-    case ReportOutcome::kFixed:
-      return "fixed";
-    case ReportOutcome::kVerified:
-      return "verified";
-    case ReportOutcome::kIntended:
-      return "intended";
-    case ReportOutcome::kDuplicate:
-      return "duplicate";
-  }
-  return "?";
-}
-
 size_t CampaignReport::DetectedCount() const {
   size_t count = 0;
   for (const BugHuntResult& r : results) count += r.detected ? 1 : 0;

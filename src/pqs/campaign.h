@@ -22,8 +22,6 @@ namespace pqs {
 // Resolution status the upstream bug report reached (paper Table 2).
 enum class ReportOutcome { kFixed, kVerified, kIntended, kDuplicate };
 
-const char* ReportOutcomeName(ReportOutcome outcome);
-
 struct CampaignOptions {
   uint64_t seed = 1;
   // Detection budget per bug: up to this many generated databases...

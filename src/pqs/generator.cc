@@ -482,14 +482,6 @@ const ColumnDef* Generator::PickColumn(
   return col;
 }
 
-ExprPtr Generator::GenOperand(const std::vector<const TableSchema*>& tables,
-                              Rng* rng) const {
-  const TableSchema* table = nullptr;
-  const ColumnDef* col = PickColumn(tables, &table, rng);
-  if (rng->Chance(0.7)) return MakeColumnRef(table->name, col->name);
-  return MakeLiteral(RandomLiteralNear(col->affinity, rng));
-}
-
 ExprPtr Generator::MaybeCollate(ExprPtr text_operand, Rng* rng,
                                 bool* collated) const {
   if (collated != nullptr) *collated = false;

@@ -184,8 +184,6 @@ class Generator {
                        int depth, Rng* rng) const;
   ExprPtr GenLeaf(const std::vector<const TableSchema*>& tables,
                   Rng* rng) const;
-  ExprPtr GenOperand(const std::vector<const TableSchema*>& tables,
-                     Rng* rng) const;
   // Registry-driven function-call operand: picks a function available in
   // the dialect, builds statically type-correct arguments over the tables'
   // columns, and reports the result's affinity class for the enclosing

@@ -22,20 +22,6 @@ const char* OracleName(OracleKind kind) {
   return "?";
 }
 
-const char* OracleFamilyName(OracleFamily family) {
-  switch (family) {
-    case OracleFamily::kAuto:
-      return "auto";
-    case OracleFamily::kContainment:
-      return "containment";
-    case OracleFamily::kNorec:
-      return "norec";
-    case OracleFamily::kTlp:
-      return "tlp";
-  }
-  return "?";
-}
-
 OracleFamily FamilyForOracle(OracleKind kind) {
   switch (kind) {
     case OracleKind::kNorec:
@@ -45,21 +31,6 @@ OracleFamily FamilyForOracle(OracleKind kind) {
     default:
       return OracleFamily::kContainment;
   }
-}
-
-Finding Finding::Clone() const {
-  Finding out;
-  out.oracle = oracle;
-  out.dialect = dialect;
-  out.statements.reserve(statements.size());
-  for (const StmtPtr& s : statements) {
-    out.statements.push_back(s ? s->Clone() : nullptr);
-  }
-  out.pivot = pivot;
-  out.message = message;
-  out.seed = seed;
-  out.flight = flight;
-  return out;
 }
 
 bool ResultContainsRow(const StatementResult& result,

@@ -40,8 +40,6 @@ const char* OracleName(OracleKind kind);
 // a bug's registry entry names as its intended finder.
 enum class OracleFamily { kAuto, kContainment, kNorec, kTlp };
 
-const char* OracleFamilyName(OracleFamily family);
-
 // The family that runs a given oracle's semantic check: kNorec/kTlp map to
 // their own families, everything else (containment, error, crash) to
 // kContainment — error and crash findings surface under every family.
@@ -56,7 +54,6 @@ struct Finding {
   // Containment only: the joined pivot row the query should have returned.
   std::vector<SqlValue> pivot;
   std::string message;
-  uint64_t seed = 0;
   // Flight-recorder provenance: the session's most recent events
   // (statements, pivots, oracle checks, evictions, txn markers) at the
   // moment the finding was recorded, oldest first. Never empty for a
@@ -66,9 +63,6 @@ struct Finding {
   Finding() = default;
   Finding(Finding&&) = default;
   Finding& operator=(Finding&&) = default;
-
-  // Deep copy (statements own their ASTs).
-  Finding Clone() const;
 };
 
 // Containment check used by the runner and the reducer: does the result set

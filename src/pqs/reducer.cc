@@ -173,7 +173,6 @@ Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
   out.dialect = finding.dialect;
   out.pivot = finding.pivot;
   out.message = finding.message;
-  out.seed = finding.seed;
   // The reduced finding keeps the original's flight-recorder provenance:
   // the events describe the session that *found* the bug, which the
   // shrunken statement list no longer replays on its own.

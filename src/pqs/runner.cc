@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -184,7 +185,8 @@ bool PivotWorstCaseRank(
 }
 
 // Outcome of one database of the shard plan. Merging these in db_index
-// order reconstructs exactly what the sequential loop would have reported.
+// order reconstructs exactly what running the databases one by one would
+// have reported.
 struct DbRunResult {
   RunStats stats;
   obs::MetricsRegistry metrics;
@@ -307,7 +309,6 @@ struct Session {
     finding.statements = std::move(statements);
     finding.pivot = std::move(pivot);
     finding.message = std::move(message);
-    finding.seed = options.seed;
     if (obs::SessionTelemetry* t = obs::CurrentTelemetry()) {
       t->recorder.Emit(t->clock, obs::EventKind::kFindingRecorded,
                        static_cast<uint32_t>(oracle));
@@ -1015,8 +1016,8 @@ bool TerminatesRun(const DbRunResult& r, bool stop_on_first_finding) {
 
 // Folds one database's result into the report, in plan order. Returns
 // false when the run terminates at this database: a null factory ends the
-// run before it (sequential `break`), an unsupported engine ends it after
-// its partial stats (sequential early `return`), and under
+// run before it, an unsupported engine ends it after its partial stats,
+// and under
 // stop_on_first_finding the first database carrying a finding is the last
 // one reported.
 bool MergeDbResult(DbRunResult&& r, bool stop_on_first_finding,
@@ -1100,46 +1101,42 @@ RunReport PqsRunner::Run() {
     workers = static_cast<int>(task_count);
   }
 
-  if (workers <= 1) {
-    // Inline path: identical to the classic sequential loop, including the
-    // early exits (no database beyond a terminating one is ever run).
-    for (const ShardPlan::Task& task : plan.tasks) {
-      DbRunResult r = RunTask(factory_, 0, options_, task);
-      if (!MergeDbResult(std::move(r), options_.stop_on_first_finding,
-                         &report)) {
-        break;
-      }
-    }
-    return report;
-  }
-
-  // Sharded path: workers claim database indexes in plan order. Claiming is
-  // dynamic (timing-dependent) but each database's work depends only on its
-  // plan seed, so who ran it cannot change what it produced. `stop_before`
-  // is the lowest index known to terminate the run; databases after it are
-  // skipped as wasted work, and any that already ran are discarded by the
-  // in-order merge below, which keeps the merged report byte-identical to
-  // the 1-worker run.
-  std::vector<DbRunResult> results(task_count);
+  // Workers claim database indexes in plan order (one worker runs them on
+  // the calling thread). Claiming is dynamic (timing-dependent) but each
+  // database's work depends only on its plan seed, so who ran it cannot
+  // change what it produced. `stop_before` is the lowest index known to
+  // terminate the run; databases after it are skipped as wasted work, and
+  // any that already ran are discarded by the in-order merge, which keeps
+  // the merged report byte-identical for every worker count. Each finished
+  // database is merged as soon as every database before it is, so results
+  // wait in `pending` only while an earlier one is still running (one
+  // worker merges each result right after it ran).
+  std::vector<std::unique_ptr<DbRunResult>> pending(task_count);
+  std::mutex merge_mu;  // guards pending, merged and report
+  size_t merged = 0;
   std::atomic<size_t> stop_before{task_count};
   bool stop_on_first = options_.stop_on_first_finding;
   ForEachClaimed(task_count, workers, [&](size_t i, int worker) {
     if (i > stop_before.load(std::memory_order_acquire)) return;
-    results[i] = RunTask(factory_, worker, options_, plan.tasks[i]);
-    if (TerminatesRun(results[i], stop_on_first)) {
+    auto result = std::make_unique<DbRunResult>(
+        RunTask(factory_, worker, options_, plan.tasks[i]));
+    if (TerminatesRun(*result, stop_on_first)) {
       size_t current = stop_before.load(std::memory_order_relaxed);
       while (i < current && !stop_before.compare_exchange_weak(
                                 current, i, std::memory_order_release)) {
       }
     }
-  });
-
-  for (size_t i = 0; i < task_count; ++i) {
-    if (!MergeDbResult(std::move(results[i]),
-                       options_.stop_on_first_finding, &report)) {
-      break;
+    std::lock_guard<std::mutex> lock(merge_mu);
+    pending[i] = std::move(result);
+    for (; merged < task_count && pending[merged]; ++merged) {
+      if (!MergeDbResult(std::move(*pending[merged]), stop_on_first,
+                         &report)) {
+        merged = task_count;  // the run ends here; later results are dropped
+        break;
+      }
+      pending[merged].reset();
     }
-  }
+  });
   return report;
 }
 

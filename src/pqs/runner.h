@@ -9,8 +9,8 @@
 // are merged back in plan order, so the merged report of an N-worker run
 // is identical to the 1-worker run — including under
 // `stop_on_first_finding`, where merging truncates at the first database
-// whose report carries a finding (exactly where the sequential loop would
-// have returned). See DESIGN.md §6.
+// whose report carries a finding (exactly where a one-by-one run would
+// have stopped). See DESIGN.md §6.
 #ifndef PQS_SRC_PQS_RUNNER_H_
 #define PQS_SRC_PQS_RUNNER_H_
 
@@ -145,9 +145,14 @@ struct ShardPlan {
 // Runs fn(index, worker) for every index in [0, count) on `workers`
 // threads that claim indexes in increasing order. Which worker runs an
 // index depends on timing, so callers keep results deterministic by making
-// each index's work depend on the index alone.
+// each index's work depend on the index alone. One worker runs every index
+// in order on the calling thread, which keeps its thread-local caches.
 template <typename Fn>
 void ForEachClaimed(size_t count, int workers, Fn fn) {
+  if (workers == 1) {
+    for (size_t i = 0; i < count; ++i) fn(i, 0);
+    return;
+  }
   std::atomic<size_t> next{0};
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(workers));

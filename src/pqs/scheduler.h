@@ -77,8 +77,6 @@ class ActionScheduler {
   // the columns whose updates actually move index entries.
   std::vector<std::string> IndexedColumns(const TableSchema& table) const;
 
-  size_t live_index_count() const { return live_.size(); }
-
  private:
   struct LiveIndex {
     std::string name;

@@ -77,14 +77,6 @@ size_t Expr::CountKind(ExprKind k) const {
   return count;
 }
 
-bool Expr::ContainsFunction(FuncId id) const {
-  if (kind == ExprKind::kFunctionCall && func == id) return true;
-  for (const ExprPtr& a : args) {
-    if (a && a->ContainsFunction(id)) return true;
-  }
-  return false;
-}
-
 bool Expr::ContainsIsNull(bool negated_form) const {
   if (kind == ExprKind::kIsNull && negated == negated_form) return true;
   for (const ExprPtr& a : args) {
@@ -152,18 +144,6 @@ bool Expr::StructurallyEquals(const Expr& other) const {
     }
   }
   return true;
-}
-
-bool Expr::ContainsColumnColumnCompare() const {
-  if (kind == ExprKind::kBinary && IsComparisonOp(bop) && args.size() == 2 &&
-      args[0] && args[1] && args[0]->kind == ExprKind::kColumnRef &&
-      args[1]->kind == ExprKind::kColumnRef) {
-    return true;
-  }
-  for (const ExprPtr& a : args) {
-    if (a && a->ContainsColumnColumnCompare()) return true;
-  }
-  return false;
 }
 
 ExprPtr MakeLiteral(SqlValue v) {
@@ -367,18 +347,6 @@ StmtPtr InsertStmt::Clone() const {
     }
   }
   return out;
-}
-
-const char* JoinKindName(JoinKind kind) {
-  switch (kind) {
-    case JoinKind::kInner:
-      return "inner";
-    case JoinKind::kLeft:
-      return "left";
-    case JoinKind::kCross:
-      return "cross";
-  }
-  return "?";
 }
 
 JoinClause JoinClause::Clone() const {

@@ -138,11 +138,8 @@ struct Expr {
   // Count of nodes matching a predicate-free structural query.
   size_t CountBinaryOp(BinaryOp op) const;
   size_t CountKind(ExprKind k) const;
-  bool ContainsFunction(FuncId id) const;
   // True if some kIsNull node with the given negation exists.
   bool ContainsIsNull(bool negated_form) const;
-  // True if some kBinary comparison has column refs on both sides.
-  bool ContainsColumnColumnCompare() const;
 
   // kCase accessors over the flattened args layout.
   size_t CaseArmCount() const {
@@ -247,8 +244,6 @@ struct InsertStmt : Stmt {
 // condition; kInner and kLeft require one (the generator always supplies
 // it, and MiniDB rejects a missing ON as a statement error).
 enum class JoinKind { kInner, kLeft, kCross };
-
-const char* JoinKindName(JoinKind kind);
 
 struct JoinClause {
   JoinKind kind = JoinKind::kInner;

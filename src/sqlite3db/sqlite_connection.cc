@@ -233,11 +233,6 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   }
   StatementResult result;
   int columns = sqlite3_column_count(prepared);
-  result.column_names.reserve(static_cast<size_t>(columns));
-  for (int c = 0; c < columns; ++c) {
-    const char* name = sqlite3_column_name(prepared, c);
-    result.column_names.emplace_back(name != nullptr ? name : "");
-  }
   for (rc = sqlite3_step(prepared); rc == SQLITE_ROW;
        rc = sqlite3_step(prepared)) {
     std::vector<SqlValue> row;

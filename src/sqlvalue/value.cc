@@ -157,16 +157,4 @@ Bool3 Or3(Bool3 a, Bool3 b) {
   return Bool3::kFalse;
 }
 
-const char* Bool3Name(Bool3 v) {
-  switch (v) {
-    case Bool3::kFalse:
-      return "FALSE";
-    case Bool3::kTrue:
-      return "TRUE";
-    case Bool3::kNull:
-      return "NULL";
-  }
-  return "?";
-}
-
 }  // namespace pqs

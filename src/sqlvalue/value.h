@@ -89,8 +89,6 @@ Bool3 Not3(Bool3 v);
 Bool3 And3(Bool3 a, Bool3 b);
 Bool3 Or3(Bool3 a, Bool3 b);
 
-const char* Bool3Name(Bool3 v);
-
 }  // namespace pqs
 
 #endif  // PQS_SRC_SQLVALUE_VALUE_H_

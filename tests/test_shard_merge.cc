@@ -1,8 +1,10 @@
 // Sharding building blocks: splitmix64 stream splitting gives workers
-// disjoint RNG streams, the shard plan is a pure function of the seed, and
-// the value-merge operations (RunStats, CoverageMap, AggregateStats)
+// disjoint RNG streams, the shard plan is a pure function of the seed, one
+// worker claims every index in order on the calling thread, and the
+// value-merge operations (RunStats, CoverageMap, AggregateStats)
 // reassemble per-shard results into exactly the single-run totals.
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -51,6 +53,20 @@ void TestShardPlanDeterministic() {
     seeds.insert(a.tasks[i].seed);
   }
   CHECK_EQ(seeds.size(), a.tasks.size());  // per-database seeds distinct
+}
+
+void TestOneWorkerClaimsInOrderOnCallingThread() {
+  // One worker must not spawn a thread: the calling thread visits every
+  // index in order, so its thread-local caches carry across databases.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> visited;
+  bool all_on_caller = true;
+  ForEachClaimed(5, 1, [&](size_t i, int worker) {
+    visited.push_back(i);
+    all_on_caller &= std::this_thread::get_id() == caller && worker == 0;
+  });
+  CHECK(visited == std::vector<size_t>({0, 1, 2, 3, 4}));
+  CHECK(all_on_caller);
 }
 
 void TestRunStatsMerge() {
@@ -228,6 +244,7 @@ int main() {
   pqs::TestStreamSeedsNeverCollide();
   pqs::TestWorkerStreamsDisjoint();
   pqs::TestShardPlanDeterministic();
+  pqs::TestOneWorkerClaimsInOrderOnCallingThread();
   pqs::TestRunStatsMerge();
   pqs::TestCoverageMapMerge();
   pqs::TestShardedCoverageMatchesSingleRun();

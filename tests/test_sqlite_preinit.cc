@@ -59,10 +59,10 @@ void TestAdapterRunsOnSqliteAllocator() {
   for (int run = 0; run < 2; ++run) {
     StatementResult r = conn.Execute(sel);
     CHECK(r.ok());
-    CHECK(r.column_names == std::vector<std::string>({"a", "b"}));
     CHECK_EQ(r.rows.size(), static_cast<size_t>(3));
     for (size_t i = 0; i < r.rows.size(); ++i) {
       const std::vector<SqlValue>& row = r.rows[i];
+      CHECK_EQ(row.size(), static_cast<size_t>(2));
       int64_t key = static_cast<int64_t>(i) + 1;
       CHECK(row[0].cls == StorageClass::kInteger && row[0].i == key);
       CHECK(row[1].cls == StorageClass::kText &&
