@@ -23,7 +23,7 @@ void PrintFigure2() {
     CampaignReport report = RunCampaign(d, options);
     agg.Merge(report.Aggregate());
   }
-  printf("reduced test cases: %zu\n", agg.total_cases);
+  printf("reduced test cases: %zu\n", agg.cases.size());
   printf("average LOC: %.2f   (paper: 3.71)\n", agg.AverageLoc());
   printf("maximum LOC: %zu      (paper: 8)\n", agg.MaxLoc());
   printf("\n%-6s %-22s %s\n", "LOC", "cumulative fraction", "");

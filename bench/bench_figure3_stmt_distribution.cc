@@ -13,6 +13,7 @@
 namespace pqs {
 
 void PrintFigure3() {
+  using TC = TestCaseStats;
   CampaignOptions options = bench::DefaultCampaignOptions();
   AggregateStats pooled;  // all dialects, for the §4.3 frequencies
   std::string json = "{\n  \"bench\": \"figure3\",\n  \"dialects\": [\n";
@@ -21,16 +22,19 @@ void PrintFigure3() {
                     Dialect::kPostgresStrict}) {
     CampaignReport report = RunCampaign(d, options);
     AggregateStats agg = report.Aggregate();
+    const size_t total = agg.cases.size();
+    const std::map<std::string, CategoryStat> per_category =
+        agg.PerCategory();
     bench::PrintHeader(std::string("Figure 3 — ") +
                        bench::DialectDisplayName(d));
     printf("%-22s %-12s %s\n", "statement category", "in % cases",
            "triggering oracle tallies");
-    for (const auto& [category, stat] : agg.per_category) {
-      double pct = agg.total_cases == 0
+    for (const auto& [category, stat] : per_category) {
+      double pct = total == 0
                        ? 0
                        : 100.0 * static_cast<double>(
                                      stat.test_cases_containing) /
-                             static_cast<double>(agg.total_cases);
+                             static_cast<double>(total);
       std::string triggers;
       for (const auto& [oracle, count] : stat.trigger_by_oracle) {
         triggers += oracle + ":" + std::to_string(count) + " ";
@@ -42,48 +46,50 @@ void PrintFigure3() {
     // must show up here, never fold silently into plain SELECT counts.
     printf("%-22s joins:%zu (left:%zu) distinct:%zu order-by:%zu "
            "limit:%zu of %zu cases\n",
-           "feature buckets", agg.with_explicit_join, agg.with_left_join,
-           agg.with_distinct, agg.with_order_by, agg.with_limit,
-           agg.total_cases);
+           "feature buckets", agg.Count(&TC::has_explicit_join),
+           agg.Count(&TC::has_left_join), agg.Count(&TC::has_distinct),
+           agg.Count(&TC::has_order_by), agg.Count(&TC::has_limit), total);
     printf("%-22s function:%zu cast:%zu case:%zu collate:%zu of %zu cases "
            "(max expr depth %d)\n",
-           "expression buckets", agg.with_function_call, agg.with_cast,
-           agg.with_case, agg.with_collate, agg.total_cases,
-           agg.max_expr_depth);
+           "expression buckets", agg.Count(&TC::has_function_call),
+           agg.Count(&TC::has_cast), agg.Count(&TC::has_case),
+           agg.Count(&TC::has_collate), total, agg.MaxExprDepth());
     printf("%-22s update:%zu delete:%zu drop-index:%zu maintenance:%zu "
            "of %zu cases\n",
-           "mutation buckets", agg.with_update, agg.with_delete,
-           agg.with_drop_index, agg.with_maintenance, agg.total_cases);
+           "mutation buckets", agg.Count(&TC::has_update),
+           agg.Count(&TC::has_delete), agg.Count(&TC::has_drop_index),
+           agg.Count(&TC::has_maintenance), total);
 
     if (!first_dialect) json += ",\n";
     first_dialect = false;
     json += std::string("    {\"dialect\": \"") + DialectName(d) + "\",\n";
-    json += "     \"total_cases\": " + std::to_string(agg.total_cases) +
+    json += "     \"total_cases\": " + std::to_string(total) +
             ",\n     \"categories\": {";
     bool first_cat = true;
-    for (const auto& [category, stat] : agg.per_category) {
+    for (const auto& [category, stat] : per_category) {
       if (!first_cat) json += ", ";
       first_cat = false;
       json += "\"" + bench::JsonEscape(category) +
               "\": " + std::to_string(stat.test_cases_containing);
     }
+    auto n = [&agg](bool TC::*flag) { return std::to_string(agg.Count(flag)); };
     json += "},\n     \"feature_buckets\": {";
-    json += "\"explicit_join\": " + std::to_string(agg.with_explicit_join);
-    json += ", \"left_join\": " + std::to_string(agg.with_left_join);
-    json += ", \"distinct\": " + std::to_string(agg.with_distinct);
-    json += ", \"order_by\": " + std::to_string(agg.with_order_by);
-    json += ", \"limit\": " + std::to_string(agg.with_limit);
+    json += "\"explicit_join\": " + n(&TC::has_explicit_join);
+    json += ", \"left_join\": " + n(&TC::has_left_join);
+    json += ", \"distinct\": " + n(&TC::has_distinct);
+    json += ", \"order_by\": " + n(&TC::has_order_by);
+    json += ", \"limit\": " + n(&TC::has_limit);
     json += "},\n     \"expression_buckets\": {";
-    json += "\"function\": " + std::to_string(agg.with_function_call);
-    json += ", \"cast\": " + std::to_string(agg.with_cast);
-    json += ", \"case\": " + std::to_string(agg.with_case);
-    json += ", \"collate\": " + std::to_string(agg.with_collate);
-    json += ", \"max_expr_depth\": " + std::to_string(agg.max_expr_depth);
+    json += "\"function\": " + n(&TC::has_function_call);
+    json += ", \"cast\": " + n(&TC::has_cast);
+    json += ", \"case\": " + n(&TC::has_case);
+    json += ", \"collate\": " + n(&TC::has_collate);
+    json += ", \"max_expr_depth\": " + std::to_string(agg.MaxExprDepth());
     json += "},\n     \"mutation_buckets\": {";
-    json += "\"update\": " + std::to_string(agg.with_update);
-    json += ", \"delete\": " + std::to_string(agg.with_delete);
-    json += ", \"drop_index\": " + std::to_string(agg.with_drop_index);
-    json += ", \"maintenance\": " + std::to_string(agg.with_maintenance);
+    json += "\"update\": " + n(&TC::has_update);
+    json += ", \"delete\": " + n(&TC::has_delete);
+    json += ", \"drop_index\": " + n(&TC::has_drop_index);
+    json += ", \"maintenance\": " + n(&TC::has_maintenance);
     json += "}}";
 
     pooled.Merge(agg);
@@ -176,21 +182,21 @@ void PrintFigure3() {
 
   bench::PrintHeader("§4.3 column constraints in reduced test cases");
   auto pct = [&](size_t n) {
-    return pooled.total_cases == 0
+    return pooled.cases.empty()
                ? 0.0
                : 100.0 * static_cast<double>(n) /
-                     static_cast<double>(pooled.total_cases);
+                     static_cast<double>(pooled.cases.size());
   };
   printf("UNIQUE constraint:   %5.1f%%   (paper: 22.2%%)\n",
-         pct(pooled.with_unique));
+         pct(pooled.Count(&TC::has_unique)));
   printf("PRIMARY KEY:         %5.1f%%   (paper: 17.2%%)\n",
-         pct(pooled.with_primary_key));
+         pct(pooled.Count(&TC::has_primary_key)));
   printf("CREATE INDEX:        %5.1f%%   (paper: 28.3%%)\n",
-         pct(pooled.with_create_index));
+         pct(pooled.Count(&TC::has_create_index)));
   printf("single-table cases:  %5.1f%%   (paper: 90.0%%)\n",
-         pct(pooled.single_table));
+         pct(pooled.Count(&TC::single_table)));
   printf("explicit-join cases: %5.1f%%   (query-space widening, PR 3)\n",
-         pct(pooled.with_explicit_join));
+         pct(pooled.Count(&TC::has_explicit_join)));
 }
 
 void BM_AnalyzeTestCase(benchmark::State& state) {

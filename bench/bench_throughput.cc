@@ -340,13 +340,8 @@ std::string MeasureScanRows(std::string* timings) {
 
 // The real-sqlite3 end-to-end figure, `sqlite_statements_per_second_1worker`:
 // the seeded 48-database x 25-query containment loop on SqliteConnection,
-// best of 3. check_perf_smoke.py gates it against its floor whenever
-// `sqlite_available` says the build links libsqlite3.
+// best of 3. check_perf_smoke.py gates it against its floor.
 std::string MeasureSqliteThroughput(std::string* timings) {
-  if (!SqliteConnection::Available()) {
-    printf("\n(real sqlite3 unavailable; its throughput bench skipped)\n");
-    return "  \"sqlite_available\": false,\n";
-  }
   RunnerOptions opts;
   opts.seed = 20200604;
   opts.databases = 48;
@@ -374,9 +369,8 @@ std::string MeasureSqliteThroughput(std::string* timings) {
   Appendf(timings, "  %.4fs (best of 3): %.0f stmts/sec\n", best,
           sqlite_rate);
 
-  char buf[160];
+  char buf[96];
   std::snprintf(buf, sizeof buf,
-                "  \"sqlite_available\": true,\n"
                 "  \"sqlite_statements_per_second_1worker\": %.1f,\n",
                 sqlite_rate);
   return buf;

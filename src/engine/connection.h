@@ -44,9 +44,6 @@ enum class StatementStatus {
   // Simulated (MiniDB) or real (adapter) process death. The connection is
   // unusable afterwards.
   kCrash,
-  // The engine cannot run this statement at all (e.g. the SQLite adapter
-  // compiled without libsqlite3). Not a finding; the runner skips out.
-  kUnsupported,
 };
 
 struct StatementResult {

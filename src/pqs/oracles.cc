@@ -49,88 +49,59 @@ bool ResultContainsRow(const StatementResult& result,
   return false;
 }
 
-void AggregateStats::Add(const TestCaseStats& tc) {
-  ++total_cases;
-  loc_values.push_back(tc.statement_count);
-  for (const std::string& category : tc.categories) {
-    ++per_category[category].test_cases_containing;
-  }
-  if (!tc.trigger_category.empty() && !tc.oracle_name.empty()) {
-    ++per_category[tc.trigger_category].trigger_by_oracle[tc.oracle_name];
-  }
-  with_unique += tc.has_unique ? 1 : 0;
-  with_primary_key += tc.has_primary_key ? 1 : 0;
-  with_create_index += tc.has_create_index ? 1 : 0;
-  single_table += tc.single_table ? 1 : 0;
-  with_explicit_join += tc.has_explicit_join ? 1 : 0;
-  with_left_join += tc.has_left_join ? 1 : 0;
-  with_distinct += tc.has_distinct ? 1 : 0;
-  with_order_by += tc.has_order_by ? 1 : 0;
-  with_limit += tc.has_limit ? 1 : 0;
-  with_function_call += tc.has_function_call ? 1 : 0;
-  with_cast += tc.has_cast ? 1 : 0;
-  with_case += tc.has_case ? 1 : 0;
-  with_collate += tc.has_collate ? 1 : 0;
-  if (tc.max_expr_depth > max_expr_depth) {
-    max_expr_depth = tc.max_expr_depth;
-  }
-  with_update += tc.has_update ? 1 : 0;
-  with_delete += tc.has_delete ? 1 : 0;
-  with_drop_index += tc.has_drop_index ? 1 : 0;
-  with_maintenance += tc.has_maintenance ? 1 : 0;
+void AggregateStats::Merge(const AggregateStats& other) {
+  cases.insert(cases.end(), other.cases.begin(), other.cases.end());
 }
 
-void AggregateStats::Merge(const AggregateStats& other) {
-  total_cases += other.total_cases;
-  loc_values.insert(loc_values.end(), other.loc_values.begin(),
-                    other.loc_values.end());
-  for (const auto& [category, stat] : other.per_category) {
-    CategoryStat& mine = per_category[category];
-    mine.test_cases_containing += stat.test_cases_containing;
-    for (const auto& [oracle, count] : stat.trigger_by_oracle) {
-      mine.trigger_by_oracle[oracle] += count;
+size_t AggregateStats::Count(bool TestCaseStats::*flag) const {
+  size_t count = 0;
+  for (const TestCaseStats& tc : cases) count += tc.*flag ? 1 : 0;
+  return count;
+}
+
+int AggregateStats::MaxExprDepth() const {
+  int max = 0;
+  for (const TestCaseStats& tc : cases) {
+    max = tc.max_expr_depth > max ? tc.max_expr_depth : max;
+  }
+  return max;
+}
+
+std::map<std::string, CategoryStat> AggregateStats::PerCategory() const {
+  std::map<std::string, CategoryStat> per_category;
+  for (const TestCaseStats& tc : cases) {
+    for (const std::string& category : tc.categories) {
+      ++per_category[category].test_cases_containing;
+    }
+    if (!tc.trigger_category.empty() && !tc.oracle_name.empty()) {
+      ++per_category[tc.trigger_category].trigger_by_oracle[tc.oracle_name];
     }
   }
-  with_unique += other.with_unique;
-  with_primary_key += other.with_primary_key;
-  with_create_index += other.with_create_index;
-  single_table += other.single_table;
-  with_explicit_join += other.with_explicit_join;
-  with_left_join += other.with_left_join;
-  with_distinct += other.with_distinct;
-  with_order_by += other.with_order_by;
-  with_limit += other.with_limit;
-  with_function_call += other.with_function_call;
-  with_cast += other.with_cast;
-  with_case += other.with_case;
-  with_collate += other.with_collate;
-  if (other.max_expr_depth > max_expr_depth) {
-    max_expr_depth = other.max_expr_depth;
-  }
-  with_update += other.with_update;
-  with_delete += other.with_delete;
-  with_drop_index += other.with_drop_index;
-  with_maintenance += other.with_maintenance;
+  return per_category;
 }
 
 double AggregateStats::AverageLoc() const {
-  if (loc_values.empty()) return 0.0;
+  if (cases.empty()) return 0.0;
   size_t sum = 0;
-  for (size_t v : loc_values) sum += v;
-  return static_cast<double>(sum) / static_cast<double>(loc_values.size());
+  for (const TestCaseStats& tc : cases) sum += tc.statement_count;
+  return static_cast<double>(sum) / static_cast<double>(cases.size());
 }
 
 size_t AggregateStats::MaxLoc() const {
   size_t max = 0;
-  for (size_t v : loc_values) max = v > max ? v : max;
+  for (const TestCaseStats& tc : cases) {
+    max = tc.statement_count > max ? tc.statement_count : max;
+  }
   return max;
 }
 
 double AggregateStats::CdfAt(size_t loc) const {
-  if (loc_values.empty()) return 0.0;
+  if (cases.empty()) return 0.0;
   size_t below = 0;
-  for (size_t v : loc_values) below += v <= loc ? 1 : 0;
-  return static_cast<double>(below) / static_cast<double>(loc_values.size());
+  for (const TestCaseStats& tc : cases) {
+    below += tc.statement_count <= loc ? 1 : 0;
+  }
+  return static_cast<double>(below) / static_cast<double>(cases.size());
 }
 
 TestCaseStats AnalyzeTestCase(const Finding& finding) {

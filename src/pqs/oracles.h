@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/engine/connection.h"
@@ -65,8 +66,8 @@ struct Finding {
   Finding& operator=(Finding&&) = default;
 };
 
-// Containment check used by the runner and the reducer: does the result set
-// contain `pivot` as one of its rows?
+// Containment check used by the runner: does the result set contain `pivot`
+// as one of its rows?
 bool ResultContainsRow(const StatementResult& result,
                        const std::vector<SqlValue>& pivot);
 
@@ -113,38 +114,21 @@ struct CategoryStat {
   std::map<std::string, size_t> trigger_by_oracle;
 };
 
+// The reduced test cases of a campaign. Every figure is counted on demand
+// from the per-case stats, so each feature is named once, in TestCaseStats.
 struct AggregateStats {
-  size_t total_cases = 0;
-  std::vector<size_t> loc_values;  // statement counts, one per test case
-  std::map<std::string, CategoryStat> per_category;
-  size_t with_unique = 0;
-  size_t with_primary_key = 0;
-  size_t with_create_index = 0;
-  size_t single_table = 0;
-  // Query-space feature buckets: test cases whose statements exercise the
-  // widened SELECT grammar.
-  size_t with_explicit_join = 0;
-  size_t with_left_join = 0;
-  size_t with_distinct = 0;
-  size_t with_order_by = 0;
-  size_t with_limit = 0;
-  // Typed-expression buckets.
-  size_t with_function_call = 0;
-  size_t with_cast = 0;
-  size_t with_case = 0;
-  size_t with_collate = 0;
-  // Deepest WHERE/ON expression seen across all test cases.
-  int max_expr_depth = 0;
-  // Statement-mutation buckets.
-  size_t with_update = 0;
-  size_t with_delete = 0;
-  size_t with_drop_index = 0;
-  size_t with_maintenance = 0;
+  std::vector<TestCaseStats> cases;
 
-  void Add(const TestCaseStats& tc);
-  // Value merge of per-shard aggregates: Merge(a, b) of disjoint shards
-  // equals Add()-ing every underlying test case into one aggregate.
+  void Add(TestCaseStats tc) { cases.push_back(std::move(tc)); }
+  // Value merge of per-shard aggregates: appends `other`'s test cases, so
+  // Merge(a, b) of disjoint shards equals Add()-ing every test case.
   void Merge(const AggregateStats& other);
+  // Test cases with `flag` set, e.g. Count(&TestCaseStats::has_unique).
+  size_t Count(bool TestCaseStats::*flag) const;
+  // Deepest WHERE/ON expression seen across all test cases.
+  int MaxExprDepth() const;
+  // Per statement category, in name order.
+  std::map<std::string, CategoryStat> PerCategory() const;
   double AverageLoc() const;
   size_t MaxLoc() const;
   // Fraction of test cases with statement count <= loc.

@@ -10,12 +10,6 @@ namespace pqs {
 
 namespace {
 
-// Multiset equality of result rows (row order is engine-defined and may
-// legitimately differ once rows are dropped).
-bool SameResultRows(const StatementResult& a, const StatementResult& b) {
-  return SameRowMultiset(a.rows, b.rows);
-}
-
 // Replays all statements but the last; returns false if the engine died.
 // Setup errors (e.g. an INSERT whose CREATE TABLE was removed) are
 // tolerated — the final differential decides whether the candidate still
@@ -23,9 +17,7 @@ bool SameResultRows(const StatementResult& a, const StatementResult& b) {
 bool ReplaySetup(Connection* conn, const std::vector<StmtPtr>& statements) {
   for (size_t i = 0; i + 1 < statements.size(); ++i) {
     if (statements[i] == nullptr) continue;
-    StatementResult r = conn->Execute(*statements[i]);
-    if (r.status == StatementStatus::kCrash ||
-        r.status == StatementStatus::kUnsupported) {
+    if (conn->Execute(*statements[i]).status == StatementStatus::kCrash) {
       return false;
     }
   }
@@ -39,17 +31,15 @@ bool ReplaySetup(Connection* conn, const std::vector<StmtPtr>& statements) {
 // Engines without in-place reset transparently fall back to the factory.
 class ProbeEngines {
  public:
-  ProbeEngines(const EngineFactory& buggy, const EngineFactory* reference)
+  ProbeEngines(const EngineFactory& buggy, const EngineFactory& reference)
       : buggy_factory_(buggy), reference_factory_(reference) {}
 
   // A fresh, empty buggy engine; null if the factory failed.
   Connection* FreshBuggy() { return Fresh(buggy_factory_, &buggy_conn_); }
 
-  // A fresh, empty reference engine; null if none was supplied or the
-  // factory failed.
+  // A fresh, empty reference engine; null if the factory failed.
   Connection* FreshReference() {
-    if (reference_factory_ == nullptr) return nullptr;
-    return Fresh(*reference_factory_, &reference_conn_);
+    return Fresh(reference_factory_, &reference_conn_);
   }
 
  private:
@@ -60,64 +50,48 @@ class ProbeEngines {
   }
 
   const EngineFactory& buggy_factory_;
-  const EngineFactory* reference_factory_;
+  const EngineFactory& reference_factory_;
   ConnectionPtr buggy_conn_;
   ConnectionPtr reference_conn_;
 };
 
+// Replays `statements` on a fresh buggy and a fresh reference engine and
+// decides, by `oracle`, whether the last statement still shows the bug.
 bool Reproduces(ProbeEngines& engines,
-                const std::vector<StmtPtr>& statements, OracleKind oracle,
-                const std::vector<SqlValue>& pivot) {
+                const std::vector<StmtPtr>& statements, OracleKind oracle) {
   if (statements.empty() || statements.back() == nullptr) return false;
   Connection* buggy_conn = engines.FreshBuggy();
   if (buggy_conn == nullptr) return false;
   if (!ReplaySetup(buggy_conn, statements)) return false;
   StatementResult buggy_result = buggy_conn->Execute(*statements.back());
 
-  StatementResult reference_result;
-  bool have_reference = false;
   Connection* ref_conn = engines.FreshReference();
-  if (ref_conn != nullptr && ReplaySetup(ref_conn, statements)) {
-    reference_result = ref_conn->Execute(*statements.back());
-    have_reference = true;
-  }
+  if (ref_conn == nullptr || !ReplaySetup(ref_conn, statements)) return false;
+  StatementResult reference_result = ref_conn->Execute(*statements.back());
 
   switch (oracle) {
     case OracleKind::kCrash:
-      if (buggy_result.status != StatementStatus::kCrash) return false;
-      return !have_reference ||
+      return buggy_result.status == StatementStatus::kCrash &&
              reference_result.status != StatementStatus::kCrash;
     case OracleKind::kError:
-      if (buggy_result.status != StatementStatus::kError &&
-          buggy_result.status != StatementStatus::kConstraintViolation) {
-        return false;
-      }
-      return !have_reference || reference_result.ok();
+      return (buggy_result.status == StatementStatus::kError ||
+              buggy_result.status ==
+                  StatementStatus::kConstraintViolation) &&
+             reference_result.ok();
     case OracleKind::kContainment:
-      if (!buggy_result.ok()) return false;
-      if (have_reference) {
-        return reference_result.ok() &&
-               !SameResultRows(buggy_result, reference_result);
-      }
-      // Pivot-based fallback when no reference engine is available.
-      return !pivot.empty() && !ResultContainsRow(buggy_result, pivot);
     case OracleKind::kNorec:
     case OracleKind::kTlp:
     case OracleKind::kTxnSerial:
-      // Transaction findings reduce differentially, like the metamorphic
-      // oracles: the decisive SELECT (snapshot or committed-state fetch)
-      // must still disagree with a clean engine replaying the same
-      // interleaved stream. BEGIN/COMMIT/ROLLBACK statements removed by a
-      // ddmin chunk merely reshape the schedule — the final differential
-      // decides whether the shrunken schedule still reproduces.
-      // Metamorphic findings reduce differentially: the decisive (last)
-      // transformed query must still disagree with the reference engine.
-      // Without a reference — or when the disagreement sat in an earlier
-      // transformed query — nothing reproduces and the finding is kept
-      // unreduced, never wrongly shrunk.
-      if (!buggy_result.ok()) return false;
-      return have_reference && reference_result.ok() &&
-             !SameResultRows(buggy_result, reference_result);
+      // The decisive (last) SELECT must succeed on both engines and return
+      // a different row multiset (row order is engine-defined). For a
+      // metamorphic finding that SELECT is the last transformed query: a
+      // finding whose disagreement sat in an earlier one does not reproduce
+      // and is kept unreduced, never wrongly shrunk. For a transaction
+      // finding it is the snapshot or committed-state fetch, and the
+      // BEGIN/COMMIT/ROLLBACK statements a ddmin chunk removes merely
+      // reshape the replayed schedule.
+      return buggy_result.ok() && reference_result.ok() &&
+             !SameRowMultiset(buggy_result.rows, reference_result.rows);
   }
   return false;
 }
@@ -161,9 +135,8 @@ std::vector<StmtPtr> CloneStatements(const std::vector<StmtPtr>& statements) {
 
 bool FindingReproduces(const EngineFactory& buggy, const Finding& finding,
                        const EngineFactory* reference) {
-  ProbeEngines engines(buggy, reference);
-  return Reproduces(engines, finding.statements, finding.oracle,
-                    finding.pivot);
+  ProbeEngines engines(buggy, *reference);
+  return Reproduces(engines, finding.statements, finding.oracle);
 }
 
 Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
@@ -179,10 +152,10 @@ Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
   out.flight = finding.flight;
 
   // One connection pair serves every probe of this reduction.
-  ProbeEngines engines(buggy, reference);
+  ProbeEngines engines(buggy, *reference);
 
   std::vector<StmtPtr> current = NormalizeStatements(finding.statements);
-  if (!Reproduces(engines, current, finding.oracle, finding.pivot)) {
+  if (!Reproduces(engines, current, finding.oracle)) {
     // Normalization (or the finding itself) does not replay; return the
     // original statements untouched.
     out.statements = CloneStatements(finding.statements);
@@ -208,7 +181,7 @@ Finding ReduceFinding(const EngineFactory& buggy, const Finding& finding,
           if (i >= start && i < end) continue;
           candidate.push_back(current[i]->Clone());
         }
-        if (Reproduces(engines, candidate, finding.oracle, finding.pivot)) {
+        if (Reproduces(engines, candidate, finding.oracle)) {
           current = std::move(candidate);
           progress = true;
           // Keep `start` in place: later statements shifted left into it.

@@ -191,7 +191,6 @@ struct DbRunResult {
   RunStats stats;
   obs::MetricsRegistry metrics;
   std::vector<Finding> findings;
-  bool unsupported_engine = false;
   bool factory_failed = false;  // factory returned null; run ends before it
 };
 
@@ -255,7 +254,7 @@ struct Session {
   size_t setup_done = 0;      // plan statements executed so far
   std::vector<StmtPtr> log;   // stream statements executed after setup
   DbRunResult out;
-  bool done = false;  // a finding was recorded or the engine is unsupported
+  bool done = false;  // a finding was recorded; the session stops
 
   // One engine statement: timed as engine execution, counted on the
   // logical clock, and tallied.
@@ -318,16 +317,10 @@ struct Session {
     done = true;
   }
 
-  // The one failed-statement mapping: kUnsupported ends the session with
-  // no finding (the engine cannot run it at all), kCrash is a crash
-  // finding, and every other failure an error finding replaying `script`.
+  // The one failed-statement mapping: kCrash is a crash finding, and
+  // every other failure an error finding replaying `script`.
   void Fail(StatementStatus status, std::string message,
             std::vector<StmtPtr> script) {
-    if (status == StatementStatus::kUnsupported) {
-      out.unsupported_engine = true;
-      done = true;
-      return;
-    }
     Record(status == StatementStatus::kCrash ? OracleKind::kCrash
                                              : OracleKind::kError,
            std::move(message), std::move(script));
@@ -701,10 +694,6 @@ void MetamorphicCheck(Session& s) {
     ++stats.queries_skipped;
     return;
   }
-  if (outcome.verdict == sqlmeta::MetaVerdict::kUnsupported) {
-    s.Fail(StatementStatus::kUnsupported, std::string(), {});
-    return;
-  }
   ++stats.queries_checked;
   obs::Emit(obs::EventKind::kOracleCheck,
             static_cast<uint32_t>(mismatch_oracle),
@@ -1010,16 +999,13 @@ DbRunResult RunTask(const WorkerEngineFactory& factory, int worker,
 
 // True when databases after this one can never reach the merged report.
 bool TerminatesRun(const DbRunResult& r, bool stop_on_first_finding) {
-  return r.factory_failed || r.unsupported_engine ||
-         (stop_on_first_finding && !r.findings.empty());
+  return r.factory_failed || (stop_on_first_finding && !r.findings.empty());
 }
 
 // Folds one database's result into the report, in plan order. Returns
 // false when the run terminates at this database: a null factory ends the
-// run before it, an unsupported engine ends it after its partial stats,
-// and under
-// stop_on_first_finding the first database carrying a finding is the last
-// one reported.
+// run before it, and under stop_on_first_finding the first database
+// carrying a finding is the last one reported.
 bool MergeDbResult(DbRunResult&& r, bool stop_on_first_finding,
                    RunReport* report) {
   if (r.factory_failed) return false;
@@ -1027,7 +1013,6 @@ bool MergeDbResult(DbRunResult&& r, bool stop_on_first_finding,
   report->stats.Merge(r.stats);
   report->metrics.Merge(r.metrics);
   for (Finding& f : r.findings) report->findings.push_back(std::move(f));
-  report->unsupported_engine |= r.unsupported_engine;
   return !terminates;
 }
 

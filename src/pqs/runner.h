@@ -121,8 +121,9 @@ struct RunReport {
   // bench calls obs::SetPhaseWallClock(true).
   obs::MetricsRegistry metrics;
   std::vector<Finding> findings;
-  // True when the engine answered kUnsupported (e.g. stub SQLite adapter);
-  // the run ends early and reports whatever it had.
+  // Always false: no engine reports an unsupported statement any more. Kept
+  // only because the frozen benchmark harness (perfbench/pqs_bench.cc)
+  // still reads it.
   bool unsupported_engine = false;
   // Non-empty when GeneratorOptions::Validate() rejected the options; the
   // run performed no work.

@@ -6,17 +6,11 @@
 #include <mutex>
 #include <utility>
 
+#include <sqlite3.h>
+
 #include "src/common/arena.h"
 #include "src/obs/telemetry.h"
 #include "src/sqlparser/render.h"
-
-#ifndef PQS_HAVE_SQLITE3
-#define PQS_HAVE_SQLITE3 0
-#endif
-
-#if PQS_HAVE_SQLITE3
-#include <sqlite3.h>
-#endif
 
 namespace pqs {
 
@@ -55,6 +49,37 @@ void* HeapStamp(void* raw, size_t usable) {
 }
 
 std::atomic<bool> heap_installed{false};
+
+// Makes SqliteHeap libsqlite3's allocator and turns memory statistics off,
+// once per process, before the first sqlite3_open. The installed library is
+// built without lookaside and with memstatus on, so otherwise every small
+// parse-tree and VDBE allocation is a glibc malloc behind a global mutex.
+// sqlite3_config refuses (SQLITE_MISUSE) once SQLite is initialized; then
+// the adapter runs on SQLite's own allocator.
+void InstallSqliteHeap() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    static sqlite3_mem_methods methods = {
+        &SqliteHeap::Malloc,
+        &SqliteHeap::Free,
+        &SqliteHeap::Realloc,
+        &SqliteHeap::Size,
+        &SqliteHeap::Roundup,
+        [](void*) { return SQLITE_OK; },  // xInit
+        [](void*) {},                     // xShutdown
+        nullptr};
+    if (sqlite3_config(SQLITE_CONFIG_MALLOC, &methods) != SQLITE_OK) return;
+    sqlite3_config(SQLITE_CONFIG_MEMSTATUS, 0);
+    heap_installed.store(true);
+  });
+}
+
+// A failed prepare or step is a constraint violation or a plain error.
+StatementStatus FailureStatus(int rc) {
+  return (rc & 0xff) == SQLITE_CONSTRAINT
+             ? StatementStatus::kConstraintViolation
+             : StatementStatus::kError;
+}
 
 }  // namespace
 
@@ -106,43 +131,6 @@ int SqliteHeap::Roundup(int bytes) {
 }
 
 bool SqliteHeap::Installed() { return heap_installed.load(); }
-
-#if PQS_HAVE_SQLITE3
-
-namespace {
-
-// Makes SqliteHeap libsqlite3's allocator and turns memory statistics off,
-// once per process, before the first sqlite3_open. The installed library is
-// built without lookaside and with memstatus on, so otherwise every small
-// parse-tree and VDBE allocation is a glibc malloc behind a global mutex.
-// sqlite3_config refuses (SQLITE_MISUSE) once SQLite is initialized; then
-// the adapter runs on SQLite's own allocator.
-void InstallSqliteHeap() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    static sqlite3_mem_methods methods = {
-        &SqliteHeap::Malloc,
-        &SqliteHeap::Free,
-        &SqliteHeap::Realloc,
-        &SqliteHeap::Size,
-        &SqliteHeap::Roundup,
-        [](void*) { return SQLITE_OK; },  // xInit
-        [](void*) {},                     // xShutdown
-        nullptr};
-    if (sqlite3_config(SQLITE_CONFIG_MALLOC, &methods) != SQLITE_OK) return;
-    sqlite3_config(SQLITE_CONFIG_MEMSTATUS, 0);
-    heap_installed.store(true);
-  });
-}
-
-// A failed prepare or step is a constraint violation or a plain error.
-StatementStatus FailureStatus(int rc) {
-  return (rc & 0xff) == SQLITE_CONSTRAINT
-             ? StatementStatus::kConstraintViolation
-             : StatementStatus::kError;
-}
-
-}  // namespace
 
 SqliteConnection::SqliteConnection() {
   InstallSqliteHeap();
@@ -270,27 +258,5 @@ StatementResult SqliteConnection::Execute(const Stmt& stmt) {
   sqlite3_finalize(prepared);
   return result;
 }
-
-#else  // !PQS_HAVE_SQLITE3
-
-SqliteConnection::SqliteConnection() { alive_ = true; }
-SqliteConnection::~SqliteConnection() = default;
-
-bool SqliteConnection::Reset() { return false; }
-
-std::string SqliteConnection::EngineName() const { return "sqlite-stub"; }
-
-std::string SqliteConnection::LibraryVersion() { return "unavailable"; }
-
-bool SqliteConnection::Available() { return false; }
-
-StatementResult SqliteConnection::Execute(const Stmt& stmt) {
-  (void)stmt;
-  return StatementResult::Failure(
-      StatementStatus::kUnsupported,
-      "built without libsqlite3; SqliteConnection is a stub");
-}
-
-#endif  // PQS_HAVE_SQLITE3
 
 }  // namespace pqs

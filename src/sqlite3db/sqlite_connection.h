@@ -14,10 +14,8 @@
 // statistics off, and opens every connection SQLITE_OPEN_NOMUTEX: a
 // connection belongs to the one worker that asked the factory for it
 // (src/engine/connection.h), so the per-call connection mutex guards
-// nothing (DESIGN §11). When the build has no libsqlite3
-// (PQS_HAVE_SQLITE3 == 0) the class still exists so the benches compile
-// unchanged, but every Execute reports kUnsupported and the runner skips
-// out gracefully.
+// nothing (DESIGN §11). libsqlite3 is a build requirement: CMake stops at
+// configure time without it.
 #ifndef PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 #define PQS_SRC_SQLITE3DB_SQLITE_CONNECTION_H_
 
@@ -42,10 +40,9 @@ struct SqliteHeap {
   static void* Realloc(void* p, int bytes);
   static int Size(void* p);
   static int Roundup(int bytes);
-  // True once SqliteConnection installed this heap. Stays false in a
-  // sqlite3-less build, and when the process initialized SQLite itself
-  // before the first connection (sqlite3_config then refuses, and SQLite
-  // keeps its own allocator).
+  // True once SqliteConnection installed this heap. Stays false when the
+  // process initialized SQLite itself before the first connection
+  // (sqlite3_config then refuses, and SQLite keeps its own allocator).
   static bool Installed();
 };
 
@@ -65,8 +62,10 @@ class SqliteConnection : public Connection {
   // open and drops every user object.
   bool Reset() override;
 
-  // libsqlite3 version string, or "unavailable" in a sqlite3-less build.
+  // libsqlite3 version string.
   static std::string LibraryVersion();
+  // Always true, since libsqlite3 is required. Kept only because the frozen
+  // benchmark harness (perfbench/pqs_bench.cc) still calls it.
   static bool Available();
 
  private:

@@ -22,8 +22,6 @@ MetaVerdict ClassifyStatus(StatementStatus s) {
       return MetaVerdict::kEngineError;
     case StatementStatus::kCrash:
       return MetaVerdict::kEngineCrash;
-    case StatementStatus::kUnsupported:
-      return MetaVerdict::kUnsupported;
   }
   return MetaVerdict::kEngineError;
 }

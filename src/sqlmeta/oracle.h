@@ -25,7 +25,6 @@ enum class MetaVerdict {
   kMismatch,     // metamorphic relation violated — the oracle's finding
   kEngineError,  // a transformed query failed (error-oracle territory)
   kEngineCrash,  // the engine died executing a transformed query
-  kUnsupported,  // the engine cannot run these statements at all
   kSkipped,      // query shape outside the transform's space (not a check)
 };
 

@@ -370,28 +370,6 @@ void TestShardedTxnWorkloadMatchesSequential() {
 #define PQS_SOURCE_DIR "."
 #endif
 
-// Delegates to a MiniDB instance until `budget` statements have run, then
-// answers kUnsupported — drives the runner's unsupported-engine exit from
-// whichever statement site the budget happens to end on.
-class UnsupportedAfter : public Connection {
- public:
-  UnsupportedAfter(ConnectionPtr inner, int budget)
-      : inner_(std::move(inner)), budget_(budget) {}
-  StatementResult Execute(const Stmt& stmt) override {
-    if (budget_-- <= 0) {
-      return StatementResult::Failure(StatementStatus::kUnsupported,
-                                      "unsupported");
-    }
-    return inner_->Execute(stmt);
-  }
-  Dialect dialect() const override { return inner_->dialect(); }
-  std::string EngineName() const override { return "unsupported-after"; }
-
- private:
-  ConnectionPtr inner_;
-  int budget_;
-};
-
 uint64_t Fnv1a(const std::string& bytes) {
   uint64_t h = 14695981039346656037ull;
   for (unsigned char c : bytes) {
@@ -416,10 +394,10 @@ struct GoldenCase {
 };
 
 // Renders every deterministic part of a report: each RunStats field, the
-// unsupported flag, the registry's engine-side counters (listed by enum),
-// gauges, per-phase logical-tick histograms, and per finding its oracle,
-// message, pivot, statement count, last statement, and hashes of the full
-// rendered script and of the flight events.
+// unsupported flag (always 0), the registry's engine-side counters (listed
+// by enum), gauges, per-phase logical-tick histograms, and per finding its
+// oracle, message, pivot, statement count, last statement, and hashes of
+// the full rendered script and of the flight events.
 std::string RenderGoldenReport(const RunReport& r) {
   std::string out;
   auto field = [&out](const std::string& name, uint64_t v) {
@@ -498,10 +476,9 @@ std::string RenderGoldenReport(const RunReport& r) {
   return out;
 }
 
-// One run of `c`. A non-negative `unsupported_after` wraps every connection
-// so it answers kUnsupported from that statement on.
+// One run of `c`.
 RunReport RunGoldenCase(const GoldenCase& c, int workers, bool stop_on_first,
-                        int databases, int unsupported_after) {
+                        int databases) {
   RunnerOptions options;
   options.seed = c.txn_sessions > 1 ? 777 : 4242;
   options.databases = databases;
@@ -519,12 +496,8 @@ RunReport RunGoldenCase(const GoldenCase& c, int workers, bool stop_on_first,
   Dialect dialect = c.bug != nullptr ? minidb::LookupBug(*c.bug).dialect
                                      : Dialect::kSqliteFlex;
   BugConfig bugs = c.bug != nullptr ? BugConfig::Single(*c.bug) : BugConfig();
-  EngineFactory factory = [dialect, bugs,
-                           unsupported_after]() -> ConnectionPtr {
-    auto db = std::make_unique<minidb::Database>(dialect, bugs);
-    if (unsupported_after < 0) return db;
-    return std::make_unique<UnsupportedAfter>(std::move(db),
-                                              unsupported_after);
+  EngineFactory factory = [dialect, bugs]() -> ConnectionPtr {
+    return std::make_unique<minidb::Database>(dialect, bugs);
   };
   return PqsRunner(factory, options).Run();
 }
@@ -573,23 +546,7 @@ std::string RenderGoldenMatrix(int workers) {
              (stop_on_first ? " stop_on_first_finding" : "") + "\n";
       int databases = c.txn_sessions > 1 ? 60 : 8;
       out += RenderGoldenReport(
-          RunGoldenCase(c, workers, stop_on_first, databases, -1));
-    }
-  }
-  // Unsupported-engine sweep: the engine goes unsupported at every
-  // statement index of the first sessions in turn, so each statement site
-  // of every family exits once. One line per budget: the stats that show
-  // where the run stopped, plus a hash of its full rendered report.
-  for (const GoldenCase& c : {cases[0], cases[8], cases[11], cases[14]}) {
-    out += "=== " + std::string(c.name) + " unsupported sweep\n";
-    for (int budget = 0; budget < 60; ++budget) {
-      RunReport r = RunGoldenCase(c, workers, false, 3, budget);
-      out += "  @" + std::to_string(budget) +
-             " unsupported=" + std::to_string(r.unsupported_engine ? 1 : 0) +
-             " statements=" + std::to_string(r.stats.statements_executed) +
-             " databases=" + std::to_string(r.stats.databases_created) +
-             " findings=" + std::to_string(r.findings.size()) +
-             " report_fnv=" + Hex(Fnv1a(RenderGoldenReport(r))) + "\n";
+          RunGoldenCase(c, workers, stop_on_first, databases));
     }
   }
   return out;
@@ -598,8 +555,7 @@ std::string RenderGoldenMatrix(int workers) {
 // Pins the runner's whole deterministic output over containment (clean,
 // unrectified, and with state-divergence, pivot, error and crash bugs),
 // NoREC, TLP and the interleaved-transaction branch, with and without
-// stop_on_first_finding, and with engines that go unsupported at each
-// statement site.
+// stop_on_first_finding.
 // The same golden must hold at 1 and 4 workers. Regenerate with
 // PQS_UPDATE_GOLDEN=1 only for an intended behaviour change.
 void TestRunnerReportGolden() {

@@ -508,10 +508,6 @@ void TestRectifiedExpressionContainment() {
 // ---------------------------------------------------------------------------
 
 void TestRealSqliteExpressionSweep() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; sweep skipped)\n");
-    return;
-  }
   RunnerOptions opts;
   opts.seed = 0xE445;
   opts.databases = 120;

@@ -271,11 +271,6 @@ void TestSqliteHeapContract() {
 // The first connection installs the heap (unless SQLite was initialized
 // earlier, which test_sqlite_preinit covers) and SQLite runs on it.
 void TestSqliteRunsOnPooledHeap() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; pooled-heap check skipped)\n");
-    CHECK(!SqliteHeap::Installed());
-    return;
-  }
   SqliteConnection conn;
   CHECK(conn.alive());
   CHECK(SqliteHeap::Installed());

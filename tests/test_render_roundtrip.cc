@@ -826,10 +826,6 @@ void TestGoldenRendering() {
 // compare uses.
 
 void TestCorpusReplaysThroughRealSqlite() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; replay skipped)\n");
-    return;
-  }
   std::vector<StmtPtr> corpus = BuildCorpus();
   SqliteConnection real;
   minidb::Database model(Dialect::kSqliteFlex);
@@ -888,10 +884,6 @@ void TestNegatedNegativeLiteralRoundTrips() {
   StatementResult from_model = model.Execute(sel);
   CHECK(from_model.ok());
   CHECK_EQ(from_model.rows.size(), static_cast<size_t>(1));
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; negation replay skipped)\n");
-    return;
-  }
   SqliteConnection real;
   CHECK(real.Execute(ct).ok());
   CHECK(real.Execute(ins).ok());

@@ -4,31 +4,18 @@
 // must carry on with SQLite's own allocator and still execute a
 // CREATE/INSERT/SELECT script correctly. A separate executable, because
 // the heap is installed once per process.
-#include <cstdio>
 #include <vector>
+
+#include <sqlite3.h>
 
 #include "src/sqlite3db/sqlite_connection.h"
 #include "tests/test_util.h"
-
-#ifndef PQS_HAVE_SQLITE3
-#define PQS_HAVE_SQLITE3 0
-#endif
-
-#if PQS_HAVE_SQLITE3
-#include <sqlite3.h>
-#endif
 
 namespace pqs {
 namespace {
 
 void TestAdapterRunsOnSqliteAllocator() {
-#if PQS_HAVE_SQLITE3
   CHECK_EQ(sqlite3_initialize(), SQLITE_OK);
-#endif
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; fallback test skipped)\n");
-    return;
-  }
   SqliteConnection conn;
   CHECK(conn.alive());
   CHECK(!SqliteHeap::Installed());

@@ -522,10 +522,6 @@ void TestCleanMutatingSessionsHaveNoFindings() {
 }
 
 void TestRealSqliteMutatingSweepHasNoFalseFindings() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; sweep skipped)\n");
-    return;
-  }
   RunnerOptions opts;
   opts.seed = 0x5EED5;
   opts.databases = 80;
@@ -584,10 +580,6 @@ void TestNewBugsDetectedInDefaultBudget() {
 // one path (render literal SQL, prepare, step, finalize), and the SELECT
 // that follows it sees its effect.
 void TestSqliteMutationVisibility() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; visibility test skipped)\n");
-    return;
-  }
   SqliteConnection conn;
   CreateTableStmt ct;
   ct.table_name = "t";
@@ -660,10 +652,6 @@ void TestSqliteMutationVisibility() {
 // neither does resetting the connection: the only invalidation left is a
 // MiniDB buffer-pool flush.
 void TestSqliteTeardownIsNotAnInvalidation() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; invalidation test skipped)\n");
-    return;
-  }
   RunnerOptions opts;
   opts.seed = 20200604;
   opts.databases = 1;

@@ -8,7 +8,6 @@
 //
 // Accepts `--workers N` (the CI ThreadSanitizer job passes 4); every
 // property is worker-count-invariant.
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -412,10 +411,6 @@ void TestPagingOnOffByteIdenticalReports() {
 // ---------------------------------------------------------------------------
 
 void TestMillionRowScanMatchesRealSqlite() {
-  if (!SqliteConnection::Available()) {
-    std::printf("  (real sqlite3 unavailable; million-row sweep skipped)\n");
-    return;
-  }
   constexpr int kRows = 1000000;
   minidb::Database paged(Dialect::kSqliteFlex);  // default paged geometry
   SqliteConnection real;

@@ -443,7 +443,6 @@ void TestResetWithOpenTransaction() {
 }
 
 void TestSqliteResetWithOpenTransaction() {
-  if (!SqliteConnection::Available()) return;
   SqliteConnection conn;
   CHECK(conn.Execute(*MakeTable("t")).ok());
   CHECK(conn.Execute(*InsertRow("t", 1, "a")).ok());
@@ -633,7 +632,6 @@ void TestInterleavedCleanProperty() {
     PqsRunner runner(factory, options);
     RunReport report = runner.Run();
     CHECK_EQ(report.invalid_options, std::string());
-    CHECK(!report.unsupported_engine);
     CHECK_MSG(report.findings.empty(),
               "K=%d produced %zu false finding(s): %s", plan.sessions,
               report.findings.size(),
@@ -773,7 +771,6 @@ OutcomeClass Classify(const StatementResult& r) {
 }
 
 void TestDifferentialTxnSweepVsSqlite() {
-  if (!SqliteConnection::Available()) return;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     Rng rng(seed);
     GeneratorOptions gen;
