@@ -225,12 +225,15 @@ std::string MeasureScanRows(std::string* timings) {
     int sweeps = 0;
     double rows_per_second = 0;
     std::string latency_json;
-    minidb::BufferPool::Stats pool;
+    obs::MetricsRegistry pool;  // the pool's counters, build and sweeps
   };
   std::vector<Point> points;
   for (int64_t n : {10000LL, 100000LL, 1000000LL}) {
     Point point;
     point.rows = n;
+    // The pool counts its work only in an installed session's registry.
+    obs::SessionTelemetry telemetry;
+    obs::ScopedSessionTelemetry install(&telemetry);
     minidb::Database db(Dialect::kSqliteFlex);
 
     auto create = std::make_unique<CreateTableStmt>();
@@ -295,17 +298,20 @@ std::string MeasureScanRows(std::string* timings) {
           static_cast<double>(n) * point.sweeps / point.scan_seconds;
     }
     point.latency_json = latency.JsonFields();
-    point.pool = db.buffer_pool().stats();
+    point.pool = telemetry.metrics;
     points.push_back(std::move(point));
   }
 
+  auto counted = [](const Point& p, obs::Counter c) {
+    return static_cast<unsigned long long>(p.pool.counter(c));
+  };
   bench::PrintHeader("Paged scan: buffer-pool work by table size");
   printf("%10s %8s %12s %12s\n", "rows", "sweeps", "pool hits",
          "evictions");
   for (const Point& p : points) {
     printf("%10lld %8d %12llu %12llu\n", static_cast<long long>(p.rows),
-           p.sweeps, static_cast<unsigned long long>(p.pool.hits),
-           static_cast<unsigned long long>(p.pool.evictions));
+           p.sweeps, counted(p, obs::Counter::kPoolHits),
+           counted(p, obs::Counter::kPoolEvictions));
   }
   AppendHeader(timings, "Paged scan throughput: rows/second by table size");
   Appendf(timings, "%10s %10s %14s\n", "rows", "build(s)", "rows/sec");
@@ -327,10 +333,10 @@ std::string MeasureScanRows(std::string* timings) {
         "\"dirty_writebacks\": %llu}}%s\n",
         static_cast<long long>(p.rows), p.sweeps, p.build_seconds,
         p.scan_seconds, p.rows_per_second, p.latency_json.c_str(),
-        static_cast<unsigned long long>(p.pool.hits),
-        static_cast<unsigned long long>(p.pool.misses),
-        static_cast<unsigned long long>(p.pool.evictions),
-        static_cast<unsigned long long>(p.pool.dirty_writebacks),
+        counted(p, obs::Counter::kPoolHits),
+        counted(p, obs::Counter::kPoolMisses),
+        counted(p, obs::Counter::kPoolEvictions),
+        counted(p, obs::Counter::kPoolWritebacks),
         i + 1 < points.size() ? "," : "");
     json += buf;
   }

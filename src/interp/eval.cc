@@ -1375,6 +1375,15 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
   return true;
 }
 
+namespace {
+
+// The one cell-by-cell row comparison of the two multiset predicates below.
+bool SameRow(const std::vector<SqlValue>& x, const std::vector<SqlValue>& y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(), ValueEquals);
+}
+
+}  // namespace
+
 bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
                      const std::vector<std::vector<SqlValue>>& b) {
   if (a.size() != b.size()) return false;
@@ -1382,22 +1391,7 @@ bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
   // holding the same rows in the same insertion order, so a pairwise scan
   // settles it without sorting. A mismatch here is not a verdict — multisets
   // can still agree in a different order — so fall through to the sort.
-  {
-    bool ordered_equal = true;
-    for (size_t r = 0; ordered_equal && r < a.size(); ++r) {
-      if (a[r].size() != b[r].size()) {
-        ordered_equal = false;
-        break;
-      }
-      for (size_t c = 0; c < a[r].size(); ++c) {
-        if (!ValueEquals(a[r][c], b[r][c])) {
-          ordered_equal = false;
-          break;
-        }
-      }
-    }
-    if (ordered_equal) return true;
-  }
+  if (std::equal(a.begin(), a.end(), b.begin(), SameRow)) return true;
   auto row_less = [](const std::vector<SqlValue>& x,
                      const std::vector<SqlValue>& y) {
     if (x.size() != y.size()) return x.size() < y.size();
@@ -1421,10 +1415,23 @@ bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
   std::sort(sa.begin(), sa.end(), ptr_less);
   std::sort(sb.begin(), sb.end(), ptr_less);
   for (size_t r = 0; r < sa.size(); ++r) {
-    if (sa[r]->size() != sb[r]->size()) return false;
-    for (size_t c = 0; c < sa[r]->size(); ++c) {
-      if (!ValueEquals((*sa[r])[c], (*sb[r])[c])) return false;
+    if (!SameRow(*sa[r], *sb[r])) return false;
+  }
+  return true;
+}
+
+bool RowsMultisetContained(const std::vector<std::vector<SqlValue>>& subset,
+                           const std::vector<std::vector<SqlValue>>& superset,
+                           std::vector<SqlValue>* missing) {
+  std::vector<bool> used(superset.size(), false);
+  for (const std::vector<SqlValue>& row : subset) {
+    size_t i = 0;
+    while (i < superset.size() && (used[i] || !SameRow(superset[i], row))) ++i;
+    if (i == superset.size()) {
+      if (missing != nullptr) *missing = row;
+      return false;
     }
+    used[i] = true;
   }
   return true;
 }

@@ -239,6 +239,14 @@ void CollectAggregates(const Expr& e, std::vector<const Expr*>* nodes);
 bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
                      const std::vector<std::vector<SqlValue>>& b);
 
+// Multiset containment: true when every row of `subset` pairs with a
+// distinct ValueEquals-identical row of `superset`; on failure *missing
+// (when non-null) receives the first unmatched subset row. The runner's
+// pivot-containment oracle is the one-row case.
+bool RowsMultisetContained(const std::vector<std::vector<SqlValue>>& subset,
+                           const std::vector<std::vector<SqlValue>>& superset,
+                           std::vector<SqlValue>* missing = nullptr);
+
 }  // namespace pqs
 
 #endif  // PQS_SRC_INTERP_EVAL_H_

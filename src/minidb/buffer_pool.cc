@@ -69,7 +69,6 @@ int BufferPool::PickVictim() {
 void BufferPool::EvictFrame(int index) {
   Frame& f = frames_[index];
   if (!f.in_use) return;
-  ++stats_.evictions;
   obs::Count(obs::Counter::kPoolEvictions);
   obs::Emit(obs::EventKind::kEviction, f.table, f.page);
   if (f.dirty) {
@@ -80,7 +79,6 @@ void BufferPool::EvictFrame(int index) {
       // drop the frame content on the floor
     } else {
       f.backing->rows = f.rows;
-      ++stats_.dirty_writebacks;
       obs::Count(obs::Counter::kPoolWritebacks);
     }
   }
@@ -96,7 +94,6 @@ int BufferPool::Fetch(uint32_t table, uint32_t page, DiskPage* disk,
                       Intent intent) {
   int idx = FindFrame(table, page);
   if (idx >= 0) {
-    ++stats_.hits;
     obs::Count(obs::Counter::kPoolHits);
     Frame& f = frames_[idx];
     // kStalePageReadAfterUpdate: a read hit on a frame dirtied by UPDATE
@@ -118,7 +115,6 @@ int BufferPool::Fetch(uint32_t table, uint32_t page, DiskPage* disk,
     return idx;
   }
 
-  ++stats_.misses;
   obs::Count(obs::Counter::kPoolMisses);
   idx = PickVictim();
   if (idx < 0) {
@@ -127,7 +123,6 @@ int BufferPool::Fetch(uint32_t table, uint32_t page, DiskPage* disk,
     // deterministic — it depends only on the access sequence.
     frames_.emplace_back();
     idx = static_cast<int>(frames_.size() - 1);
-    ++stats_.emergency_frames;
   } else {
     EvictFrame(idx);
   }

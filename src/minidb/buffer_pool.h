@@ -80,14 +80,6 @@ class BufferPool {
   // candidate for the stale-read-after-update injected bug.
   enum class Intent { kRead, kWrite, kUpdate };
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t dirty_writebacks = 0;
-    uint64_t emergency_frames = 0;  // all frames pinned; pool grew by one
-  };
-
   struct Frame {
     uint32_t table = 0;
     uint32_t page = 0;
@@ -123,19 +115,17 @@ class BufferPool {
   // Drops every frame without write-back and rewinds the clock hand to its
   // seed-derived start — the state a freshly constructed pool would have.
   // Used by Database::Reset, where the tables (and with them every disk
-  // page the frames point into) are destroyed wholesale. Stats accumulate
-  // across resets.
+  // page the frames point into) are destroyed wholesale.
   void Reset();
 
-  const Stats& stats() const { return stats_; }
   size_t frame_count() const { return frames_.size(); }
   int pinned_frames() const;
 
-  // Pool activity is also emitted as telemetry when a session context is
-  // installed (src/obs/telemetry.h): hits/misses/evictions/writebacks as
-  // counters, and each eviction as a kEviction flight-recorder event
-  // carrying (table, page) — the replacement for the old set_trace /
-  // eviction_log bespoke API, in the same deterministic order.
+  // Pool activity is counted only as telemetry, and only while a session
+  // context is installed (src/obs/telemetry.h): hits, misses, evictions
+  // and write-backs as registry counters, and each eviction as a
+  // kEviction flight-recorder event carrying (table, page), in the same
+  // deterministic order.
 
  private:
   int FindFrame(uint32_t table, uint32_t page) const;
@@ -147,7 +137,6 @@ class BufferPool {
   size_t hand_ = 0;               // clock hand, seeded deterministically
   size_t initial_hand_ = 0;
   const BugConfig* bugs_;  // not owned; may be null (clean pool)
-  Stats stats_;
 };
 
 }  // namespace minidb

@@ -77,7 +77,6 @@ class Database : public Connection {
 
   // Introspection for the storage tests and benches.
   const StorageOptions& storage_options() const { return storage_opts_; }
-  BufferPool& buffer_pool() { return pool_; }
   const TableStore* table_store(const std::string& name) {
     TableData* table = FindTable(name);
     return table != nullptr ? &table->store : nullptr;

@@ -33,22 +33,6 @@ OracleFamily FamilyForOracle(OracleKind kind) {
   }
 }
 
-bool ResultContainsRow(const StatementResult& result,
-                       const std::vector<SqlValue>& pivot) {
-  for (const auto& row : result.rows) {
-    if (row.size() != pivot.size()) continue;
-    bool match = true;
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (!ValueEquals(row[i], pivot[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
-}
-
 void AggregateStats::Merge(const AggregateStats& other) {
   cases.insert(cases.end(), other.cases.begin(), other.cases.end());
 }

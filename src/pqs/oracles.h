@@ -66,11 +66,6 @@ struct Finding {
   Finding& operator=(Finding&&) = default;
 };
 
-// Containment check used by the runner: does the result set contain `pivot`
-// as one of its rows?
-bool ResultContainsRow(const StatementResult& result,
-                       const std::vector<SqlValue>& pivot);
-
 // ---------------------------------------------------------------------------
 // Reduced-test-case analysis (Figures 2 and 3, §4.3)
 // ---------------------------------------------------------------------------

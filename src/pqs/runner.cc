@@ -1,5 +1,6 @@
 #include "src/pqs/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -59,37 +60,6 @@ void TallyPredicate(const Expr& predicate, RunStats* stats) {
   size_t calls = predicate.CountKind(ExprKind::kFunctionCall);
   stats->function_calls_generated += calls;
   if (calls > 0) ++stats->predicates_with_function;
-}
-
-// True when every row of `subset` occurs in `superset` as a multiset
-// (each superset row consumed at most once). On failure *missing (when
-// non-null) receives the first unmatched subset row.
-bool RowsMultisetContained(const Rows& subset, const Rows& superset,
-                           std::vector<SqlValue>* missing) {
-  std::vector<bool> used(superset.size(), false);
-  for (const auto& row : subset) {
-    bool found = false;
-    for (size_t i = 0; i < superset.size(); ++i) {
-      if (used[i] || superset[i].size() != row.size()) continue;
-      bool equal = true;
-      for (size_t c = 0; c < row.size(); ++c) {
-        if (!ValueEquals(superset[i][c], row[c])) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) {
-        used[i] = true;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      if (missing != nullptr) *missing = row;
-      return false;
-    }
-  }
-  return true;
 }
 
 // Worst-case 1-based position of the pivot in `query`'s result under
@@ -254,7 +224,9 @@ struct Session {
   size_t setup_done = 0;      // plan statements executed so far
   std::vector<StmtPtr> log;   // stream statements executed after setup
   DbRunResult out;
-  bool done = false;  // a finding was recorded; the session stops
+
+  // A finding was recorded; the session stops.
+  bool done() const { return !out.findings.empty(); }
 
   // One engine statement: timed as engine execution, counted on the
   // logical clock, and tallied.
@@ -272,7 +244,7 @@ struct Session {
   }
 
   // Exec for a statement that must succeed: any failure goes through Fail
-  // with `stmt` as the triggering statement (check `done` afterwards).
+  // with `stmt` as the triggering statement (check `done()` afterwards).
   StatementResult ExecOrFail(const Stmt& stmt) {
     StatementResult r = Exec(stmt);
     if (!r.ok()) Fail(r.status, r.error, Script(&stmt));
@@ -314,7 +286,6 @@ struct Session {
       finding.flight = t->recorder.Dump();
     }
     out.findings.push_back(std::move(finding));
-    done = true;
   }
 
   // The one failed-statement mapping: kCrash is a crash finding, and
@@ -343,7 +314,7 @@ struct Session {
     if (!diverged) return true;
     std::vector<SqlValue> pivot;
     for (size_t i = 0; with_pivot && i < reference->size(); ++i) {
-      if (!ResultContainsRow(engine, (*reference)[i])) {
+      if (!RowsMultisetContained({(*reference)[i]}, engine.rows)) {
         pivot = (*reference)[i];
         break;
       }
@@ -380,9 +351,9 @@ struct Session {
     for (const StmtPtr& stmt : plan.statements) {
       ++setup_done;
       Apply(*stmt, on_replayed);
-      if (done) break;
+      if (done()) break;
     }
-    return !done;
+    return !done();
   }
 
   // One statement of the stream between checks; it joins the log.
@@ -438,7 +409,7 @@ void ContainmentCheck(Session& s) {
     SelectStmt fetch;
     fetch.from_tables = {table->name};
     StatementResult rows = s.ExecOrFail(fetch);
-    if (s.done) return;
+    if (s.done()) return;
     // Ground-truth state comparison: after replaying the same mutations
     // through the shared interp core, the engine's table must hold
     // exactly the model's rows. This is what keeps containment exact
@@ -597,11 +568,11 @@ void ContainmentCheck(Session& s) {
 
   StatementResult result = s.ExecOrFail(query);
   ++stats.queries_checked;
-  if (s.done || !options.gen.rectify) return;
+  if (s.done() || !options.gen.rectify) return;
   bool contains;
   {
     obs::ScopedPhase span(obs::Phase::kOracleCheck);
-    contains = ResultContainsRow(result, pivot);
+    contains = RowsMultisetContained({pivot}, result.rows);
     obs::Emit(obs::EventKind::kOracleCheck,
               static_cast<uint32_t>(OracleKind::kContainment),
               contains ? 0u : 1u);
@@ -637,7 +608,7 @@ void MetamorphicCheck(Session& s) {
   SelectStmt fetch;
   fetch.from_tables = {table.name};
   StatementResult rows = s.ExecOrFail(fetch);
-  if (s.done) return;
+  if (s.done()) return;
   // The model is a concrete clean MiniDB, so the state comparison can
   // read its stored rows directly — the same multiset a bare SELECT *
   // through Execute would return, without the query machinery.
@@ -790,15 +761,15 @@ void RunTxnSession(Session& s) {
       SelectStmt fetch;
       fetch.from_tables = {table.name};
       StatementResult rows = s.ExecOrFail(fetch);
-      if (s.done || !s.CompareState(kSerialReplay, "table " + table.name,
-                                    fetch, rows,
-                                    replay.TableRows(table.name))) {
+      if (s.done() || !s.CompareState(kSerialReplay, "table " + table.name,
+                                      fetch, rows,
+                                      replay.TableRows(table.name))) {
         return;
       }
     }
   };
 
-  for (int q = 0; q < s.options.queries_per_database && !s.done; ++q) {
+  for (int q = 0; q < s.options.queries_per_database && !s.done(); ++q) {
     for (SessionAction& action : s.scheduler.NextTxnBatch(&s.rng)) {
       int session = action.session;
       switch_session(session);
@@ -859,10 +830,10 @@ void RunTxnSession(Session& s) {
       // Committed-state check right after every COMMIT: the strongest
       // point to compare, since the committing session is back in
       // autocommit and reads the latest committed state.
-      if (committed && !s.done) check_committed_state();
-      if (s.done) break;
+      if (committed && !s.done()) check_committed_state();
+      if (s.done()) break;
     }
-    if (s.done) break;
+    if (s.done()) break;
 
     // Snapshot check: inside a randomly chosen session's view, the engine
     // must agree with the model (which replays the identical interleaved
@@ -875,7 +846,7 @@ void RunTxnSession(Session& s) {
       fetch.from_tables = {table.name};
       StatementResult engine_rows = s.ExecOrFail(fetch);
       ++stats.txn_snapshot_checks;
-      if (s.done) break;
+      if (s.done()) break;
       StatementResult model_rows = s.Replay(fetch);
       if (!model_rows.ok()) continue;  // clean model; defensive
       if (!s.CompareState(kSnapshotReplay,
@@ -885,7 +856,7 @@ void RunTxnSession(Session& s) {
         break;
       }
     }
-    if (s.done) break;
+    if (s.done()) break;
 
     // Index probe: an equality lookup on an indexed column. The model's
     // rows must be multiset-contained in the engine's — a stale index
@@ -918,7 +889,7 @@ void RunTxnSession(Session& s) {
         MakeBinary(BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
                    MakeLiteral(sample[col_index]));
     StatementResult engine_rows = s.ExecOrFail(probe);
-    if (s.done) continue;
+    if (s.done()) continue;
     StatementResult model_rows = s.Replay(probe);
     std::vector<SqlValue> missing;
     if (model_rows.ok() &&
@@ -960,13 +931,13 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
     // oracle in place of pivot containment.
     RunTxnSession(s);
   } else if (s.Setup(/*index_every_table=*/false, no_state)) {
-    for (int q = 0; q < options.queries_per_database && !s.done; ++q) {
+    for (int q = 0; q < options.queries_per_database && !s.done(); ++q) {
       // The weighted mutation stream between checks (DESIGN §9).
       for (StmtPtr& action : s.scheduler.NextBatch(&s.rng)) {
         s.Step(std::move(action), no_state);
-        if (s.done) break;
+        if (s.done()) break;
       }
-      if (!s.done) check(s);
+      if (!s.done()) check(s);
     }
   }
   return std::move(s.out);
@@ -1019,40 +990,22 @@ bool MergeDbResult(DbRunResult&& r, bool stop_on_first_finding,
 }  // namespace
 
 void RunStats::Merge(const RunStats& other) {
-  statements_executed += other.statements_executed;
-  queries_checked += other.queries_checked;
-  queries_skipped += other.queries_skipped;
-  databases_created += other.databases_created;
-  rectified_true += other.rectified_true;
-  rectified_false += other.rectified_false;
-  rectified_null += other.rectified_null;
-  constraint_violations += other.constraint_violations;
-  join_conditions_rectified += other.join_conditions_rectified;
-  limited_queries += other.limited_queries;
-  norec_checks += other.norec_checks;
-  tlp_checks += other.tlp_checks;
-  tlp_partition_queries += other.tlp_partition_queries;
-  aggregate_queries += other.aggregate_queries;
-  group_by_queries += other.group_by_queries;
-  having_queries += other.having_queries;
-  actions_insert += other.actions_insert;
-  actions_update += other.actions_update;
-  actions_delete += other.actions_delete;
-  actions_create_index += other.actions_create_index;
-  actions_drop_index += other.actions_drop_index;
-  actions_maintenance += other.actions_maintenance;
-  state_compares += other.state_compares;
-  txn_begins += other.txn_begins;
-  txn_commits += other.txn_commits;
-  txn_rollbacks += other.txn_rollbacks;
-  txn_conflicts += other.txn_conflicts;
-  txn_snapshot_checks += other.txn_snapshot_checks;
-  txn_serial_replays += other.txn_serial_replays;
-  for (int i = 0; i < kDepthBuckets; ++i) {
-    predicate_depth_buckets[i] += other.predicate_depth_buckets[i];
-  }
-  predicates_with_function += other.predicates_with_function;
-  function_calls_generated += other.function_calls_generated;
+  ForEachField(
+      [](const char*, size_t width, uint64_t* sum, const uint64_t* add) {
+        for (size_t i = 0; i < width; ++i) sum[i] += add[i];
+      },
+      *this, other);
+}
+
+bool RunStats::operator==(const RunStats& other) const {
+  bool equal = true;
+  ForEachField(
+      [&equal](const char*, size_t width, const uint64_t* a,
+               const uint64_t* b) {
+        equal = equal && std::equal(a, a + width, b);
+      },
+      *this, other);
+  return equal;
 }
 
 ShardPlan ShardPlan::Build(uint64_t seed, int databases) {

@@ -108,10 +108,65 @@ struct RunStats {
   uint64_t txn_snapshot_checks = 0;
   uint64_t txn_serial_replays = 0;
 
+  // The one field list, in declaration order: fn(name, width, slots...)
+  // per tally, each of `slots` pointing at the tally's first uint64_t in
+  // one of `stats` and `width` counting them. Merge, operator== and every
+  // rendering of the tallies iterate it; the static_assert below the
+  // struct rejects a member that has no line here.
+  template <typename Fn, typename... Stats>
+  static constexpr void ForEachField(Fn&& fn, Stats&... stats) {
+#define PQS_RUN_STATS_FIELD(name) \
+  fn(#name, sizeof(RunStats::name) / sizeof(uint64_t), Slots(stats.name)...)
+    PQS_RUN_STATS_FIELD(statements_executed);
+    PQS_RUN_STATS_FIELD(queries_checked);
+    PQS_RUN_STATS_FIELD(queries_skipped);
+    PQS_RUN_STATS_FIELD(databases_created);
+    PQS_RUN_STATS_FIELD(rectified_true);
+    PQS_RUN_STATS_FIELD(rectified_false);
+    PQS_RUN_STATS_FIELD(rectified_null);
+    PQS_RUN_STATS_FIELD(constraint_violations);
+    PQS_RUN_STATS_FIELD(join_conditions_rectified);
+    PQS_RUN_STATS_FIELD(limited_queries);
+    PQS_RUN_STATS_FIELD(predicate_depth_buckets);
+    PQS_RUN_STATS_FIELD(predicates_with_function);
+    PQS_RUN_STATS_FIELD(function_calls_generated);
+    PQS_RUN_STATS_FIELD(norec_checks);
+    PQS_RUN_STATS_FIELD(tlp_checks);
+    PQS_RUN_STATS_FIELD(tlp_partition_queries);
+    PQS_RUN_STATS_FIELD(aggregate_queries);
+    PQS_RUN_STATS_FIELD(group_by_queries);
+    PQS_RUN_STATS_FIELD(having_queries);
+    PQS_RUN_STATS_FIELD(actions_insert);
+    PQS_RUN_STATS_FIELD(actions_update);
+    PQS_RUN_STATS_FIELD(actions_delete);
+    PQS_RUN_STATS_FIELD(actions_create_index);
+    PQS_RUN_STATS_FIELD(actions_drop_index);
+    PQS_RUN_STATS_FIELD(actions_maintenance);
+    PQS_RUN_STATS_FIELD(state_compares);
+    PQS_RUN_STATS_FIELD(txn_begins);
+    PQS_RUN_STATS_FIELD(txn_commits);
+    PQS_RUN_STATS_FIELD(txn_rollbacks);
+    PQS_RUN_STATS_FIELD(txn_conflicts);
+    PQS_RUN_STATS_FIELD(txn_snapshot_checks);
+    PQS_RUN_STATS_FIELD(txn_serial_replays);
+#undef PQS_RUN_STATS_FIELD
+  }
+  // A tally's first uint64_t: the counter itself or the histogram's first.
+  template <typename T>
+  static constexpr T* Slots(T& tally) { return &tally; }
+  template <typename T, size_t N>
+  static constexpr T* Slots(T (&histogram)[N]) { return histogram; }
+
   // Value merge: adds `other`'s tallies into this one. Merging the
   // per-shard stats of a run in any order equals the single-run totals.
   void Merge(const RunStats& other);
+  bool operator==(const RunStats& other) const;
 };
+static_assert(sizeof(RunStats) == sizeof(uint64_t) * [] {
+  size_t slots = 0;
+  RunStats::ForEachField([&slots](const char*, size_t n) { slots += n; });
+  return slots;
+}(), "every RunStats member needs its line in RunStats::ForEachField");
 
 struct RunReport {
   RunStats stats;

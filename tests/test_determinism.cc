@@ -51,27 +51,7 @@ RunReport BuggyRun(uint64_t seed, int workers = 1,
 void TestSameSeedSameReport() {
   RunReport a = BuggyRun(123);
   RunReport b = BuggyRun(123);
-  CHECK_EQ(a.stats.statements_executed, b.stats.statements_executed);
-  CHECK_EQ(a.stats.queries_checked, b.stats.queries_checked);
-  CHECK_EQ(a.stats.rectified_true, b.stats.rectified_true);
-  CHECK_EQ(a.stats.rectified_false, b.stats.rectified_false);
-  CHECK_EQ(a.stats.rectified_null, b.stats.rectified_null);
-  CHECK_EQ(a.stats.constraint_violations, b.stats.constraint_violations);
-  for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
-    CHECK_EQ(a.stats.predicate_depth_buckets[i],
-             b.stats.predicate_depth_buckets[i]);
-  }
-  CHECK_EQ(a.stats.predicates_with_function,
-           b.stats.predicates_with_function);
-  CHECK_EQ(a.stats.function_calls_generated,
-           b.stats.function_calls_generated);
-  CHECK_EQ(a.stats.actions_insert, b.stats.actions_insert);
-  CHECK_EQ(a.stats.actions_update, b.stats.actions_update);
-  CHECK_EQ(a.stats.actions_delete, b.stats.actions_delete);
-  CHECK_EQ(a.stats.actions_create_index, b.stats.actions_create_index);
-  CHECK_EQ(a.stats.actions_drop_index, b.stats.actions_drop_index);
-  CHECK_EQ(a.stats.actions_maintenance, b.stats.actions_maintenance);
-  CHECK_EQ(a.stats.state_compares, b.stats.state_compares);
+  CHECK(a.stats == b.stats);
   CHECK_EQ(a.findings.size(), b.findings.size());
   for (size_t i = 0; i < a.findings.size() && i < b.findings.size(); ++i) {
     CHECK_EQ(RenderScript(a.findings[i].statements, Dialect::kSqliteFlex),
@@ -96,48 +76,7 @@ void TestShardedRunnerMatchesSequential() {
       RunReport sequential = BuggyRun(123, /*workers=*/1, stop_on_first, bug);
       for (int workers : {2, 4}) {
         RunReport sharded = BuggyRun(123, workers, stop_on_first, bug);
-        CHECK_EQ(sharded.stats.statements_executed,
-                 sequential.stats.statements_executed);
-        CHECK_EQ(sharded.stats.queries_checked,
-                 sequential.stats.queries_checked);
-        CHECK_EQ(sharded.stats.queries_skipped,
-                 sequential.stats.queries_skipped);
-        CHECK_EQ(sharded.stats.databases_created,
-                 sequential.stats.databases_created);
-        CHECK_EQ(sharded.stats.rectified_true,
-                 sequential.stats.rectified_true);
-        CHECK_EQ(sharded.stats.rectified_false,
-                 sequential.stats.rectified_false);
-        CHECK_EQ(sharded.stats.rectified_null,
-                 sequential.stats.rectified_null);
-        CHECK_EQ(sharded.stats.constraint_violations,
-                 sequential.stats.constraint_violations);
-        CHECK_EQ(sharded.stats.join_conditions_rectified,
-                 sequential.stats.join_conditions_rectified);
-        CHECK_EQ(sharded.stats.limited_queries,
-                 sequential.stats.limited_queries);
-        for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
-          CHECK_EQ(sharded.stats.predicate_depth_buckets[i],
-                   sequential.stats.predicate_depth_buckets[i]);
-        }
-        CHECK_EQ(sharded.stats.predicates_with_function,
-                 sequential.stats.predicates_with_function);
-        CHECK_EQ(sharded.stats.function_calls_generated,
-                 sequential.stats.function_calls_generated);
-        CHECK_EQ(sharded.stats.actions_insert,
-                 sequential.stats.actions_insert);
-        CHECK_EQ(sharded.stats.actions_update,
-                 sequential.stats.actions_update);
-        CHECK_EQ(sharded.stats.actions_delete,
-                 sequential.stats.actions_delete);
-        CHECK_EQ(sharded.stats.actions_create_index,
-                 sequential.stats.actions_create_index);
-        CHECK_EQ(sharded.stats.actions_drop_index,
-                 sequential.stats.actions_drop_index);
-        CHECK_EQ(sharded.stats.actions_maintenance,
-                 sequential.stats.actions_maintenance);
-        CHECK_EQ(sharded.stats.state_compares,
-                 sequential.stats.state_compares);
+        CHECK(sharded.stats == sequential.stats);
         CHECK_EQ(sharded.findings.size(), sequential.findings.size());
         for (size_t i = 0;
              i < sharded.findings.size() && i < sequential.findings.size();
@@ -214,40 +153,11 @@ std::string Fingerprint(const RunReport& r) {
     out += std::to_string(v);
     out += '|';
   };
-  num(r.stats.statements_executed);
-  num(r.stats.queries_checked);
-  num(r.stats.queries_skipped);
-  num(r.stats.databases_created);
-  num(r.stats.rectified_true);
-  num(r.stats.rectified_false);
-  num(r.stats.rectified_null);
-  num(r.stats.constraint_violations);
-  num(r.stats.join_conditions_rectified);
-  num(r.stats.limited_queries);
-  for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
-    num(r.stats.predicate_depth_buckets[i]);
-  }
-  num(r.stats.predicates_with_function);
-  num(r.stats.function_calls_generated);
-  num(r.stats.norec_checks);
-  num(r.stats.tlp_checks);
-  num(r.stats.tlp_partition_queries);
-  num(r.stats.aggregate_queries);
-  num(r.stats.group_by_queries);
-  num(r.stats.having_queries);
-  num(r.stats.actions_insert);
-  num(r.stats.actions_update);
-  num(r.stats.actions_delete);
-  num(r.stats.actions_create_index);
-  num(r.stats.actions_drop_index);
-  num(r.stats.actions_maintenance);
-  num(r.stats.state_compares);
-  num(r.stats.txn_begins);
-  num(r.stats.txn_commits);
-  num(r.stats.txn_rollbacks);
-  num(r.stats.txn_conflicts);
-  num(r.stats.txn_snapshot_checks);
-  num(r.stats.txn_serial_replays);
+  RunStats::ForEachField(
+      [&num](const char*, size_t width, const uint64_t* v) {
+        for (size_t i = 0; i < width; ++i) num(v[i]);
+      },
+      r.stats);
   num(r.findings.size());
   for (const Finding& f : r.findings) {
     num(static_cast<uint64_t>(f.oracle));
@@ -393,60 +303,28 @@ struct GoldenCase {
   int txn_sessions;
 };
 
-// Renders every deterministic part of a report: each RunStats field, the
-// unsupported flag (always 0), the registry's engine-side counters (listed
-// by enum), gauges, per-phase logical-tick histograms, and per finding its
-// oracle, message, pivot, statement count, last statement, and hashes of
-// the full rendered script and of the flight events.
+// Renders every deterministic part of a report: each RunStats field in
+// list order, the unsupported flag (always 0), every registry counter in
+// enum order, and per finding its oracle, message, pivot, statement count,
+// last statement, and hashes of the full rendered script and of the flight
+// events.
 std::string RenderGoldenReport(const RunReport& r) {
   std::string out;
   auto field = [&out](const std::string& name, uint64_t v) {
     out += "  " + name + "=" + std::to_string(v) + "\n";
   };
-  const RunStats& s = r.stats;
-  field("statements_executed", s.statements_executed);
-  field("queries_checked", s.queries_checked);
-  field("queries_skipped", s.queries_skipped);
-  field("databases_created", s.databases_created);
-  field("rectified_true", s.rectified_true);
-  field("rectified_false", s.rectified_false);
-  field("rectified_null", s.rectified_null);
-  field("constraint_violations", s.constraint_violations);
-  field("join_conditions_rectified", s.join_conditions_rectified);
-  field("limited_queries", s.limited_queries);
-  out += "  predicate_depth_buckets=";
-  for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
-    out += std::to_string(s.predicate_depth_buckets[i]);
-    out += i + 1 < RunStats::kDepthBuckets ? "," : "\n";
-  }
-  field("predicates_with_function", s.predicates_with_function);
-  field("function_calls_generated", s.function_calls_generated);
-  field("norec_checks", s.norec_checks);
-  field("tlp_checks", s.tlp_checks);
-  field("tlp_partition_queries", s.tlp_partition_queries);
-  field("aggregate_queries", s.aggregate_queries);
-  field("group_by_queries", s.group_by_queries);
-  field("having_queries", s.having_queries);
-  field("actions_insert", s.actions_insert);
-  field("actions_update", s.actions_update);
-  field("actions_delete", s.actions_delete);
-  field("actions_create_index", s.actions_create_index);
-  field("actions_drop_index", s.actions_drop_index);
-  field("actions_maintenance", s.actions_maintenance);
-  field("state_compares", s.state_compares);
-  field("txn_begins", s.txn_begins);
-  field("txn_commits", s.txn_commits);
-  field("txn_rollbacks", s.txn_rollbacks);
-  field("txn_conflicts", s.txn_conflicts);
-  field("txn_snapshot_checks", s.txn_snapshot_checks);
-  field("txn_serial_replays", s.txn_serial_replays);
+  RunStats::ForEachField(
+      [&out](const char* name, size_t width, const uint64_t* v) {
+        out += "  " + std::string(name) + "=";
+        for (size_t i = 0; i < width; ++i) {
+          out += std::to_string(v[i]);
+          out += i + 1 < width ? "," : "\n";
+        }
+      },
+      r.stats);
   field("unsupported_engine", r.unsupported_engine ? 1 : 0);
-  for (obs::Counter c :
-       {obs::Counter::kStatementErrors, obs::Counter::kPivotSelections,
-        obs::Counter::kPoolHits, obs::Counter::kPoolMisses,
-        obs::Counter::kPoolEvictions, obs::Counter::kPoolWritebacks,
-        obs::Counter::kStmtCacheHits, obs::Counter::kStmtCacheMisses,
-        obs::Counter::kCacheInvalidations}) {
+  for (size_t i = 0; i < static_cast<size_t>(obs::Counter::kCount_); ++i) {
+    auto c = static_cast<obs::Counter>(i);
     field(std::string("counter.") + obs::CounterName(c), r.metrics.counter(c));
   }
   field("findings", r.findings.size());
@@ -572,8 +450,7 @@ void TestDifferentSeedsDiffer() {
   // actually feeds the generator.
   RunReport a = BuggyRun(1);
   RunReport b = BuggyRun(2);
-  CHECK(a.stats.statements_executed != b.stats.statements_executed ||
-        a.stats.rectified_true != b.stats.rectified_true);
+  CHECK(!(a.stats == b.stats));
 }
 
 }  // namespace

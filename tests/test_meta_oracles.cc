@@ -825,37 +825,6 @@ void TestMetaPropertiesOnCleanEngines() {
 // N-worker determinism of the merged report, new counters included
 // ---------------------------------------------------------------------------
 
-void CheckStatsEqual(const RunStats& a, const RunStats& b) {
-  CHECK_EQ(a.statements_executed, b.statements_executed);
-  CHECK_EQ(a.queries_checked, b.queries_checked);
-  CHECK_EQ(a.queries_skipped, b.queries_skipped);
-  CHECK_EQ(a.databases_created, b.databases_created);
-  CHECK_EQ(a.rectified_true, b.rectified_true);
-  CHECK_EQ(a.rectified_false, b.rectified_false);
-  CHECK_EQ(a.rectified_null, b.rectified_null);
-  CHECK_EQ(a.constraint_violations, b.constraint_violations);
-  CHECK_EQ(a.join_conditions_rectified, b.join_conditions_rectified);
-  CHECK_EQ(a.limited_queries, b.limited_queries);
-  for (int i = 0; i < RunStats::kDepthBuckets; ++i) {
-    CHECK_EQ(a.predicate_depth_buckets[i], b.predicate_depth_buckets[i]);
-  }
-  CHECK_EQ(a.predicates_with_function, b.predicates_with_function);
-  CHECK_EQ(a.function_calls_generated, b.function_calls_generated);
-  CHECK_EQ(a.norec_checks, b.norec_checks);
-  CHECK_EQ(a.tlp_checks, b.tlp_checks);
-  CHECK_EQ(a.tlp_partition_queries, b.tlp_partition_queries);
-  CHECK_EQ(a.aggregate_queries, b.aggregate_queries);
-  CHECK_EQ(a.group_by_queries, b.group_by_queries);
-  CHECK_EQ(a.having_queries, b.having_queries);
-  CHECK_EQ(a.actions_insert, b.actions_insert);
-  CHECK_EQ(a.actions_update, b.actions_update);
-  CHECK_EQ(a.actions_delete, b.actions_delete);
-  CHECK_EQ(a.actions_create_index, b.actions_create_index);
-  CHECK_EQ(a.actions_drop_index, b.actions_drop_index);
-  CHECK_EQ(a.actions_maintenance, b.actions_maintenance);
-  CHECK_EQ(a.state_compares, b.state_compares);
-}
-
 void TestWorkerDeterminism() {
   // A buggy engine so the merged reports carry findings too.
   auto run = [](int workers) {
@@ -878,7 +847,7 @@ void TestWorkerDeterminism() {
   CHECK(!base.findings.empty());
   for (int workers : {2, 4, property_workers}) {
     RunReport sharded = run(workers);
-    CheckStatsEqual(base.stats, sharded.stats);
+    CHECK(base.stats == sharded.stats);
     CHECK_EQ(base.findings.size(), sharded.findings.size());
     for (size_t i = 0; i < base.findings.size() && i < sharded.findings.size();
          ++i) {

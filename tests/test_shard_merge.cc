@@ -69,86 +69,52 @@ void TestOneWorkerClaimsInOrderOnCallingThread() {
   CHECK(all_on_caller);
 }
 
+// Merge sums every listed tally and operator== sees every one: each
+// uint64_t slot gets a distinct value in both shards, so a slot skipped or
+// summed into a neighbour shows, and bumping any one slot breaks equality.
 void TestRunStatsMerge() {
-  RunStats total;
   RunStats shard1;
-  shard1.statements_executed = 10;
-  shard1.queries_checked = 4;
-  shard1.queries_skipped = 1;
-  shard1.databases_created = 2;
-  shard1.rectified_true = 3;
-  shard1.rectified_false = 2;
-  shard1.rectified_null = 1;
-  shard1.constraint_violations = 5;
-  shard1.join_conditions_rectified = 6;
-  shard1.limited_queries = 2;
-  shard1.predicate_depth_buckets[0] = 2;
-  shard1.predicate_depth_buckets[2] = 1;
-  shard1.predicates_with_function = 3;
-  shard1.function_calls_generated = 5;
-  shard1.actions_insert = 4;
-  shard1.actions_update = 3;
-  shard1.actions_delete = 2;
-  shard1.actions_create_index = 1;
-  shard1.actions_drop_index = 1;
-  shard1.actions_maintenance = 2;
-  shard1.state_compares = 6;
-  shard1.txn_begins = 4;
-  shard1.txn_commits = 3;
-  shard1.txn_rollbacks = 1;
-  shard1.txn_conflicts = 2;
-  shard1.txn_snapshot_checks = 5;
-  shard1.txn_serial_replays = 3;
   RunStats shard2;
-  shard2.statements_executed = 7;
-  shard2.queries_checked = 2;
-  shard2.databases_created = 1;
-  shard2.rectified_null = 4;
-  shard2.join_conditions_rectified = 1;
-  shard2.limited_queries = 3;
-  shard2.predicate_depth_buckets[0] = 1;
-  shard2.predicate_depth_buckets[4] = 2;
-  shard2.predicates_with_function = 1;
-  shard2.function_calls_generated = 1;
-  shard2.actions_insert = 1;
-  shard2.actions_update = 2;
-  shard2.actions_maintenance = 1;
-  shard2.state_compares = 3;
-  shard2.txn_begins = 2;
-  shard2.txn_commits = 1;
-  shard2.txn_conflicts = 1;
-  shard2.txn_snapshot_checks = 2;
-  shard2.txn_serial_replays = 1;
+  uint64_t next = 1;
+  RunStats::ForEachField(
+      [&next](const char*, size_t width, uint64_t* a, uint64_t* b) {
+        for (size_t i = 0; i < width; ++i) {
+          a[i] = next++;
+          b[i] = 1000 * next++;
+        }
+      },
+      shard1, shard2);
+  RunStats total;
   total.Merge(shard1);
   total.Merge(shard2);
-  CHECK_EQ(total.statements_executed, uint64_t{17});
-  CHECK_EQ(total.queries_checked, uint64_t{6});
-  CHECK_EQ(total.queries_skipped, uint64_t{1});
-  CHECK_EQ(total.databases_created, uint64_t{3});
-  CHECK_EQ(total.rectified_true, uint64_t{3});
-  CHECK_EQ(total.rectified_false, uint64_t{2});
-  CHECK_EQ(total.rectified_null, uint64_t{5});
-  CHECK_EQ(total.constraint_violations, uint64_t{5});
-  CHECK_EQ(total.join_conditions_rectified, uint64_t{7});
-  CHECK_EQ(total.limited_queries, uint64_t{5});
-  CHECK_EQ(total.predicate_depth_buckets[0], uint64_t{3});
-  CHECK_EQ(total.predicate_depth_buckets[2], uint64_t{1});
-  CHECK_EQ(total.predicate_depth_buckets[4], uint64_t{2});
-  CHECK_EQ(total.predicates_with_function, uint64_t{4});
-  CHECK_EQ(total.function_calls_generated, uint64_t{6});
-  CHECK_EQ(total.actions_insert, uint64_t{5});
-  CHECK_EQ(total.actions_update, uint64_t{5});
-  CHECK_EQ(total.actions_delete, uint64_t{2});
-  CHECK_EQ(total.actions_create_index, uint64_t{1});
-  CHECK_EQ(total.actions_drop_index, uint64_t{1});
-  CHECK_EQ(total.actions_maintenance, uint64_t{3});
-  CHECK_EQ(total.state_compares, uint64_t{9});
-  CHECK_EQ(total.txn_begins, uint64_t{6});
-  CHECK_EQ(total.txn_commits, uint64_t{4});
-  CHECK_EQ(total.txn_rollbacks, uint64_t{1});
-  CHECK_EQ(total.txn_conflicts, uint64_t{3});
-  CHECK_EQ(total.txn_snapshot_checks, uint64_t{7});
-  CHECK_EQ(total.txn_serial_replays, uint64_t{4});
+  size_t slots = 0;
+  RunStats::ForEachField(
+      [&slots](const char* name, size_t width, const uint64_t* sum,
+               const uint64_t* a, const uint64_t* b) {
+        for (size_t i = 0; i < width; ++i, ++slots) {
+          CHECK_MSG(sum[i] == a[i] + b[i], "%s[%zu] merged to %llu", name, i,
+                    static_cast<unsigned long long>(sum[i]));
+        }
+      },
+      total, shard1, shard2);
+  CHECK_EQ(slots * sizeof(uint64_t), sizeof(RunStats));
+
+  RunStats copy = total;
+  CHECK(copy == total);
+  CHECK(!(total == shard1));
+  for (size_t bumped_slot = 0; bumped_slot < slots; ++bumped_slot) {
+    RunStats bumped = total;
+    size_t slot = 0;
+    RunStats::ForEachField(
+        [&](const char*, size_t width, uint64_t* v) {
+          for (size_t i = 0; i < width; ++i, ++slot) {
+            if (slot == bumped_slot) ++v[i];
+          }
+        },
+        bumped);
+    CHECK_MSG(!(bumped == total), "slot %zu ignored by operator==",
+              bumped_slot);
+  }
 }
 
 void TestCoverageMapMerge() {
@@ -211,11 +177,7 @@ void TestShardedCoverageMatchesSingleRun() {
   minidb::CoverageMap merged;
   for (const minidb::CoverageMap& m : shards) merged.Merge(m);
 
-  CHECK_EQ(sharded.stats.statements_executed,
-           sequential.stats.statements_executed);
-  CHECK_EQ(sharded.stats.queries_checked, sequential.stats.queries_checked);
-  CHECK_EQ(sharded.stats.databases_created,
-           sequential.stats.databases_created);
+  CHECK(sharded.stats == sequential.stats);
   CHECK_EQ(sharded.findings.size(), sequential.findings.size());
   for (size_t i = 0; i < minidb::kNumFeatures; ++i) {
     auto f = static_cast<minidb::Feature>(i);

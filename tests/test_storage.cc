@@ -49,18 +49,22 @@ std::vector<DiskPage> MakeDisk(int pages) {
   return disk;
 }
 
+// The pool counts its work only in the installed session's registry.
 void TestPoolPinUnpin() {
+  obs::SessionTelemetry session;
+  obs::ScopedSessionTelemetry install(&session);
   BufferPool pool(4, 1, nullptr);
   std::vector<DiskPage> disk = MakeDisk(8);
 
   int f = pool.Fetch(0, 0, &disk[0], BufferPool::Intent::kRead);
   CHECK_EQ(pool.frame(f).pins, 1);
-  CHECK_EQ(pool.stats().misses, static_cast<uint64_t>(1));
+  CHECK_EQ(session.metrics.counter(obs::Counter::kPoolMisses), uint64_t{1});
   // A hit pins the same frame again.
   int f2 = pool.Fetch(0, 0, &disk[0], BufferPool::Intent::kRead);
   CHECK_EQ(f, f2);
   CHECK_EQ(pool.frame(f).pins, 2);
-  CHECK_EQ(pool.stats().hits, static_cast<uint64_t>(1));
+  CHECK_EQ(session.metrics.counter(obs::Counter::kPoolHits), uint64_t{1});
+  CHECK_EQ(session.metrics.counter(obs::Counter::kPoolMisses), uint64_t{1});
   pool.Unpin(f);
   pool.Unpin(f);
   CHECK_EQ(pool.frame(f).pins, 0);
@@ -68,6 +72,8 @@ void TestPoolPinUnpin() {
 }
 
 void TestPoolDirtyWriteBack() {
+  obs::SessionTelemetry session;
+  obs::ScopedSessionTelemetry install(&session);
   BufferPool pool(4, 1, nullptr);
   std::vector<DiskPage> disk = MakeDisk(8);
 
@@ -79,14 +85,16 @@ void TestPoolDirtyWriteBack() {
     int g = pool.Fetch(0, p, &disk[p], BufferPool::Intent::kRead);
     pool.Unpin(g);
   }
-  CHECK(pool.stats().evictions > 0);
-  CHECK(pool.stats().dirty_writebacks > 0);
+  CHECK(session.metrics.counter(obs::Counter::kPoolEvictions) > 0);
+  CHECK(session.metrics.counter(obs::Counter::kPoolWritebacks) > 0);
   CHECK_EQ(disk[1].rows[0][0].i, static_cast<int64_t>(100));
   // Clean pages are never written back: page 2's disk image is untouched.
   CHECK_EQ(disk[2].rows[0][0].i, static_cast<int64_t>(2));
 }
 
 void TestPoolEmergencyGrowth() {
+  obs::SessionTelemetry session;
+  obs::ScopedSessionTelemetry install(&session);
   BufferPool pool(4, 1, nullptr);
   std::vector<DiskPage> disk = MakeDisk(8);
   std::vector<int> held;
@@ -97,8 +105,7 @@ void TestPoolEmergencyGrowth() {
   // Every frame pinned: the fifth fetch must grow, not deadlock or evict.
   int extra = pool.Fetch(0, 4, &disk[4], BufferPool::Intent::kRead);
   CHECK_EQ(pool.frame_count(), static_cast<size_t>(5));
-  CHECK_EQ(pool.stats().emergency_frames, static_cast<uint64_t>(1));
-  CHECK_EQ(pool.stats().evictions, static_cast<uint64_t>(0));
+  CHECK_EQ(session.metrics.counter(obs::Counter::kPoolEvictions), uint64_t{0});
   pool.Unpin(extra);
   for (int h : held) pool.Unpin(h);
   // Reset shrinks back to the configured frame count.
@@ -254,7 +261,9 @@ void TestPagedSessionProperty() {
   uint64_t sessions = 0;
   uint64_t selects_compared = 0;
   uint64_t tables_compared = 0;
-  uint64_t paged_evictions = 0;
+  // Pool counts of the index-scan Stress engine alone: only its Execute
+  // calls run with this session installed.
+  obs::SessionTelemetry paged_counts;
   minidb::CoverageMap coverage;
   for (Dialect dialect : {Dialect::kSqliteFlex, Dialect::kMysqlLike,
                           Dialect::kPostgresStrict}) {
@@ -272,8 +281,12 @@ void TestPagedSessionProperty() {
       paged_noindex.set_use_index_scan(false);
       minidb::Database flat(dialect, BugConfig(), StorageOptions::Flat());
       ActionScheduler scheduler(&generator, gopts, &plan);
+      auto exec_paged = [&](const Stmt& stmt) {
+        obs::ScopedSessionTelemetry install(&paged_counts);
+        return paged.Execute(stmt);
+      };
       auto exec_all = [&](const Stmt& stmt) {
-        StatementResult a = paged.Execute(stmt);
+        StatementResult a = exec_paged(stmt);
         StatementResult b = paged_noindex.Execute(stmt);
         StatementResult c = flat.Execute(stmt);
         CHECK_EQ(static_cast<int>(a.status), static_cast<int>(b.status));
@@ -296,7 +309,7 @@ void TestPagedSessionProperty() {
         SelectStmt sel;
         sel.from_tables = {table.name};
         sel.where = std::move(where);
-        StatementResult a = paged.Execute(sel);
+        StatementResult a = exec_paged(sel);
         StatementResult b = paged_noindex.Execute(sel);
         CHECK_EQ(static_cast<int>(a.status), static_cast<int>(b.status));
         if (!a.ok()) continue;
@@ -332,7 +345,6 @@ void TestPagedSessionProperty() {
                   table.name.c_str());
         ++tables_compared;
       }
-      paged_evictions += paged.buffer_pool().stats().evictions;
       ++sessions;
     }
   }
@@ -343,6 +355,8 @@ void TestPagedSessionProperty() {
   // The property only means something if the planner and the pool actually
   // worked: index scans ran, and the tiny pool was cycling pages.
   CHECK(coverage.Hits(minidb::Feature::kIndexScan) > 100);
+  uint64_t paged_evictions =
+      paged_counts.metrics.counter(obs::Counter::kPoolEvictions);
   CHECK_MSG(paged_evictions > 10000, "only %llu evictions",
             static_cast<unsigned long long>(paged_evictions));
 }

@@ -655,18 +655,11 @@ std::string Fingerprint(const RunReport& r) {
     out += std::to_string(v);
     out += '|';
   };
-  num(r.stats.statements_executed);
-  num(r.stats.databases_created);
-  num(r.stats.constraint_violations);
-  num(r.stats.actions_insert);
-  num(r.stats.actions_update);
-  num(r.stats.actions_delete);
-  num(r.stats.txn_begins);
-  num(r.stats.txn_commits);
-  num(r.stats.txn_rollbacks);
-  num(r.stats.txn_conflicts);
-  num(r.stats.txn_snapshot_checks);
-  num(r.stats.txn_serial_replays);
+  RunStats::ForEachField(
+      [&num](const char*, size_t width, const uint64_t* v) {
+        for (size_t i = 0; i < width; ++i) num(v[i]);
+      },
+      r.stats);
   num(r.findings.size());
   for (const Finding& f : r.findings) {
     num(static_cast<uint64_t>(f.oracle));
