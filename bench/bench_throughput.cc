@@ -417,9 +417,9 @@ std::string MeasurePhaseProfile(std::string* timings) {
 
 // Transaction-mix sweep (DESIGN §14): the interleaved K-session MVCC
 // branch on a clean engine, K ∈ {2, 3, 4}. Every statement here pays for
-// version-chain bookkeeping, the mirror replay, and the serial-replay
-// oracle, so this rate tracks the transaction branch's end-to-end cost the
-// way the worker sweep tracks the autocommit loop's. The commit/conflict
+// version-chain bookkeeping, the model replay, and the committed-state and
+// snapshot comparisons, so this rate tracks the transaction branch's
+// end-to-end cost the way the worker sweep tracks the autocommit loop's. The commit/conflict
 // tallies land in the JSON so check_perf_smoke.py can assert the workload
 // actually transacted.
 std::string MeasureTxnWorkload(std::string* timings) {

@@ -97,7 +97,7 @@ def main(argv):
         if point.get("commits", 0) <= 0:
             fail("%s committed no transactions" % where)
         if point.get("serial_replays", 0) <= 0:
-            fail("%s ran no serial-replay comparisons" % where)
+            fail("%s ran no committed-state comparisons" % where)
         if point.get("statements_per_second", 0.0) <= 0:
             fail("%s reports no throughput" % where)
 

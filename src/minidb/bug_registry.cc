@@ -165,9 +165,10 @@ const std::vector<BugInfo>& BuildRegistry() {
 
       // MVCC transaction layer: 2 SQLite, 2 MySQL, 1 PostgreSQL. The
       // anomaly classes (lost update, dirty read, write skew, uncommitted
-      // snapshot read) diverge from the serial replay of the committed
-      // transactions — the txn-serial oracle; the rollback bug corrupts
-      // indexes only, so in-snapshot pivot probes (containment) find it.
+      // snapshot read) make the committed state or a session's snapshot
+      // diverge from the clean model's — the txn-serial oracle; the
+      // rollback bug corrupts indexes only, so index probes (containment)
+      // find it.
       {BugId::kTxnLostUpdate, "txn-lost-update", Dialect::kSqliteFlex,
        OracleKind::kTxnSerial, ReportOutcome::kFixed},
       {BugId::kTxnRollbackStaleIndex, "txn-rollback-stale-index",

@@ -1596,8 +1596,8 @@ void Database::PruneHistory() {
   if (!in_epoch_) return;
   // Materialize the latest committed version of every table back into a
   // flat heap: tombstoned rows drop out, version chains are garbage. The
-  // relative order of surviving rows is preserved, which is what keeps the
-  // serial-replay model's row order identical to the engine's.
+  // relative order of surviving rows is preserved, so a table reads in the
+  // same order just before the prune and just after it.
   for (TableData& table : tables_) {
     std::vector<std::vector<SqlValue>> kept;
     kept.reserve(table.store.size());
@@ -2018,6 +2018,18 @@ StatementResult Database::TxnDeleteInto(const DeleteStmt& stmt,
     }
   }
   return StatementResult::Ok();
+}
+
+const std::vector<std::vector<SqlValue>>* Database::TableRows(
+    const std::string& name) {
+  TableData* table = FindTable(name);
+  if (table == nullptr) return nullptr;
+  if (!in_epoch_) return &table->store.Materialized();
+  table->committed_image.clear();
+  for (ImageRow& ir : BuildReadImage(table, nullptr, /*for_select=*/false)) {
+    table->committed_image.push_back(std::move(ir.data));
+  }
+  return &table->committed_image;
 }
 
 Database::TableData* Database::FindTable(const std::string& name) {

@@ -54,21 +54,18 @@ class Database : public Connection {
 
   size_t index_count() const { return indexes_.size(); }
 
-  // Read-only view of a table's stored rows in position order (nullptr
-  // when the table does not exist). For use outside the MVCC epoch only:
-  // there it is the row set a bare `SELECT *` returns on a clean instance,
-  // while inside it the store also holds tombstones and misses open
-  // transactions' writes. The runner's ground-truth state comparison
-  // reads the model through this instead of paying for a full SELECT
-  // round trip; on a clean paged engine the materialized copy is cached
-  // per table version, so repeated reads stay as cheap as the old direct
-  // vector access. The pointer is invalidated by the next mutation of the
-  // same table.
-  const std::vector<std::vector<SqlValue>>* TableRows(
-      const std::string& name) {
-    TableData* table = FindTable(name);
-    return table != nullptr ? &table->store.Materialized() : nullptr;
-  }
+  // Read-only view of a table's committed rows in position order (nullptr
+  // when the table does not exist): the row set an autocommit session's
+  // bare `SELECT *` returns on a clean instance. Outside the MVCC epoch it
+  // is the store itself; on a clean paged engine the materialized copy is
+  // cached per table version, so repeated reads stay as cheap as direct
+  // vector access. Inside the epoch it is the latest committed version of
+  // each row, built from the autocommit read image, so tombstones and open
+  // transactions' writes are left out. The runner's ground-truth state
+  // comparisons read the model through this instead of paying for a full
+  // SELECT round trip. The pointer is invalidated by the next mutation of
+  // the same table and, inside the epoch, by the next call for it.
+  const std::vector<std::vector<SqlValue>>* TableRows(const std::string& name);
 
   // Disables the secondary-index scan planner: every SELECT falls back to
   // the full table scan. The index-consistency property test runs the same
@@ -160,6 +157,8 @@ class Database : public Connection {
     // epoch (EnterEpoch fills it, PruneHistory clears it). Outside the
     // epoch the store alone is the truth and this map is empty.
     std::map<size_t, RowMeta> meta;
+    // TableRows' answer inside the epoch, rebuilt on every call there.
+    std::vector<std::vector<SqlValue>> committed_image;
   };
   struct IndexData {
     std::string name;

@@ -72,7 +72,8 @@ struct GeneratorOptions {
   // Number of logical sessions the scheduler interleaves. 1 (the default)
   // keeps the classic autocommit stream; above 1 the runner switches to
   // the transaction branch: BEGIN/COMMIT/ROLLBACK streams over K sessions
-  // with snapshot-isolation checks and the serial-replay oracle.
+  // with snapshot-isolation and committed-state checks against a clean
+  // model.
   int txn_sessions = 1;
 
   // Validates ranges: depths/counts non-negative, row bounds ordered,

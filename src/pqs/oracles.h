@@ -24,10 +24,10 @@
 
 namespace pqs {
 
-// kTxnSerial: the committed state of the concurrent K-session workload
-// diverged from a serial replay of the committed transactions in commit
-// order — the MVCC anomaly oracle (sound under snapshot isolation with
-// table-granular first-committer-wins; DESIGN §14).
+// kTxnSerial: a view of the concurrent K-session workload — the committed
+// state after a commit, or one session's snapshot — diverged from the same
+// view of a clean model fed the identical interleaved stream: the MVCC
+// anomaly oracle (DESIGN §14).
 enum class OracleKind { kContainment, kError, kCrash, kNorec, kTlp,
                         kTxnSerial };
 

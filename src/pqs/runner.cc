@@ -177,9 +177,9 @@ struct StateReference {
 constexpr StateReference kMutationReplay{
     OracleKind::kContainment, "the ground-truth mutation replay", "reference",
     true};
-constexpr StateReference kSerialReplay{
-    OracleKind::kTxnSerial, "the serial replay of committed transactions",
-    "serial replay", true};
+constexpr StateReference kCommittedState{
+    OracleKind::kTxnSerial, "the clean model's committed state", "model",
+    true};
 constexpr StateReference kSnapshotReplay{
     OracleKind::kTxnSerial, "the interleaved ground-truth replay", "reference",
     false};
@@ -217,8 +217,8 @@ struct Session {
   // mutation the engine applied wrongly (lost row, ghost row, wrong value)
   // is caught even though a rectified query can only prove *pivot*
   // containment. In the transaction family it replays the identical
-  // interleaved stream (SetSession included) and so also answers "what
-  // should this session see right now".
+  // interleaved stream (SetSession included) and so answers both "what
+  // should this session see right now" and "what is committed".
   minidb::Database model;
   ActionScheduler scheduler;
   size_t setup_done = 0;      // plan statements executed so far
@@ -694,33 +694,24 @@ void MetamorphicCheck(Session& s) {
 // --- Transaction family (DESIGN §14) -------------------------------------
 // K logical sessions drive BEGIN/COMMIT/ROLLBACK streams against the engine
 // under test. The session's model executes the identical interleaved stream
-// (SetSession included) and answers "what should this session see right
-// now" — the snapshot-isolation oracle. The family's own *replay* model
-// never sees a BEGIN: it receives each committed transaction's successful
-// DML serially, in commit order, and answers "what must the committed
-// state be" — the serial-replay oracle. Under SI with first-committer-wins
-// at table granularity, applying committed transactions' writes in commit
-// order reproduces the committed state exactly (no committer's written
-// tables changed between its snapshot and its commit), which is what
-// makes the serial comparison sound.
+// (SetSession included) on a clean engine, and every transaction check
+// compares a view the engine offers with the model's same view: the
+// committed state after each COMMIT, one session's snapshot between
+// batches, and an indexed lookup. That is the clean-engine differential the
+// reducer replays a finding with.
 void RunTxnSession(Session& s) {
   RunStats& stats = s.out.stats;
-  minidb::Database replay(s.dialect);  // serial committed-state ground truth
   // Key columns of setup indexes the model accepted, for the index-probe
   // check (a corrupted index shows up only through an indexed lookup).
   std::vector<std::pair<std::string, std::string>> probe_cols;
 
-  // Setup on all three engines (DDL + base data + indexes). At least one
-  // index per table is guaranteed: the transaction stream never issues
-  // DDL, so only setup indexes keep the index-maintenance paths (and the
-  // rollback-stale-index probe below) reachable. A unique index over
+  // Setup on the engine and the model (DDL + base data + indexes). At
+  // least one index per table is guaranteed: the transaction stream never
+  // issues DDL, so only setup indexes keep the index-maintenance paths (and
+  // the rollback-stale-index probe below) reachable. A unique index over
   // already-inserted duplicate data is rejected as a tolerated constraint
   // violation, same as mid-session CREATE INDEX.
-  auto replay_setup = [&](const Stmt& stmt, const StatementResult& model) {
-    {
-      obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-      replay.Execute(stmt);
-    }
+  auto note_index = [&](const Stmt& stmt, const StatementResult& model) {
     if (model.ok() && stmt.kind() == StmtKind::kCreateIndex) {
       const auto& ci = static_cast<const CreateIndexStmt&>(stmt);
       if (!ci.columns.empty()) {
@@ -728,16 +719,9 @@ void RunTxnSession(Session& s) {
       }
     }
   };
-  if (!s.Setup(/*index_every_table=*/true, replay_setup)) return;
+  if (!s.Setup(/*index_every_table=*/true, note_index)) return;
 
-  // Per-session bookkeeping for the serial-replay model: the successful
-  // DML of each open transaction, forwarded on commit.
-  struct SessionTxn {
-    bool open = false;
-    std::vector<StmtPtr> committed_dml;
-  };
   int sessions = s.options.gen.txn_sessions;
-  std::vector<SessionTxn> session_txns(static_cast<size_t>(sessions));
   int current_session = 0;
 
   // Prefixes a session switch when `session` differs from the last
@@ -752,121 +736,102 @@ void RunTxnSession(Session& s) {
     s.log.push_back(std::move(set));
   };
 
-  // Engine-vs-replay committed-state comparison: the engine's post-commit
-  // autocommit view of every table must equal the serial replay of the
-  // committed transactions.
-  auto check_committed_state = [&]() {
-    ++stats.txn_serial_replays;
+  // The one transaction compare: every table as the engine shows it to the
+  // current session must equal `model_rows(fetch)`, the model's same view
+  // (nullptr skips the table). `per_table`, when set, is bumped for each
+  // table fetched.
+  auto compare_tables = [&](const StateReference& ref, const std::string& view,
+                            uint64_t* per_table, auto model_rows) {
     for (const TableSchema& table : s.plan.tables) {
       SelectStmt fetch;
       fetch.from_tables = {table.name};
-      StatementResult rows = s.ExecOrFail(fetch);
-      if (s.done() || !s.CompareState(kSerialReplay, "table " + table.name,
-                                      fetch, rows,
-                                      replay.TableRows(table.name))) {
+      StatementResult engine_rows = s.ExecOrFail(fetch);
+      if (per_table != nullptr) ++*per_table;
+      if (s.done() || !s.CompareState(ref, view + "table " + table.name,
+                                      fetch, engine_rows, model_rows(fetch))) {
         return;
       }
+    }
+  };
+  auto committed_rows = [&](const SelectStmt& fetch) {
+    obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
+    return s.model.TableRows(fetch.from_tables[0]);
+  };
+
+  // Lifecycle tallies and flight events of the current session's
+  // statement, given the model's result.
+  auto track = [&](const Stmt& stmt, const StatementResult& model) {
+    uint32_t id = static_cast<uint32_t>(current_session);
+    uint32_t clock = static_cast<uint32_t>(s.model.commit_clock());
+    switch (stmt.kind()) {
+      case StmtKind::kBegin:
+        if (model.ok()) {
+          ++stats.txn_begins;
+          obs::Emit(obs::EventKind::kTxnBegin, id, clock);
+        }
+        break;
+      case StmtKind::kCommit:
+        if (model.ok()) {
+          ++stats.txn_commits;
+          obs::Emit(obs::EventKind::kTxnCommit, id, clock);
+        } else if (model.status == StatementStatus::kTxnConflict) {
+          ++stats.txn_conflicts;
+          obs::Emit(obs::EventKind::kTxnAbort, id, 1);
+        }
+        break;
+      case StmtKind::kRollback:
+        if (model.ok()) {
+          ++stats.txn_rollbacks;
+          obs::Emit(obs::EventKind::kTxnAbort, id, 0);
+        }
+        break;
+      default:  // DML: nothing to track
+        break;
     }
   };
 
   for (int q = 0; q < s.options.queries_per_database && !s.done(); ++q) {
     for (SessionAction& action : s.scheduler.NextTxnBatch(&s.rng)) {
-      int session = action.session;
-      switch_session(session);
+      switch_session(action.session);
       bool committed = action.stmt->kind() == StmtKind::kCommit;
-      // Transaction bookkeeping, given the model's result: lifecycle
-      // tallies and flight events, and the serial replay.
-      auto track = [&](const Stmt& stmt, const StatementResult& model) {
-        SessionTxn& sess = session_txns[static_cast<size_t>(session)];
-        uint32_t id = static_cast<uint32_t>(session);
-        uint32_t clock = static_cast<uint32_t>(s.model.commit_clock());
-        switch (stmt.kind()) {
-          case StmtKind::kBegin:
-            if (model.ok()) {
-              sess.open = true;
-              sess.committed_dml.clear();
-              ++stats.txn_begins;
-              obs::Emit(obs::EventKind::kTxnBegin, id, clock);
-            }
-            break;
-          case StmtKind::kCommit:
-            if (model.ok()) {
-              ++stats.txn_commits;
-              obs::Emit(obs::EventKind::kTxnCommit, id, clock);
-              obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-              for (const StmtPtr& dml : sess.committed_dml) {
-                replay.Execute(*dml);
-              }
-            } else if (model.status == StatementStatus::kTxnConflict) {
-              ++stats.txn_conflicts;
-              obs::Emit(obs::EventKind::kTxnAbort, id, 1);
-            }
-            sess.open = false;
-            sess.committed_dml.clear();
-            break;
-          case StmtKind::kRollback:
-            if (model.ok()) {
-              ++stats.txn_rollbacks;
-              obs::Emit(obs::EventKind::kTxnAbort, id, 0);
-            }
-            sess.open = false;
-            sess.committed_dml.clear();
-            break;
-          default:  // DML
-            if (model.ok()) {
-              if (sess.open) {
-                sess.committed_dml.push_back(stmt.Clone());
-              } else {
-                // Autocommit DML is its own committed transaction; the
-                // serial model receives it immediately.
-                obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-                replay.Execute(stmt);
-              }
-            }
-            break;
-        }
-      };
       s.Step(std::move(action.stmt), track);
       // Committed-state check right after every COMMIT: the strongest
       // point to compare, since the committing session is back in
       // autocommit and reads the latest committed state.
-      if (committed && !s.done()) check_committed_state();
+      if (committed && !s.done()) {
+        ++stats.txn_serial_replays;
+        compare_tables(kCommittedState, "", nullptr, committed_rows);
+      }
       if (s.done()) break;
     }
     if (s.done()) break;
 
     // Snapshot check: inside a randomly chosen session's view, the engine
-    // must agree with the model (which replays the identical interleaved
-    // stream on a clean engine). Runs *before* the index probe so a
-    // dirty-read divergence always attributes to the transaction oracle.
+    // must agree with the model's replay of the same fetch. Runs *before*
+    // the index probe so a dirty-read divergence always attributes to the
+    // transaction oracle.
     switch_session(
         static_cast<int>(s.rng.Below(static_cast<size_t>(sessions))));
-    for (const TableSchema& table : s.plan.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult engine_rows = s.ExecOrFail(fetch);
-      ++stats.txn_snapshot_checks;
-      if (s.done()) break;
-      StatementResult model_rows = s.Replay(fetch);
-      if (!model_rows.ok()) continue;  // clean model; defensive
-      if (!s.CompareState(kSnapshotReplay,
-                          "session " + std::to_string(current_session) +
-                              " snapshot of table " + table.name,
-                          fetch, engine_rows, &model_rows.rows)) {
-        break;
-      }
-    }
+    StatementResult snapshot;
+    compare_tables(kSnapshotReplay,
+                   "session " + std::to_string(current_session) +
+                       " snapshot of ",
+                   &stats.txn_snapshot_checks,
+                   [&](const SelectStmt& fetch) -> const Rows* {
+                     snapshot = s.Replay(fetch);
+                     return snapshot.ok() ? &snapshot.rows : nullptr;
+                   });
     if (s.done()) break;
 
-    // Index probe: an equality lookup on an indexed column. The model's
-    // rows must be multiset-contained in the engine's — a stale index
-    // entry left by a rolled-back transaction makes the engine's indexed
-    // scan *miss* rows, while extra rows (a dirty read) never misfire
-    // this check.
+    // Index probe: an equality lookup on an indexed column, keyed by a
+    // committed row. The model's rows must be multiset-contained in the
+    // engine's — a stale index entry left by a rolled-back transaction
+    // makes the engine's indexed scan *miss* rows, while extra rows (a
+    // dirty read) never misfire this check.
     if (probe_cols.empty()) continue;
     const auto& [probe_table, probe_col] =
         probe_cols[s.rng.Below(probe_cols.size())];
-    const Rows* committed_rows = replay.TableRows(probe_table);
+    const Rows* committed = s.model.TableRows(probe_table);
     const TableSchema* schema = nullptr;
     size_t col_index = 0;
     for (const TableSchema& table : s.plan.tables) {
@@ -876,12 +841,10 @@ void RunTxnSession(Session& s) {
         if (table.columns[c].name == probe_col) col_index = c;
       }
     }
-    if (schema == nullptr || committed_rows == nullptr ||
-        committed_rows->empty()) {
+    if (schema == nullptr || committed == nullptr || committed->empty()) {
       continue;
     }
-    const auto& sample =
-        (*committed_rows)[s.rng.Below(committed_rows->size())];
+    const auto& sample = (*committed)[s.rng.Below(committed->size())];
     if (col_index >= sample.size()) continue;
     SelectStmt probe;
     probe.from_tables = {probe_table};
@@ -927,7 +890,7 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
                                 : ContainmentCheck;
   auto no_state = [](const Stmt&, const StatementResult&) {};
   if (options.gen.txn_sessions > 1) {
-    // K interleaved sessions, snapshot isolation, and the serial-replay
+    // K interleaved sessions, snapshot isolation, and the transaction
     // oracle in place of pivot containment.
     RunTxnSession(s);
   } else if (s.Setup(/*index_every_table=*/false, no_state)) {

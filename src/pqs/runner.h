@@ -99,8 +99,9 @@ struct RunStats {
   uint64_t state_compares = 0;
   // Transaction-stream tallies (DESIGN §14): statements of the interleaved
   // K-session stream, snapshot-isolation checks inside open transactions,
-  // and serial-replay comparisons after commits. Conflicts are expected
-  // first-committer-wins aborts, not findings.
+  // and committed-state comparisons after commits (txn_serial_replays
+  // keeps its historical name). Conflicts are expected first-committer-wins
+  // aborts, not findings.
   uint64_t txn_begins = 0;
   uint64_t txn_commits = 0;
   uint64_t txn_rollbacks = 0;

@@ -1,9 +1,12 @@
 // MVCC transaction layer tests (DESIGN §14): statement-level semantics of
-// BEGIN/COMMIT/ROLLBACK under snapshot isolation, direct hooks for every
-// injected transaction bug class, the K-session interleaved property
-// (committed state == serial replay on clean engines, zero false findings),
-// seeded schedule-replay identity across worker counts, default-budget
-// HuntBug detection of the transaction bugs, a serial differential sweep
+// BEGIN/COMMIT/ROLLBACK under snapshot isolation, the committed-state view
+// TableRows gives inside the epoch, direct hooks for every injected
+// transaction bug class, the K-session interleaved property (a clean
+// engine and its clean model agree on every view, zero false findings, at
+// the unit-test and the campaign session length), seeded schedule-replay
+// identity across worker counts, default-budget HuntBug detection of the
+// transaction bugs over many campaign seeds with every raw finding
+// reproducing against a clean reference, a serial differential sweep
 // against real sqlite3, the Reset-with-open-transaction regression, and
 // the write-path parity property: one constraint-heavy DML stream gives
 // the same outcomes run plainly and run inside the epoch.
@@ -21,6 +24,7 @@
 #include "src/minidb/database.h"
 #include "src/obs/flight_recorder.h"
 #include "src/pqs/campaign.h"
+#include "src/pqs/reducer.h"
 #include "src/pqs/runner.h"
 #include "src/pqs/scheduler.h"
 #include "src/sqlite3db/sqlite_connection.h"
@@ -424,6 +428,58 @@ void TestWritePathParity() {
   }
 }
 
+// Inside the epoch TableRows is the committed state: the latest committed
+// version of each row in position order, exactly what an autocommit
+// session's SELECT * returns, with no tombstone and no open transaction's
+// write in it.
+void TestTableRowsInsideEpoch() {
+  minidb::Database db(Dialect::kSqliteFlex);
+  CHECK(db.Execute(*MakeTable("t")).ok());
+  for (int64_t a = 1; a <= 5; ++a) {
+    CHECK(db.Execute(*InsertRow("t", a, "v" + std::to_string(a))).ok());
+  }
+  // Session 0 holds an open transaction that inserted, updated and deleted.
+  CHECK(Session(&db, 0).ok());
+  CHECK(Begin(&db).ok());
+  CHECK(db.Execute(*InsertRow("t", 6, "own")).ok());
+  CHECK(db.Execute(*UpdateBWhereAEq("t", 1, "own")).ok());
+  CHECK(db.Execute(*DeleteWhereAEq("t", 2)).ok());
+  // Session 1 commits a transaction; session 2 commits autocommit DML.
+  CHECK(Session(&db, 1).ok());
+  CHECK(Begin(&db).ok());
+  CHECK(db.Execute(*UpdateBWhereAEq("t", 3, "c1")).ok());
+  CHECK(db.Execute(*InsertRow("t", 7, "c1")).ok());
+  CHECK(Commit(&db).ok());
+  CHECK(Session(&db, 2).ok());
+  CHECK(db.Execute(*DeleteWhereAEq("t", 4)).ok());
+  CHECK(db.Execute(*UpdateBWhereAEq("t", 5, "c2")).ok());
+  CHECK(db.in_mvcc_epoch());
+
+  auto as_result = [](const std::vector<std::vector<SqlValue>>* rows) {
+    StatementResult r;
+    if (rows != nullptr) r.rows = *rows;
+    return r;
+  };
+  CHECK(Session(&db, 3).ok());
+  StatementResult autocommit = db.Execute(SelectAll("t"));
+  CHECK(autocommit.ok());
+  CHECK_EQ(RowsKey(as_result(db.TableRows("t"))), RowsKey(autocommit));
+  StatementResult expected;
+  for (auto [a, b] : std::vector<std::pair<int64_t, std::string>>{
+           {1, "v1"}, {2, "v2"}, {3, "c1"}, {5, "c2"}, {7, "c1"}}) {
+    expected.rows.push_back({SqlValue::Int(a), SqlValue::Text(b)});
+  }
+  CHECK_EQ(RowsKey(autocommit), RowsKey(expected));
+  CHECK(db.TableRows("missing") == nullptr);
+
+  // Session 0's commit conflicts with session 1's on t; the engine leaves
+  // the epoch and TableRows is the store again, in the same order.
+  CHECK(Session(&db, 0).ok());
+  CHECK(Commit(&db).status == StatementStatus::kTxnConflict);
+  CHECK(!db.in_mvcc_epoch());
+  CHECK_EQ(RowsKey(as_result(db.TableRows("t"))), RowsKey(expected));
+}
+
 // Regression (satellite 4): a reset must roll back transactions an aborted
 // session left open, for MiniDB and for the real-sqlite adapter alike.
 void TestResetWithOpenTransaction() {
@@ -613,19 +669,27 @@ RunnerOptions TxnRunnerOptions(uint64_t seed, int sessions, int databases,
 }
 
 // Clean engines across K interleaved sessions: the snapshot checks, the
-// serial-replay comparisons, and the index probes must all stay silent —
-// the zero-false-positive property the transaction oracle rests on.
-// Runs 2000 fuzzing sessions total across K ∈ {2, 3, 4}.
+// committed-state comparisons, and the index probes must all stay silent —
+// the zero-false-positive property the transaction oracle rests on. Runs
+// K ∈ {2, 3, 4} at the unit-test session length (5 queries/db, 2000
+// sessions in all) and at the campaign one (25 queries/db, 4000 sessions
+// per K): longer sessions interleave more commits between one
+// transaction's statements, where a committed state rebuilt from replayed
+// statements had diverged from the engine's.
 void TestInterleavedCleanProperty() {
   struct KPlan {
     int sessions;
     int databases;
+    int queries;
+    uint64_t seed;
   };
-  const KPlan plans[] = {{2, 700}, {3, 700}, {4, 600}};
+  const KPlan plans[] = {{2, 700, 5, 4244},   {3, 700, 5, 4245},
+                         {4, 600, 5, 4246},   {2, 4000, 25, 2502},
+                         {3, 4000, 25, 2503}, {4, 4000, 25, 2504}};
   for (const KPlan& plan : plans) {
-    RunnerOptions options =
-        TxnRunnerOptions(4242 + plan.sessions, plan.sessions, plan.databases,
-                         g_workers);
+    RunnerOptions options = TxnRunnerOptions(plan.seed, plan.sessions,
+                                             plan.databases, g_workers);
+    options.queries_per_database = plan.queries;
     EngineFactory factory = []() -> ConnectionPtr {
       return std::make_unique<minidb::Database>(Dialect::kSqliteFlex);
     };
@@ -633,8 +697,8 @@ void TestInterleavedCleanProperty() {
     RunReport report = runner.Run();
     CHECK_EQ(report.invalid_options, std::string());
     CHECK_MSG(report.findings.empty(),
-              "K=%d produced %zu false finding(s): %s", plan.sessions,
-              report.findings.size(),
+              "K=%d, %d queries/db produced %zu false finding(s): %s",
+              plan.sessions, plan.queries, report.findings.size(),
               report.findings.empty()
                   ? ""
                   : report.findings[0].message.c_str());
@@ -721,7 +785,10 @@ void TestFlightRecorderCarriesTxnEvents() {
 }
 
 // Every injected transaction bug is detected within HuntBug's default
-// database budget, firing the oracle its registry entry declares.
+// database budget on each of 40 campaign seeds, firing the oracle its
+// registry entry declares, and every raw finding reproduces against a
+// clean reference, the reducer's definition of a finding. Seed 99 also
+// reduces a lost-update finding.
 void TestHuntBugDetectsTransactionBugs() {
   const BugId bugs[] = {
       BugId::kTxnLostUpdate,         BugId::kTxnDirtyRead,
@@ -729,22 +796,43 @@ void TestHuntBugDetectsTransactionBugs() {
       BugId::kTxnSnapshotUncommittedRead,
   };
   for (BugId bug : bugs) {
-    CampaignOptions options;  // default 480-database budget
-    options.seed = 99;
-    options.workers = g_workers;
-    // Reduction is exercised for the serial oracle below; the detection
-    // sweep keeps the raw findings.
-    options.reduce = bug == BugId::kTxnLostUpdate;
-    BugHuntResult result = HuntBug(bug, options);
     const minidb::BugInfo& info = minidb::LookupBug(bug);
-    CHECK_MSG(result.detected, "bug %s not detected within %d databases",
-              info.name, options.databases_per_bug);
-    if (!result.detected) continue;
-    CHECK_MSG(result.oracle == info.oracle,
-              "bug %s fired oracle %s, registry declares %s", info.name,
-              OracleName(result.oracle), OracleName(info.oracle));
-    CHECK(!result.reduced.statements.empty());
+    Dialect dialect = info.dialect;
+    EngineFactory buggy = [dialect, bug]() -> ConnectionPtr {
+      return std::make_unique<minidb::Database>(dialect,
+                                                BugConfig::Single(bug));
+    };
+    EngineFactory reference = [dialect]() -> ConnectionPtr {
+      return std::make_unique<minidb::Database>(dialect);
+    };
+    for (uint64_t seed = 5001; seed <= 5040; ++seed) {
+      CampaignOptions options;  // default 480-database budget
+      options.seed = seed;
+      options.workers = g_workers;
+      options.reduce = false;
+      BugHuntResult result = HuntBug(bug, options);
+      CHECK_MSG(result.detected, "bug %s seed %llu: not detected within %d "
+                "databases", info.name, static_cast<unsigned long long>(seed),
+                options.databases_per_bug);
+      if (!result.detected) continue;
+      CHECK_MSG(result.oracle == info.oracle,
+                "bug %s seed %llu fired oracle %s, registry declares %s",
+                info.name, static_cast<unsigned long long>(seed),
+                OracleName(result.oracle), OracleName(info.oracle));
+      CHECK_MSG(FindingReproduces(buggy, result.reduced, &reference),
+                "bug %s seed %llu: %s finding does not reproduce against a "
+                "clean reference: %s",
+                info.name, static_cast<unsigned long long>(seed),
+                OracleName(result.oracle), result.reduced.message.c_str());
+    }
   }
+  CampaignOptions options;
+  options.seed = 99;
+  options.workers = g_workers;
+  BugHuntResult reduced = HuntBug(BugId::kTxnLostUpdate, options);
+  CHECK(reduced.detected);
+  CHECK(reduced.oracle == minidb::LookupBug(BugId::kTxnLostUpdate).oracle);
+  CHECK(!reduced.reduced.statements.empty());
 }
 
 // --- Differential sweep against real sqlite3 (always on when the build
@@ -841,6 +929,7 @@ int main(int argc, char** argv) {
   pqs::TestAutocommitDuringEpoch();
   pqs::TestCreateUniqueIndexIgnoresTombstones();
   pqs::TestWritePathParity();
+  pqs::TestTableRowsInsideEpoch();
   pqs::TestResetWithOpenTransaction();
   pqs::TestSqliteResetWithOpenTransaction();
   pqs::TestLostUpdateHook();
