@@ -28,10 +28,10 @@ struct CampaignOptions {
   // (480 finds all 57 registry bugs on the default seeds. The heavy tail
   // is the index-maintenance classes — update-index-stale and
   // partial-index-update-miss need an UPDATE to an indexed column *and* a
-  // prompt index-scanned query over it, observed up to ~410 databases on
-  // adversarial seeds — and across many seeds the budget still misses
-  // update-index-stale about once in ~360 hunts. Cheap on average:
-  // HuntBug stops at the first finding, so only the tail pays.)
+  // prompt index-scanned query over it. Over campaign seeds 9001–9300 they
+  // took up to 448 and 474 databases, and update-index-stale was missed
+  // in 3 of the 300 hunts. Cheap on average: HuntBug stops at the first
+  // finding, so only the tail pays.)
   int databases_per_bug = 480;
   // ...with this many oracle-checked queries each.
   int queries_per_database = 20;

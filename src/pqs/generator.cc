@@ -44,7 +44,7 @@ bool IsNumericAffinity(Affinity a) {
 }
 
 // Generation constants no caller varies (GeneratorOptions holds the ones
-// that some caller does).
+// some caller does, and the eval corpus's; DESIGN §1).
 constexpr int kMaxTables = 3;
 constexpr int kMaxColumns = 4;
 constexpr double kIndexProbability = 0.7;         // ≥1 CREATE INDEX per table
@@ -53,7 +53,18 @@ constexpr double kNullProbability = 0.18;         // NULL cell values
 constexpr double kMultiTableQueryProbability = 0.35;
 constexpr double kLeftJoinProbability = 0.35;   // join step is LEFT ...
 constexpr double kCrossJoinProbability = 0.15;  // ... or CROSS (else INNER)
+// Query shape (GenerateQueryShape). Probability a multi-table query uses
+// explicit JOIN syntax (INNER / LEFT / CROSS chain) rather than the
+// comma-list cross product...
+constexpr double kExplicitJoinProbability = 0.55;
+// ...and that an explicit join chain grows to a third table.
+constexpr double kThirdTableProbability = 0.5;
+constexpr double kDistinctProbability = 0.3;
+constexpr double kOrderByProbability = 0.45;
 constexpr int kMaxOrderKeys = 2;
+// LIMIT attach probability, given an ORDER BY (LIMIT without ORDER BY is
+// generated more rarely; its sound bound is the whole result).
+constexpr double kLimitProbability = 0.5;
 // Aggregate query space (GenerateAggregateQuery, TLP checks only).
 // Probability an aggregate query is the dedicated COUNT(DISTINCT c) shape
 // (its partials recombine by value-set union, not summation).
@@ -77,11 +88,6 @@ std::string GeneratorOptions::Validate() const {
   }
   if (min_rows > max_rows) return "min_rows must not exceed max_rows";
   const std::pair<const char*, double> probs[] = {
-      {"explicit_join_probability", explicit_join_probability},
-      {"third_table_probability", third_table_probability},
-      {"distinct_probability", distinct_probability},
-      {"order_by_probability", order_by_probability},
-      {"limit_probability", limit_probability},
       {"function_probability", function_probability},
       {"cast_probability", cast_probability},
       {"case_probability", case_probability},
@@ -94,7 +100,6 @@ std::string GeneratorOptions::Validate() const {
       return std::string(name) + " must be within [0, 1]";
     }
   }
-  if (!(delete_weight >= 0.0)) return "delete_weight must be non-negative";
   if (txn_sessions < 1 || txn_sessions > 8) {
     return "txn_sessions must be within [1, 8]";
   }
@@ -417,10 +422,9 @@ QueryShape Generator::GenerateQueryShape(const DatabasePlan& plan,
     }
     const TableSchema* second = remaining[rng->Below(remaining.size())];
     shape.tables.push_back(second);
-    if (rng->Chance(options_.explicit_join_probability)) {
+    if (rng->Chance(kExplicitJoinProbability)) {
       shape.join_kinds.push_back(RandomJoinKind(rng));
-      if (remaining.size() > 1 &&
-          rng->Chance(options_.third_table_probability)) {
+      if (remaining.size() > 1 && rng->Chance(kThirdTableProbability)) {
         std::vector<const TableSchema*> rest;
         for (const TableSchema* t : remaining) {
           if (t != second) rest.push_back(t);
@@ -431,8 +435,8 @@ QueryShape Generator::GenerateQueryShape(const DatabasePlan& plan,
     }
   }
 
-  shape.distinct = rng->Chance(options_.distinct_probability);
-  if (rng->Chance(options_.order_by_probability)) {
+  shape.distinct = rng->Chance(kDistinctProbability);
+  if (rng->Chance(kOrderByProbability)) {
     int keys = static_cast<int>(rng->IntIn(1, kMaxOrderKeys));
     for (int k = 0; k < keys; ++k) {
       const TableSchema* table = nullptr;
@@ -445,9 +449,8 @@ QueryShape Generator::GenerateQueryShape(const DatabasePlan& plan,
   }
   // LIMIT without an ORDER BY is only sound when it spans the whole result
   // (any row order is legal), so it is generated more rarely.
-  shape.want_limit = rng->Chance(shape.order_by.empty()
-                                     ? options_.limit_probability * 0.3
-                                     : options_.limit_probability);
+  shape.want_limit = rng->Chance(
+      shape.order_by.empty() ? kLimitProbability * 0.3 : kLimitProbability);
   return shape;
 }
 

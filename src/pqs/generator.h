@@ -20,9 +20,11 @@
 
 namespace pqs {
 
-// Only the knobs some caller sets live here; every other generation
-// constant sits next to the code that reads it (generator.cc, scheduler.cc,
-// runner.cc).
+// A knob lives here only when a bench, perfbench or src/ caller sets it, or
+// when a reference comparison is generated with it (the expression knobs and
+// max_predicate_depth generate tests/golden/eval_corpus.golden). Every other
+// generation constant sits next to the code that reads it (generator.cc,
+// scheduler.cc, runner.cc); bench/check_knobs.py enforces the rule.
 struct GeneratorOptions {
   // Algorithm-3 rectification toggle. With it off, the runner still tallies
   // raw predicate outcomes but must skip the containment check — a raw
@@ -33,18 +35,6 @@ struct GeneratorOptions {
   int max_rows = 12;
   // Composite predicate nesting (leaves add their own internal depth).
   int max_predicate_depth = 3;
-
-  // --- Query-shape features (joins / DISTINCT / ORDER BY / LIMIT). -------
-  // Probability a multi-table query uses explicit JOIN syntax (INNER /
-  // LEFT / CROSS chain) rather than the comma-list cross product.
-  double explicit_join_probability = 0.55;
-  // Probability an explicit join chain grows to a third table.
-  double third_table_probability = 0.5;
-  double distinct_probability = 0.3;
-  double order_by_probability = 0.45;
-  // LIMIT attach probability, given an ORDER BY (LIMIT without ORDER BY is
-  // generated more rarely; its sound bound is the whole result).
-  double limit_probability = 0.5;
 
   // --- Typed expression subsystem (functions / CAST / CASE / LIKE ESCAPE
   // --- / collations / NULL-bearing IN lists). ---------------------------
@@ -63,11 +53,6 @@ struct GeneratorOptions {
   // Probability an IN list includes a NULL element (UNKNOWN semantics).
   double in_list_null_probability = 0.25;
 
-  // --- Statement-level mutation stream (DESIGN §9). ---------------------
-  // DELETE's weight in the ActionScheduler's statement mix; the other
-  // weights are constants in scheduler.cc. Zero gives a DELETE-free stream.
-  double delete_weight = 0.7;
-
   // --- Interleaved transaction sessions (MVCC campaigns — DESIGN §14). --
   // Number of logical sessions the scheduler interleaves. 1 (the default)
   // keeps the classic autocommit stream; above 1 the runner switches to
@@ -77,11 +62,10 @@ struct GeneratorOptions {
   int txn_sessions = 1;
 
   // Validates ranges: depths/counts non-negative, row bounds ordered,
-  // every probability within [0, 1], delete_weight non-negative and
-  // txn_sessions within [1, 8]. Returns an empty string when valid, else a
-  // description of the first offending field. RunnerOptions /
-  // CampaignOptions setup calls this so a bad CLI flag fails loudly
-  // instead of silently skewing generation.
+  // every probability within [0, 1] and txn_sessions within [1, 8].
+  // Returns an empty string when valid, else a description of the first
+  // offending field. RunnerOptions / CampaignOptions setup calls this so a
+  // bad CLI flag fails loudly instead of silently skewing generation.
   std::string Validate() const;
 };
 

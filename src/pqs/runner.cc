@@ -188,8 +188,9 @@ constexpr StateReference kSnapshotReplay{
 // It owns the connection under test, the database's private RNG stream,
 // the generator, the plan, the ground-truth model, the action scheduler,
 // the replayable statement log and the result, and does every job the
-// check families share: execute, replay, record, fail, compare state and
-// set up. The check families below are plain functions over it.
+// check families share: execute, replay, record, fail, compare state,
+// check a table, set up and switch sessions. The check families below are
+// plain functions over it.
 struct Session {
   Session(const RunnerOptions& options_in, uint64_t db_seed,
           ConnectionPtr connection)
@@ -199,7 +200,7 @@ struct Session {
         dialect(conn->dialect()),
         generator(options.gen, dialect),
         model(dialect),
-        scheduler(&generator, options.gen, &plan) {}
+        scheduler(&generator, options.gen.txn_sessions, &plan) {}
   // The scheduler points at this session's generator and plan.
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -224,6 +225,8 @@ struct Session {
   size_t setup_done = 0;      // plan statements executed so far
   std::vector<StmtPtr> log;   // stream statements executed after setup
   DbRunResult out;
+  // Transaction family: the logical session the stream last switched to.
+  int current_session = 0;
 
   // A finding was recorded; the session stops.
   bool done() const { return !out.findings.empty(); }
@@ -327,12 +330,27 @@ struct Session {
     return false;
   }
 
+  // The autocommit families' table check: the engine's SELECT * of `table`
+  // must equal the model's stored rows. Returns the engine's rows, or
+  // nullopt once the session is done (the fetch failed, or the table
+  // diverged; with `with_pivot` the finding carries the first lost row).
+  std::optional<Rows> CheckTable(const std::string& table, bool with_pivot) {
+    SelectStmt fetch;
+    fetch.from_tables = {table};
+    StatementResult rows = ExecOrFail(fetch);
+    if (done()) return std::nullopt;
+    ++out.stats.state_compares;
+    if (!CompareState(kMutationReplay, "table " + table, fetch, rows,
+                      model.TableRows(table), with_pivot)) {
+      return std::nullopt;
+    }
+    return std::move(rows.rows);
+  }
+
   // Generates the database (with `index_every_table`, one extra index per
-  // table) and runs its setup on the engine and the model. `on_replayed`
-  // sees each statement with the model's result, so a family can keep
-  // state of its own in step. Returns false when the session ended here.
-  template <typename OnReplayed>
-  bool Setup(bool index_every_table, OnReplayed on_replayed) {
+  // table) and runs its setup on the engine and the model. Returns false
+  // when the session ended here.
+  bool Setup(bool index_every_table) {
     {
       obs::ScopedPhase span(obs::Phase::kGenerate);
       plan = generator.GenerateDatabase(&rng);
@@ -350,29 +368,74 @@ struct Session {
     ++out.stats.databases_created;
     for (const StmtPtr& stmt : plan.statements) {
       ++setup_done;
-      Apply(*stmt, on_replayed);
+      Apply(*stmt);
       if (done()) break;
     }
     return !done();
   }
 
   // One statement of the stream between checks; it joins the log.
-  template <typename OnReplayed>
-  void Step(StmtPtr stmt, OnReplayed on_replayed) {
+  void Step(StmtPtr stmt) {
     TallyAction(*stmt, &out.stats);
     log.push_back(std::move(stmt));
-    Apply(*log.back(), on_replayed);
+    Apply(*log.back());
+  }
+
+  // Transaction family: prefixes a session switch when `session` differs
+  // from the last action's. The switch joins the log so findings replay
+  // flat.
+  void SwitchSession(int session) {
+    if (session == current_session) return;
+    auto set = std::make_unique<SetSessionStmt>();
+    set->session = session;
+    Exec(*set);
+    Replay(*set);
+    current_session = session;
+    log.push_back(std::move(set));
+  }
+
+  // Lifecycle tallies and flight events of a transaction statement the
+  // current session ran, given the model's result. Every other statement
+  // passes through.
+  void TallyTxn(const Stmt& stmt, const StatementResult& replayed) {
+    RunStats& stats = out.stats;
+    uint32_t id = static_cast<uint32_t>(current_session);
+    uint32_t clock = static_cast<uint32_t>(model.commit_clock());
+    switch (stmt.kind()) {
+      case StmtKind::kBegin:
+        if (replayed.ok()) {
+          ++stats.txn_begins;
+          obs::Emit(obs::EventKind::kTxnBegin, id, clock);
+        }
+        break;
+      case StmtKind::kCommit:
+        if (replayed.ok()) {
+          ++stats.txn_commits;
+          obs::Emit(obs::EventKind::kTxnCommit, id, clock);
+        } else if (replayed.status == StatementStatus::kTxnConflict) {
+          ++stats.txn_conflicts;
+          obs::Emit(obs::EventKind::kTxnAbort, id, 1);
+        }
+        break;
+      case StmtKind::kRollback:
+        if (replayed.ok()) {
+          ++stats.txn_rollbacks;
+          obs::Emit(obs::EventKind::kTxnAbort, id, 0);
+        }
+        break;
+      default:  // setup, DML and DDL: nothing to tally
+        break;
+    }
   }
 
   // Runs a setup or stream statement, already part of the script, on the
   // engine and the model. A spurious engine error or crash is an oracle
   // violation right here; constraint violations and first-committer-wins
   // conflicts are expected outcomes of random statements, never findings.
-  template <typename OnReplayed>
-  void Apply(const Stmt& stmt, OnReplayed on_replayed) {
+  void Apply(const Stmt& stmt) {
     StatementResult result = Exec(stmt);
     StatementResult model_result = Replay(stmt);
-    on_replayed(stmt, model_result);
+    TallyTxn(stmt, model_result);
     scheduler.Observe(stmt, model_result.ok());
     if (result.status == StatementStatus::kConstraintViolation) {
       ++out.stats.constraint_violations;
@@ -406,26 +469,18 @@ void ContainmentCheck(Session& s) {
   std::vector<SqlValue> pivot;
   std::vector<Rows> table_rows;
   for (const TableSchema* table : from) {
-    SelectStmt fetch;
-    fetch.from_tables = {table->name};
-    StatementResult rows = s.ExecOrFail(fetch);
-    if (s.done()) return;
     // Ground-truth state comparison: after replaying the same mutations
     // through the shared interp core, the engine's table must hold
     // exactly the model's rows. This is what keeps containment exact
     // under UPDATE/DELETE — a wrongly-deleted row could otherwise never
     // be picked as a pivot and would go unnoticed.
-    ++stats.state_compares;
-    if (!s.CompareState(kMutationReplay, "table " + table->name, fetch, rows,
-                        s.model.TableRows(table->name),
-                        /*with_pivot=*/true)) {
-      return;
-    }
-    if (rows.rows.empty()) {
+    std::optional<Rows> rows = s.CheckTable(table->name, /*with_pivot=*/true);
+    if (!rows) return;
+    if (rows->empty()) {
       ++stats.queries_skipped;  // empty after rejections or deletes
       return;
     }
-    table_rows.push_back(std::move(rows.rows));
+    table_rows.push_back(std::move(*rows));
     obs::PivotSelected(static_cast<uint32_t>(table_rows.size() - 1),
                        static_cast<uint32_t>(table_rows.back().size()));
     const Rows& drawn = table_rows.back();
@@ -605,18 +660,7 @@ void MetamorphicCheck(Session& s) {
   RunStats& stats = s.out.stats;
   bool norec = options.family == OracleFamily::kNorec;
   const TableSchema& table = s.plan.tables[s.rng.Below(s.plan.tables.size())];
-  SelectStmt fetch;
-  fetch.from_tables = {table.name};
-  StatementResult rows = s.ExecOrFail(fetch);
-  if (s.done()) return;
-  // The model is a concrete clean MiniDB, so the state comparison can
-  // read its stored rows directly — the same multiset a bare SELECT *
-  // through Execute would return, without the query machinery.
-  ++stats.state_compares;
-  if (!s.CompareState(kMutationReplay, "table " + table.name, fetch, rows,
-                      s.model.TableRows(table.name))) {
-    return;
-  }
+  if (!s.CheckTable(table.name, /*with_pivot=*/false)) return;
 
   std::vector<const TableSchema*> single{&table};
   ExprPtr predicate;
@@ -701,40 +745,15 @@ void MetamorphicCheck(Session& s) {
 // reducer replays a finding with.
 void RunTxnSession(Session& s) {
   RunStats& stats = s.out.stats;
-  // Key columns of setup indexes the model accepted, for the index-probe
-  // check (a corrupted index shows up only through an indexed lookup).
-  std::vector<std::pair<std::string, std::string>> probe_cols;
-
   // Setup on the engine and the model (DDL + base data + indexes). At
   // least one index per table is guaranteed: the transaction stream never
   // issues DDL, so only setup indexes keep the index-maintenance paths (and
   // the rollback-stale-index probe below) reachable. A unique index over
   // already-inserted duplicate data is rejected as a tolerated constraint
   // violation, same as mid-session CREATE INDEX.
-  auto note_index = [&](const Stmt& stmt, const StatementResult& model) {
-    if (model.ok() && stmt.kind() == StmtKind::kCreateIndex) {
-      const auto& ci = static_cast<const CreateIndexStmt&>(stmt);
-      if (!ci.columns.empty()) {
-        probe_cols.emplace_back(ci.table_name, ci.columns[0]);
-      }
-    }
-  };
-  if (!s.Setup(/*index_every_table=*/true, note_index)) return;
+  if (!s.Setup(/*index_every_table=*/true)) return;
 
   int sessions = s.options.gen.txn_sessions;
-  int current_session = 0;
-
-  // Prefixes a session switch when `session` differs from the last
-  // action's. The switch joins the log so findings replay flat.
-  auto switch_session = [&](int session) {
-    if (session == current_session) return;
-    auto set = std::make_unique<SetSessionStmt>();
-    set->session = session;
-    s.Exec(*set);
-    s.Replay(*set);
-    current_session = session;
-    s.log.push_back(std::move(set));
-  };
 
   // The one transaction compare: every table as the engine shows it to the
   // current session must equal `model_rows(fetch)`, the model's same view
@@ -758,43 +777,11 @@ void RunTxnSession(Session& s) {
     return s.model.TableRows(fetch.from_tables[0]);
   };
 
-  // Lifecycle tallies and flight events of the current session's
-  // statement, given the model's result.
-  auto track = [&](const Stmt& stmt, const StatementResult& model) {
-    uint32_t id = static_cast<uint32_t>(current_session);
-    uint32_t clock = static_cast<uint32_t>(s.model.commit_clock());
-    switch (stmt.kind()) {
-      case StmtKind::kBegin:
-        if (model.ok()) {
-          ++stats.txn_begins;
-          obs::Emit(obs::EventKind::kTxnBegin, id, clock);
-        }
-        break;
-      case StmtKind::kCommit:
-        if (model.ok()) {
-          ++stats.txn_commits;
-          obs::Emit(obs::EventKind::kTxnCommit, id, clock);
-        } else if (model.status == StatementStatus::kTxnConflict) {
-          ++stats.txn_conflicts;
-          obs::Emit(obs::EventKind::kTxnAbort, id, 1);
-        }
-        break;
-      case StmtKind::kRollback:
-        if (model.ok()) {
-          ++stats.txn_rollbacks;
-          obs::Emit(obs::EventKind::kTxnAbort, id, 0);
-        }
-        break;
-      default:  // DML: nothing to track
-        break;
-    }
-  };
-
   for (int q = 0; q < s.options.queries_per_database && !s.done(); ++q) {
     for (SessionAction& action : s.scheduler.NextTxnBatch(&s.rng)) {
-      switch_session(action.session);
+      s.SwitchSession(action.session);
       bool committed = action.stmt->kind() == StmtKind::kCommit;
-      s.Step(std::move(action.stmt), track);
+      s.Step(std::move(action.stmt));
       // Committed-state check right after every COMMIT: the strongest
       // point to compare, since the committing session is back in
       // autocommit and reads the latest committed state.
@@ -810,11 +797,11 @@ void RunTxnSession(Session& s) {
     // must agree with the model's replay of the same fetch. Runs *before*
     // the index probe so a dirty-read divergence always attributes to the
     // transaction oracle.
-    switch_session(
+    s.SwitchSession(
         static_cast<int>(s.rng.Below(static_cast<size_t>(sessions))));
     StatementResult snapshot;
     compare_tables(kSnapshotReplay,
-                   "session " + std::to_string(current_session) +
+                   "session " + std::to_string(s.current_session) +
                        " snapshot of ",
                    &stats.txn_snapshot_checks,
                    [&](const SelectStmt& fetch) -> const Rows* {
@@ -827,10 +814,14 @@ void RunTxnSession(Session& s) {
     // committed row. The model's rows must be multiset-contained in the
     // engine's — a stale index entry left by a rolled-back transaction
     // makes the engine's indexed scan *miss* rows, while extra rows (a
-    // dirty read) never misfire this check.
-    if (probe_cols.empty()) continue;
-    const auto& [probe_table, probe_col] =
-        probe_cols[s.rng.Below(probe_cols.size())];
+    // dirty read) never misfire this check. The stream issues no DDL, so
+    // the live indexes are the setup indexes the model accepted.
+    const auto& indexes = s.scheduler.live_indexes();
+    if (indexes.empty()) continue;
+    const ActionScheduler::LiveIndex& index =
+        indexes[s.rng.Below(indexes.size())];
+    const std::string& probe_table = index.table;
+    const std::string& probe_col = index.columns[0];
     const Rows* committed = s.model.TableRows(probe_table);
     const TableSchema* schema = nullptr;
     size_t col_index = 0;
@@ -888,16 +879,15 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
                                     options.family == OracleFamily::kTlp
                                 ? MetamorphicCheck
                                 : ContainmentCheck;
-  auto no_state = [](const Stmt&, const StatementResult&) {};
   if (options.gen.txn_sessions > 1) {
     // K interleaved sessions, snapshot isolation, and the transaction
     // oracle in place of pivot containment.
     RunTxnSession(s);
-  } else if (s.Setup(/*index_every_table=*/false, no_state)) {
+  } else if (s.Setup(/*index_every_table=*/false)) {
     for (int q = 0; q < options.queries_per_database && !s.done(); ++q) {
       // The weighted mutation stream between checks (DESIGN §9).
       for (StmtPtr& action : s.scheduler.NextBatch(&s.rng)) {
-        s.Step(std::move(action), no_state);
+        s.Step(std::move(action));
         if (s.done()) break;
       }
       if (!s.done()) check(s);

@@ -12,10 +12,10 @@ namespace {
 
 // Statement-mix weights (DESIGN §9): each batch keeps drawing from the mix
 // until the pivot-check action comes up, capped at kMaxActionsPerCheck.
-// DELETE's weight is GeneratorOptions::delete_weight.
 constexpr double kPivotCheckWeight = 6.0;
 constexpr double kInsertWeight = 1.0;
 constexpr double kUpdateWeight = 1.2;
+constexpr double kDeleteWeight = 0.7;
 constexpr double kCreateIndexWeight = 0.5;
 constexpr double kDropIndexWeight = 0.25;
 constexpr double kMaintenanceWeight = 0.3;
@@ -40,9 +40,10 @@ constexpr int kMaxTxnStatements = 6;
 }  // namespace
 
 ActionScheduler::ActionScheduler(const Generator* generator,
-                                 const GeneratorOptions& options,
-                                 const DatabasePlan* plan)
-    : generator_(generator), options_(options), plan_(plan) {}
+                                 int txn_sessions, const DatabasePlan* plan)
+    : generator_(generator),
+      plan_(plan),
+      txn_sessions_(static_cast<size_t>(txn_sessions)) {}
 
 const TableSchema* ActionScheduler::PickTable(Rng* rng) const {
   return &plan_->tables[rng->Below(plan_->tables.size())];
@@ -87,8 +88,7 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
   // Drawing the batch is pure generation; covers every caller.
   obs::ScopedPhase span(obs::Phase::kGenerate);
   std::vector<StmtPtr> batch;
-  const double delete_weight = options_.delete_weight;
-  double mutation_total = kInsertWeight + kUpdateWeight + delete_weight +
+  double mutation_total = kInsertWeight + kUpdateWeight + kDeleteWeight +
                           kCreateIndexWeight + kDropIndexWeight +
                           kMaintenanceWeight;
   // live_ is only updated by Observe() once the batch executes, so the
@@ -121,11 +121,11 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
       continue;
     }
     roll -= kUpdateWeight;
-    if (roll < delete_weight) {
+    if (roll < kDeleteWeight) {
       batch.push_back(generator_->GenerateDelete(*table, rng));
       continue;
     }
-    roll -= delete_weight;
+    roll -= kDeleteWeight;
     if (roll < kCreateIndexWeight) {
       auto index = generator_->GenerateIndex(
           *table, "i" + std::to_string(index_counter_++), rng);
@@ -165,8 +165,7 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
 
 StmtPtr ActionScheduler::NextTxnDml(Rng* rng) {
   const TableSchema* table = PickTable(rng);
-  double roll = rng->Unit() *
-                (kInsertWeight + kUpdateWeight + options_.delete_weight);
+  double roll = rng->Unit() * (kInsertWeight + kUpdateWeight + kDeleteWeight);
   if (roll < kInsertWeight) {
     return generator_->GenerateInsertRows(*table, rng);
   }
@@ -181,23 +180,20 @@ StmtPtr ActionScheduler::NextTxnDml(Rng* rng) {
 std::vector<SessionAction> ActionScheduler::NextTxnBatch(Rng* rng) {
   obs::ScopedPhase span(obs::Phase::kGenerate);
   std::vector<SessionAction> batch;
-  const int sessions = options_.txn_sessions;
-  if (txn_sessions_.empty()) {
-    txn_sessions_.resize(static_cast<size_t>(sessions));
-  }
+  const size_t sessions = txn_sessions_.size();
   // The batch length mirrors NextBatch's weighted stopping rule (the pivot
   // check "comes up"), scaled by the session count so each session gets a
   // comparable number of steps between checks.
-  double dml_total = kInsertWeight + kUpdateWeight + options_.delete_weight;
-  int cap = kMaxActionsPerCheck * sessions;
+  double dml_total = kInsertWeight + kUpdateWeight + kDeleteWeight;
+  int cap = kMaxActionsPerCheck * static_cast<int>(sessions);
   for (int i = 0; i < cap; ++i) {
     if (rng->Unit() * (kPivotCheckWeight + dml_total) < kPivotCheckWeight) {
       break;
     }
-    int s = static_cast<int>(rng->Below(static_cast<size_t>(sessions)));
-    TxnSession& state = txn_sessions_[static_cast<size_t>(s)];
+    size_t s = rng->Below(sessions);
+    TxnSession& state = txn_sessions_[s];
     SessionAction action;
-    action.session = s;
+    action.session = static_cast<int>(s);
     if (!state.in_txn) {
       if (rng->Chance(kTxnBeginProbability)) {
         action.stmt = std::make_unique<BeginStmt>();

@@ -5,11 +5,11 @@
 // pivot checks it keeps mutating the state — more inserts, UPDATE/DELETE,
 // index creation and removal, maintenance statements — and re-selects the
 // pivot afterwards. The scheduler owns that stream: it draws the next
-// statement kind from the weights in scheduler.cc (DELETE's comes from
-// GeneratorOptions::delete_weight), asks the Generator for a concrete
-// statement, and tracks the live index inventory (fed back from the
-// ground-truth model's accept/reject decisions) so DROP INDEX always names
-// a real index and UPDATE knows which columns sit under a unique index. Every draw comes from the session's private RNG stream,
+// statement kind from the constant weights in scheduler.cc, asks the
+// Generator for a concrete statement, and tracks the live index inventory
+// (fed back from the ground-truth model's accept/reject decisions) so DROP
+// INDEX always names a real index and UPDATE knows which columns sit under
+// a unique index. Every draw comes from the session's private RNG stream,
 // so scheduling is deterministic under ShardPlan sharding.
 #ifndef PQS_SRC_PQS_SCHEDULER_H_
 #define PQS_SRC_PQS_SCHEDULER_H_
@@ -35,7 +35,18 @@ struct SessionAction {
 
 class ActionScheduler {
  public:
-  ActionScheduler(const Generator* generator, const GeneratorOptions& options,
+  // One index the ground-truth model accepted and has not dropped.
+  struct LiveIndex {
+    std::string name;
+    std::string table;
+    std::vector<std::string> columns;
+    bool unique = false;
+    ExprPtr where;  // clone of the partial predicate (nullable)
+  };
+
+  // `txn_sessions` is the number of logical sessions NextTxnBatch
+  // interleaves (GeneratorOptions::txn_sessions).
+  ActionScheduler(const Generator* generator, int txn_sessions,
                   const DatabasePlan* plan);
 
   // Mutation statements to execute before the next pivot check: keeps
@@ -43,7 +54,7 @@ class ActionScheduler {
   // capped at kMaxActionsPerCheck draws.
   std::vector<StmtPtr> NextBatch(Rng* rng);
 
-  // Interleaved transaction stream over options.txn_sessions logical
+  // Interleaved transaction stream over the txn_sessions logical
   // sessions (DESIGN §14). Each drawn step picks a session from the RNG and
   // advances that session's state machine: an idle session BEGINs (with
   // kTxnBeginProbability) or issues one autocommit DML statement; an open
@@ -77,15 +88,10 @@ class ActionScheduler {
   // the columns whose updates actually move index entries.
   std::vector<std::string> IndexedColumns(const TableSchema& table) const;
 
- private:
-  struct LiveIndex {
-    std::string name;
-    std::string table;
-    std::vector<std::string> columns;
-    bool unique = false;
-    ExprPtr where;  // clone of the partial predicate (nullable)
-  };
+  // The live index inventory, in the order the model accepted the indexes.
+  const std::vector<LiveIndex>& live_indexes() const { return live_; }
 
+ private:
   // State machine for one logical session of the transaction stream.
   struct TxnSession {
     bool in_txn = false;
@@ -98,14 +104,12 @@ class ActionScheduler {
   StmtPtr NextTxnDml(Rng* rng);
 
   const Generator* generator_;
-  GeneratorOptions options_;
   const DatabasePlan* plan_;
   // Next fresh index name suffix; advanced past every observed "i<N>" so
   // mid-session CREATE INDEX never reuses a name.
   int index_counter_ = 0;
   std::vector<LiveIndex> live_;
-  // Per-session transaction state, created lazily on the first
-  // NextTxnBatch call (size == options.txn_sessions).
+  // Per-session transaction state, one entry per logical session.
   std::vector<TxnSession> txn_sessions_;
 };
 

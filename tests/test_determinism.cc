@@ -27,14 +27,9 @@ RunReport BuggyRun(uint64_t seed, int workers = 1,
   options.queries_per_database = 15;
   options.workers = workers;
   options.stop_on_first_finding = stop_on_first_finding;
-  // Crank the widened query-space features so the byte-identity guarantee
-  // demonstrably covers joins, DISTINCT, ORDER BY, LIMIT — and the typed
-  // expression subsystem (functions, CAST, CASE, COLLATE, LIKE ESCAPE).
-  options.gen.explicit_join_probability = 0.8;
-  options.gen.third_table_probability = 0.6;
-  options.gen.distinct_probability = 0.5;
-  options.gen.order_by_probability = 0.6;
-  options.gen.limit_probability = 0.6;
+  // Crank the typed expression subsystem (functions, CAST, CASE, COLLATE,
+  // LIKE ESCAPE) so the byte-identity guarantee demonstrably covers it;
+  // joins, DISTINCT, ORDER BY and LIMIT come at their constant rates.
   options.gen.function_probability = 0.5;
   options.gen.cast_probability = 0.3;
   options.gen.case_probability = 0.25;
@@ -102,12 +97,6 @@ void TestShardedCampaignMatchesSequential() {
   options.databases_per_bug = 120;
   options.queries_per_database = 20;
   options.reduce = true;  // reduction must be deterministic too
-  // The sqlite-dialect registry now carries join/DISTINCT-path bugs, so
-  // this campaign covers the widened query space; crank the feature
-  // probabilities to make that coverage dense.
-  options.gen.explicit_join_probability = 0.7;
-  options.gen.distinct_probability = 0.4;
-  options.gen.order_by_probability = 0.5;
 
   auto run = [&](int workers) {
     CampaignOptions o = options;
@@ -195,9 +184,6 @@ void TestTelemetryOnOffSameReport() {
       options.queries_per_database = c.queries;
       options.family = c.family;
       options.gen.txn_sessions = c.txn_sessions;
-      options.gen.explicit_join_probability = 0.6;
-      options.gen.distinct_probability = 0.4;
-      options.gen.order_by_probability = 0.5;
       BugId bug = c.bug;
       EngineFactory factory = [bug]() -> ConnectionPtr {
         return std::make_unique<minidb::Database>(Dialect::kSqliteFlex,
@@ -366,11 +352,6 @@ RunReport RunGoldenCase(const GoldenCase& c, int workers, bool stop_on_first,
   options.family = c.family;
   options.gen.rectify = c.rectify;
   options.gen.txn_sessions = c.txn_sessions;
-  options.gen.explicit_join_probability = 0.6;
-  options.gen.third_table_probability = 0.4;
-  options.gen.distinct_probability = 0.4;
-  options.gen.order_by_probability = 0.5;
-  options.gen.limit_probability = 0.5;
   Dialect dialect = c.bug != nullptr ? minidb::LookupBug(*c.bug).dialect
                                      : Dialect::kSqliteFlex;
   BugConfig bugs = c.bug != nullptr ? BugConfig::Single(*c.bug) : BugConfig();

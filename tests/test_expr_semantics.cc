@@ -405,12 +405,6 @@ void TestGeneratorOptionsValidate() {
   bad_sessions.txn_sessions = 8;
   CHECK_EQ(bad_sessions.Validate(), std::string(""));
 
-  GeneratorOptions bad_weight;
-  bad_weight.delete_weight = -1.0;
-  CHECK(!bad_weight.Validate().empty());
-  bad_weight.delete_weight = 0.0;  // a DELETE-free stream is valid
-  CHECK_EQ(bad_weight.Validate(), std::string(""));
-
   // The runner refuses to run on invalid options and says why.
   RunnerOptions ro;
   ro.gen.case_probability = 2.0;

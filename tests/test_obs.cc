@@ -201,8 +201,6 @@ RunReport BuggyRun(OracleFamily family, int workers) {
   options.queries_per_database = 12;
   options.workers = workers;
   options.family = family;
-  options.gen.explicit_join_probability = 0.5;
-  options.gen.order_by_probability = 0.4;
   EngineFactory factory = []() -> ConnectionPtr {
     return std::make_unique<minidb::Database>(
         Dialect::kSqliteFlex,

@@ -147,14 +147,9 @@ void TestShardedCoverageMatchesSingleRun() {
     opts.databases = 24;
     opts.queries_per_database = 12;
     opts.workers = workers;
-    // Dense query-space features: the per-feature hit-count identity below
-    // then covers the join / DISTINCT / ORDER BY / LIMIT buckets and the
-    // typed expression grammar too.
-    opts.gen.explicit_join_probability = 0.8;
-    opts.gen.third_table_probability = 0.6;
-    opts.gen.distinct_probability = 0.5;
-    opts.gen.order_by_probability = 0.6;
-    opts.gen.limit_probability = 0.6;
+    // A dense typed expression grammar: the per-feature hit-count identity
+    // below then covers its buckets too (joins, DISTINCT, ORDER BY and
+    // LIMIT come at their constant rates).
     opts.gen.function_probability = 0.5;
     opts.gen.cast_probability = 0.3;
     opts.gen.case_probability = 0.25;

@@ -435,7 +435,7 @@ void TestIndexConsistencyProperty() {
       with_index.set_coverage_sink(&coverage);
       minidb::Database without_index(dialect);
       without_index.set_use_index_scan(false);
-      ActionScheduler scheduler(&generator, gopts, &plan);
+      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan);
       auto exec_both = [&](const Stmt& stmt) {
         StatementResult a = with_index.Execute(stmt);
         StatementResult b = without_index.Execute(stmt);
@@ -648,34 +648,51 @@ void TestSqliteMutationVisibility() {
   CHECK_EQ(none.rows.size(), static_cast<size_t>(0));
 }
 
-// A runner session on SqliteConnection reports no cache invalidation, and
+// No statement on SqliteConnection reports a cache invalidation, and
 // neither does resetting the connection: the only invalidation left is a
-// MiniDB buffer-pool flush.
+// MiniDB buffer-pool flush. Every statement kind the runner's stream issues
+// runs here, each followed by the SELECT that reads the statement cache.
 void TestSqliteTeardownIsNotAnInvalidation() {
-  RunnerOptions opts;
-  opts.seed = 20200604;
-  opts.databases = 1;
-  opts.queries_per_database = 10;
-  // No DELETEs: MiniDB's ground-truth replay would rewrite a table, and
-  // its buffer-pool discard counts as an invalidation.
-  opts.gen.delete_weight = 0;
-  RunReport report = PqsRunner(
-      []() -> ConnectionPtr { return std::make_unique<SqliteConnection>(); },
-      opts).Run();
-  CHECK_EQ(report.metrics.counter(obs::Counter::kCacheInvalidations),
-           static_cast<uint64_t>(0));
-
   obs::SessionTelemetry session;
   {
     obs::ScopedSessionTelemetry install(&session);
     SqliteConnection conn;
+    SelectStmt sel;
+    sel.from_tables = {"t"};
+    auto execute_then_select = [&](const Stmt& stmt) {
+      CHECK(conn.Execute(stmt).ok());
+      CHECK(conn.Execute(sel).ok());
+    };
+
     CreateTableStmt ct;
     ct.table_name = "t";
     ct.columns = {Column("a", Affinity::kInteger)};
-    SelectStmt sel;
-    sel.from_tables = {"t"};
-    CHECK(conn.Execute(ct).ok());
-    CHECK(conn.Execute(sel).ok());
+    execute_then_select(ct);
+    InsertStmt ins;
+    ins.table_name = "t";
+    for (int64_t v : {1, 2, 3}) {
+      ins.rows.emplace_back();
+      ins.rows.back().push_back(MakeIntLiteral(v));
+    }
+    execute_then_select(ins);
+    CreateIndexStmt ci;
+    ci.index_name = "ix";
+    ci.table_name = "t";
+    ci.columns = {"a"};
+    execute_then_select(ci);
+    execute_then_select(
+        MakeUpdate("t", "a", MakeIntLiteral(5), ColEq("t", "a", 2)));
+    DeleteStmt del;
+    del.table_name = "t";
+    del.where = ColEq("t", "a", 1);
+    execute_then_select(del);
+    MaintenanceStmt reindex;
+    reindex.table_name = "t";
+    execute_then_select(reindex);
+    DropIndexStmt drop;
+    drop.index_name = "ix";
+    drop.table_name = "t";
+    execute_then_select(drop);
     CHECK(conn.Reset());
   }
   CHECK_EQ(session.metrics.counter(obs::Counter::kCacheInvalidations),

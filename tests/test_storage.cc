@@ -280,7 +280,7 @@ void TestPagedSessionProperty() {
                                      StorageOptions::Stress());
       paged_noindex.set_use_index_scan(false);
       minidb::Database flat(dialect, BugConfig(), StorageOptions::Flat());
-      ActionScheduler scheduler(&generator, gopts, &plan);
+      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan);
       auto exec_paged = [&](const Stmt& stmt) {
         obs::ScopedSessionTelemetry install(&paged_counts);
         return paged.Execute(stmt);

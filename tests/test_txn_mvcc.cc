@@ -858,7 +858,7 @@ void TestDifferentialTxnSweepVsSqlite() {
     gen.txn_sessions = 3;  // richer BEGIN/COMMIT/ROLLBACK mix
     Generator generator(gen, Dialect::kSqliteFlex);
     DatabasePlan plan = generator.GenerateDatabase(&rng);
-    ActionScheduler scheduler(&generator, gen, &plan);
+    ActionScheduler scheduler(&generator, gen.txn_sessions, &plan);
 
     SqliteConnection real;
     minidb::Database mini(Dialect::kSqliteFlex);
