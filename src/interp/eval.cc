@@ -1242,6 +1242,18 @@ ExprPtr SubstituteAggregates(const Expr& e,
   return out;
 }
 
+size_t FindGroup(const std::vector<std::vector<SqlValue>>& keys,
+                 const std::vector<SqlValue>& row) {
+  for (size_t k = 0; k < keys.size(); ++k) {
+    bool same = true;
+    for (size_t c = 0; same && c < keys[k].size(); ++c) {
+      same = ValueCompare(keys[k][c], row[c]) == 0;
+    }
+    if (same) return k;
+  }
+  return keys.size();
+}
+
 bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
                      const std::vector<std::vector<SqlValue>>& input_rows,
                      const EvalContext& ctx,
@@ -1284,22 +1296,7 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
           return false;
         }
       }
-      // GROUP BY key equality: NULL keys group together and INTEGER/REAL
-      // keys group numerically, matching real engines' grouping compare.
-      size_t slot = group_keys.size();
-      for (size_t k = 0; k < group_keys.size(); ++k) {
-        bool same = true;
-        for (size_t c = 0; c < key.size(); ++c) {
-          if (ValueCompare(group_keys[k][c], key[c]) != 0) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          slot = k;
-          break;
-        }
-      }
+      size_t slot = FindGroup(group_keys, key);
       if (slot == group_keys.size()) {
         group_keys.push_back(key);
         group_rows.emplace_back();

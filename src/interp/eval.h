@@ -220,6 +220,13 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
                      std::vector<std::vector<SqlValue>>* out_rows,
                      std::string* error);
 
+// The GROUP BY rule, one for the engine and the TLP oracle: the index of
+// the first of `keys` that is ValueCompare-equal, column by column, to the
+// leading columns of `row`, or keys.size() when none is. NULL keys group
+// together, and INTEGER and REAL keys group numerically, as in real engines.
+size_t FindGroup(const std::vector<std::vector<SqlValue>>& keys,
+                 const std::vector<SqlValue>& row);
+
 // Clone of `e` with every kAggregate subtree replaced by a literal: node
 // `nodes[i]` (matched by StructurallyEquals) becomes `values[i]`. Shared by
 // AggregateSelect and the TLP oracle's recombined-HAVING evaluation.

@@ -28,6 +28,16 @@
 namespace pqs {
 namespace minidb {
 
+// One entry of a Database's index catalogue: what CREATE INDEX declared.
+struct IndexDef {
+  std::string name;
+  std::string table_name;
+  std::vector<std::string> columns;
+  std::vector<int> key_cols;  // column positions within the table
+  bool unique = false;
+  ExprPtr where;  // partial index predicate (nullable)
+};
+
 class Database : public Connection {
  public:
   // `storage` selects the paged (default) or flat row heap; see
@@ -52,7 +62,14 @@ class Database : public Connection {
   void set_coverage_sink(CoverageMap* sink) { coverage_ = sink; }
   CoverageMap* coverage_sink() const { return coverage_; }
 
+  // The index catalogue, in creation order: an accepted CREATE INDEX
+  // appends, an accepted DROP INDEX erases in place, and a rejected one
+  // leaves it as it was.
   size_t index_count() const { return indexes_.size(); }
+  const IndexDef& index(size_t i) const { return indexes_[i]; }
+
+  // The logical session the last SetSessionStmt switched to (0 at first).
+  int active_session() const { return active_session_; }
 
   // Read-only view of a table's committed rows in position order (nullptr
   // when the table does not exist): the row set an autocommit session's
@@ -160,19 +177,13 @@ class Database : public Connection {
     // TableRows' answer inside the epoch, rebuilt on every call there.
     std::vector<std::vector<SqlValue>> committed_image;
   };
-  struct IndexData {
-    std::string name;
-    std::string table_name;
-    std::vector<std::string> columns;
-    bool unique = false;
-    ExprPtr where;  // partial index predicate (nullable)
+  struct IndexData : IndexDef {
     // B-tree-ish ordered secondary index: (key tuple, row position) pairs
     // kept sorted by key (ValueCompare lexicographic, position tie-break).
     // Positions reference TableData::store; every maintenance path (INSERT
     // append, UPDATE/DELETE rebuild, REINDEX) keeps them consistent —
     // unless an injected index or storage bug is the one corrupting them
     // (scans bounds-guard every position through the page cursor).
-    std::vector<int> key_cols;  // column positions within the table
     std::vector<std::pair<std::vector<SqlValue>, size_t>> entries;
     // Per-entry version visibility, parallel to `entries` and populated only
     // while the MVCC epoch is active: the planner filters out entries whose

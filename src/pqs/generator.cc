@@ -161,6 +161,14 @@ SqlValue Generator::RandomValueFor(Affinity affinity, Rng* rng) const {
   return SqlValue::Null();
 }
 
+std::string DatabasePlan::IndexName(int later) const {
+  int n = later;
+  for (const StmtPtr& s : statements) {
+    if (s->kind() == StmtKind::kCreateIndex) ++n;
+  }
+  return "i" + std::to_string(n);
+}
+
 DatabasePlan Generator::GenerateDatabase(Rng* rng) const {
   DatabasePlan plan;
   int table_count = static_cast<int>(rng->IntIn(1, kMaxTables));
@@ -197,11 +205,9 @@ DatabasePlan Generator::GenerateDatabase(Rng* rng) const {
   }
 
   // Indexes, before data so unique indexes constrain the inserts.
-  int index_counter = 0;
   for (const TableSchema& table : plan.tables) {
     for (int i = 0; i < 2 && rng->Chance(kIndexProbability); ++i) {
-      plan.statements.push_back(GenerateIndex(
-          table, "i" + std::to_string(index_counter++), rng));
+      plan.statements.push_back(GenerateIndex(table, plan.IndexName(), rng));
     }
   }
 

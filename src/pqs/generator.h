@@ -79,6 +79,12 @@ struct TableSchema {
 struct DatabasePlan {
   std::vector<TableSchema> tables;
   std::vector<StmtPtr> statements;
+
+  // "i<N>" with N = the plan's CREATE INDEX count plus `later`: the name of
+  // the index created `later` indexes after the plan's last one. Every
+  // index name comes from here, so no name is used twice in a session, not
+  // even one whose CREATE INDEX the engine rejected.
+  std::string IndexName(int later = 0) const;
 };
 
 // Shape of one generated query: the FROM tables, the join plan over them,
@@ -142,10 +148,10 @@ class Generator {
   // that lets the ground-truth model mirror real SQLite exactly (DESIGN
   // §9). Other columns may also receive same-type-class column refs,
   // numeric col±lit arithmetic, or (SQLite) a text concat. `hot_columns`
-  // (live index key/predicate columns, from the scheduler) bias the first
-  // assignment target: updating an indexed column is what moves index
-  // entries, so the index-maintenance bug classes stay reachable at a
-  // useful rate.
+  // (the key and predicate columns of the ground-truth model's indexes,
+  // which the scheduler reads from its catalogue) bias the first assignment
+  // target: updating an indexed column is what moves index entries, so the
+  // index-maintenance bug classes stay reachable at a useful rate.
   std::unique_ptr<UpdateStmt> GenerateUpdate(
       const TableSchema& table,
       const std::vector<std::string>& literal_only_columns,

@@ -173,16 +173,19 @@ struct StateReference {
   // Whether the compare is billed to ground-truth replay. The snapshot
   // check's reference rows come from a replayed query already billed there.
   bool billed;
+  // Whether CheckTable counts the compare in RunStats::state_compares, the
+  // autocommit families' tally (the transaction family counts commits).
+  bool counted;
 };
 constexpr StateReference kMutationReplay{
     OracleKind::kContainment, "the ground-truth mutation replay", "reference",
-    true};
+    true, true};
 constexpr StateReference kCommittedState{
     OracleKind::kTxnSerial, "the clean model's committed state", "model",
-    true};
+    true, false};
 constexpr StateReference kSnapshotReplay{
     OracleKind::kTxnSerial, "the interleaved ground-truth replay", "reference",
-    false};
+    false, false};
 
 // The session skeleton (DESIGN §6): one database of the Algorithm 1 loop.
 // It owns the connection under test, the database's private RNG stream,
@@ -200,8 +203,8 @@ struct Session {
         dialect(conn->dialect()),
         generator(options.gen, dialect),
         model(dialect),
-        scheduler(&generator, options.gen.txn_sessions, &plan) {}
-  // The scheduler points at this session's generator and plan.
+        scheduler(&generator, options.gen.txn_sessions, &plan, &model) {}
+  // The scheduler points at this session's generator, plan and model.
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -225,8 +228,6 @@ struct Session {
   size_t setup_done = 0;      // plan statements executed so far
   std::vector<StmtPtr> log;   // stream statements executed after setup
   DbRunResult out;
-  // Transaction family: the logical session the stream last switched to.
-  int current_session = 0;
 
   // A finding was recorded; the session stops.
   bool done() const { return !out.findings.empty(); }
@@ -330,17 +331,19 @@ struct Session {
     return false;
   }
 
-  // The autocommit families' table check: the engine's SELECT * of `table`
-  // must equal the model's stored rows. Returns the engine's rows, or
-  // nullopt once the session is done (the fetch failed, or the table
-  // diverged; with `with_pivot` the finding carries the first lost row).
-  std::optional<Rows> CheckTable(const std::string& table, bool with_pivot) {
+  // The committed-state table check: the engine's SELECT * of `table` must
+  // equal the model's committed rows, reported against `ref`. Returns the
+  // engine's rows, or nullopt once the session is done (the fetch failed,
+  // or the table diverged; with `with_pivot` the finding carries the first
+  // lost row).
+  std::optional<Rows> CheckTable(const StateReference& ref,
+                                 const std::string& table, bool with_pivot) {
     SelectStmt fetch;
     fetch.from_tables = {table};
     StatementResult rows = ExecOrFail(fetch);
     if (done()) return std::nullopt;
-    ++out.stats.state_compares;
-    if (!CompareState(kMutationReplay, "table " + table, fetch, rows,
+    if (ref.counted) ++out.stats.state_compares;
+    if (!CompareState(ref, "table " + table, fetch, rows,
                       model.TableRows(table), with_pivot)) {
       return std::nullopt;
     }
@@ -355,13 +358,9 @@ struct Session {
       obs::ScopedPhase span(obs::Phase::kGenerate);
       plan = generator.GenerateDatabase(&rng);
       if (index_every_table) {
-        int index_counter = 0;
-        for (const StmtPtr& s : plan.statements) {
-          if (s->kind() == StmtKind::kCreateIndex) ++index_counter;
-        }
         for (const TableSchema& table : plan.tables) {
-          plan.statements.push_back(generator.GenerateIndex(
-              table, "i" + std::to_string(index_counter++), &rng));
+          plan.statements.push_back(
+              generator.GenerateIndex(table, plan.IndexName(), &rng));
         }
       }
     }
@@ -385,12 +384,11 @@ struct Session {
   // from the last action's. The switch joins the log so findings replay
   // flat.
   void SwitchSession(int session) {
-    if (session == current_session) return;
+    if (session == model.active_session()) return;
     auto set = std::make_unique<SetSessionStmt>();
     set->session = session;
     Exec(*set);
     Replay(*set);
-    current_session = session;
     log.push_back(std::move(set));
   }
 
@@ -399,7 +397,7 @@ struct Session {
   // passes through.
   void TallyTxn(const Stmt& stmt, const StatementResult& replayed) {
     RunStats& stats = out.stats;
-    uint32_t id = static_cast<uint32_t>(current_session);
+    uint32_t id = static_cast<uint32_t>(model.active_session());
     uint32_t clock = static_cast<uint32_t>(model.commit_clock());
     switch (stmt.kind()) {
       case StmtKind::kBegin:
@@ -436,7 +434,6 @@ struct Session {
     StatementResult result = Exec(stmt);
     StatementResult model_result = Replay(stmt);
     TallyTxn(stmt, model_result);
-    scheduler.Observe(stmt, model_result.ok());
     if (result.status == StatementStatus::kConstraintViolation) {
       ++out.stats.constraint_violations;
     } else if (!result.ok() &&
@@ -474,7 +471,8 @@ void ContainmentCheck(Session& s) {
     // exactly the model's rows. This is what keeps containment exact
     // under UPDATE/DELETE — a wrongly-deleted row could otherwise never
     // be picked as a pivot and would go unnoticed.
-    std::optional<Rows> rows = s.CheckTable(table->name, /*with_pivot=*/true);
+    std::optional<Rows> rows =
+        s.CheckTable(kMutationReplay, table->name, /*with_pivot=*/true);
     if (!rows) return;
     if (rows->empty()) {
       ++stats.queries_skipped;  // empty after rejections or deletes
@@ -660,7 +658,9 @@ void MetamorphicCheck(Session& s) {
   RunStats& stats = s.out.stats;
   bool norec = options.family == OracleFamily::kNorec;
   const TableSchema& table = s.plan.tables[s.rng.Below(s.plan.tables.size())];
-  if (!s.CheckTable(table.name, /*with_pivot=*/false)) return;
+  if (!s.CheckTable(kMutationReplay, table.name, /*with_pivot=*/false)) {
+    return;
+  }
 
   std::vector<const TableSchema*> single{&table};
   ExprPtr predicate;
@@ -755,28 +755,6 @@ void RunTxnSession(Session& s) {
 
   int sessions = s.options.gen.txn_sessions;
 
-  // The one transaction compare: every table as the engine shows it to the
-  // current session must equal `model_rows(fetch)`, the model's same view
-  // (nullptr skips the table). `per_table`, when set, is bumped for each
-  // table fetched.
-  auto compare_tables = [&](const StateReference& ref, const std::string& view,
-                            uint64_t* per_table, auto model_rows) {
-    for (const TableSchema& table : s.plan.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult engine_rows = s.ExecOrFail(fetch);
-      if (per_table != nullptr) ++*per_table;
-      if (s.done() || !s.CompareState(ref, view + "table " + table.name,
-                                      fetch, engine_rows, model_rows(fetch))) {
-        return;
-      }
-    }
-  };
-  auto committed_rows = [&](const SelectStmt& fetch) {
-    obs::ScopedPhase span(obs::Phase::kGroundTruthReplay);
-    return s.model.TableRows(fetch.from_tables[0]);
-  };
-
   for (int q = 0; q < s.options.queries_per_database && !s.done(); ++q) {
     for (SessionAction& action : s.scheduler.NextTxnBatch(&s.rng)) {
       s.SwitchSession(action.session);
@@ -787,7 +765,12 @@ void RunTxnSession(Session& s) {
       // autocommit and reads the latest committed state.
       if (committed && !s.done()) {
         ++stats.txn_serial_replays;
-        compare_tables(kCommittedState, "", nullptr, committed_rows);
+        for (const TableSchema& table : s.plan.tables) {
+          if (!s.CheckTable(kCommittedState, table.name,
+                            /*with_pivot=*/false)) {
+            break;
+          }
+        }
       }
       if (s.done()) break;
     }
@@ -799,15 +782,21 @@ void RunTxnSession(Session& s) {
     // transaction oracle.
     s.SwitchSession(
         static_cast<int>(s.rng.Below(static_cast<size_t>(sessions))));
-    StatementResult snapshot;
-    compare_tables(kSnapshotReplay,
-                   "session " + std::to_string(s.current_session) +
-                       " snapshot of ",
-                   &stats.txn_snapshot_checks,
-                   [&](const SelectStmt& fetch) -> const Rows* {
-                     snapshot = s.Replay(fetch);
-                     return snapshot.ok() ? &snapshot.rows : nullptr;
-                   });
+    std::string view =
+        "session " + std::to_string(s.model.active_session()) + " snapshot of ";
+    for (const TableSchema& table : s.plan.tables) {
+      SelectStmt fetch;
+      fetch.from_tables = {table.name};
+      StatementResult engine_rows = s.ExecOrFail(fetch);
+      ++stats.txn_snapshot_checks;
+      if (s.done()) break;
+      StatementResult snapshot = s.Replay(fetch);
+      if (!s.CompareState(kSnapshotReplay, view + "table " + table.name,
+                          fetch, engine_rows,
+                          snapshot.ok() ? &snapshot.rows : nullptr)) {
+        break;
+      }
+    }
     if (s.done()) break;
 
     // Index probe: an equality lookup on an indexed column, keyed by a
@@ -815,33 +804,20 @@ void RunTxnSession(Session& s) {
     // engine's — a stale index entry left by a rolled-back transaction
     // makes the engine's indexed scan *miss* rows, while extra rows (a
     // dirty read) never misfire this check. The stream issues no DDL, so
-    // the live indexes are the setup indexes the model accepted.
-    const auto& indexes = s.scheduler.live_indexes();
-    if (indexes.empty()) continue;
-    const ActionScheduler::LiveIndex& index =
-        indexes[s.rng.Below(indexes.size())];
-    const std::string& probe_table = index.table;
+    // the model's catalogue holds the setup indexes it accepted.
+    if (s.model.index_count() == 0) continue;
+    const minidb::IndexDef& index =
+        s.model.index(s.rng.Below(s.model.index_count()));
+    const std::string& probe_table = index.table_name;
     const std::string& probe_col = index.columns[0];
     const Rows* committed = s.model.TableRows(probe_table);
-    const TableSchema* schema = nullptr;
-    size_t col_index = 0;
-    for (const TableSchema& table : s.plan.tables) {
-      if (table.name != probe_table) continue;
-      schema = &table;
-      for (size_t c = 0; c < table.columns.size(); ++c) {
-        if (table.columns[c].name == probe_col) col_index = c;
-      }
-    }
-    if (schema == nullptr || committed == nullptr || committed->empty()) {
-      continue;
-    }
+    if (committed == nullptr || committed->empty()) continue;
     const auto& sample = (*committed)[s.rng.Below(committed->size())];
-    if (col_index >= sample.size()) continue;
     SelectStmt probe;
     probe.from_tables = {probe_table};
-    probe.where =
-        MakeBinary(BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
-                   MakeLiteral(sample[col_index]));
+    probe.where = MakeBinary(
+        BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
+        MakeLiteral(sample[static_cast<size_t>(index.key_cols[0])]));
     StatementResult engine_rows = s.ExecOrFail(probe);
     if (s.done()) continue;
     StatementResult model_rows = s.Replay(probe);

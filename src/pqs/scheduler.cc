@@ -1,9 +1,9 @@
 #include "src/pqs/scheduler.h"
 
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
+#include "src/minidb/database.h"
 #include "src/obs/telemetry.h"
 
 namespace pqs {
@@ -40,9 +40,11 @@ constexpr int kMaxTxnStatements = 6;
 }  // namespace
 
 ActionScheduler::ActionScheduler(const Generator* generator,
-                                 int txn_sessions, const DatabasePlan* plan)
+                                 int txn_sessions, const DatabasePlan* plan,
+                                 const minidb::Database* model)
     : generator_(generator),
       plan_(plan),
+      model_(model),
       txn_sessions_(static_cast<size_t>(txn_sessions)) {}
 
 const TableSchema* ActionScheduler::PickTable(Rng* rng) const {
@@ -55,8 +57,9 @@ std::vector<std::string> ActionScheduler::LiteralOnlyColumns(
   for (const ColumnDef& col : table.columns) {
     if (col.unique || col.primary_key) out.push_back(col.name);
   }
-  for (const LiveIndex& index : live_) {
-    if (!index.unique || index.table != table.name) continue;
+  for (size_t i = 0; i < model_->index_count(); ++i) {
+    const minidb::IndexDef& index = model_->index(i);
+    if (!index.unique || index.table_name != table.name) continue;
     for (const std::string& col : index.columns) out.push_back(col);
   }
   return out;
@@ -76,8 +79,9 @@ void CollectColumnRefs(const Expr& expr, std::vector<std::string>* out) {
 std::vector<std::string> ActionScheduler::IndexedColumns(
     const TableSchema& table) const {
   std::vector<std::string> out;
-  for (const LiveIndex& index : live_) {
-    if (index.table != table.name) continue;
+  for (size_t i = 0; i < model_->index_count(); ++i) {
+    const minidb::IndexDef& index = model_->index(i);
+    if (index.table_name != table.name) continue;
     for (const std::string& col : index.columns) out.push_back(col);
     if (index.where != nullptr) CollectColumnRefs(*index.where, &out);
   }
@@ -91,7 +95,7 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
   double mutation_total = kInsertWeight + kUpdateWeight + kDeleteWeight +
                           kCreateIndexWeight + kDropIndexWeight +
                           kMaintenanceWeight;
-  // live_ is only updated by Observe() once the batch executes, so the
+  // The model's catalogue only changes once the batch executes, so the
   // statements already drawn this batch must be accounted for here:
   // an index chosen as a DROP victim cannot be dropped twice, and an
   // UPDATE drawn after a CREATE UNIQUE INDEX must already treat the new
@@ -128,7 +132,7 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
     roll -= kDeleteWeight;
     if (roll < kCreateIndexWeight) {
       auto index = generator_->GenerateIndex(
-          *table, "i" + std::to_string(index_counter_++), rng);
+          *table, plan_->IndexName(indexes_drawn_++), rng);
       if (index->unique) {
         for (const std::string& col : index->columns) {
           unique_cols_in_batch.emplace_back(index->table_name, col);
@@ -139,8 +143,9 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
     }
     roll -= kCreateIndexWeight;
     if (roll < kDropIndexWeight) {
-      std::vector<const LiveIndex*> droppable;
-      for (const LiveIndex& index : live_) {
+      std::vector<const minidb::IndexDef*> droppable;
+      for (size_t j = 0; j < model_->index_count(); ++j) {
+        const minidb::IndexDef& index = model_->index(j);
         bool gone = false;
         for (const std::string& name : dropped_in_batch) {
           gone |= name == index.name;
@@ -148,10 +153,10 @@ std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
         if (!gone) droppable.push_back(&index);
       }
       if (droppable.empty()) continue;  // nothing to drop this slot
-      const LiveIndex& victim = *droppable[rng->Below(droppable.size())];
+      const minidb::IndexDef& victim = *droppable[rng->Below(droppable.size())];
       auto drop = std::make_unique<DropIndexStmt>();
       drop->index_name = victim.name;
-      drop->table_name = victim.table;
+      drop->table_name = victim.table_name;
       dropped_in_batch.push_back(victim.name);
       batch.push_back(std::move(drop));
       continue;
@@ -225,47 +230,13 @@ std::vector<SessionAction> ActionScheduler::NextTxnBatch(Rng* rng) {
   return batch;
 }
 
-void ActionScheduler::Observe(const Stmt& stmt, bool applied) {
-  switch (stmt.kind()) {
-    case StmtKind::kCreateIndex: {
-      const auto& ci = static_cast<const CreateIndexStmt&>(stmt);
-      // Advance the fresh-name counter past every observed "i<N>" (setup
-      // indexes included), applied or not — a rejected name is still used.
-      if (!ci.index_name.empty() && ci.index_name[0] == 'i') {
-        int n = std::atoi(ci.index_name.c_str() + 1);
-        if (n + 1 > index_counter_) index_counter_ = n + 1;
-      }
-      if (!applied) break;
-      LiveIndex live;
-      live.name = ci.index_name;
-      live.table = ci.table_name;
-      live.columns = ci.columns;
-      live.unique = ci.unique;
-      live.where = ci.where ? ci.where->Clone() : nullptr;
-      live_.push_back(std::move(live));
-      break;
-    }
-    case StmtKind::kDropIndex: {
-      if (!applied) break;
-      const auto& di = static_cast<const DropIndexStmt&>(stmt);
-      for (size_t i = 0; i < live_.size(); ++i) {
-        if (live_[i].name != di.index_name) continue;
-        live_.erase(live_.begin() + static_cast<long>(i));
-        break;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 ExprPtr ActionScheduler::MaybePartialIndexProbe(const std::string& table,
                                                 Rng* rng) const {
   if (!rng->Chance(kPartialProbeProbability)) return nullptr;
-  std::vector<const LiveIndex*> partial;
-  for (const LiveIndex& index : live_) {
-    if (index.table == table && index.where != nullptr) {
+  std::vector<const minidb::IndexDef*> partial;
+  for (size_t i = 0; i < model_->index_count(); ++i) {
+    const minidb::IndexDef& index = model_->index(i);
+    if (index.table_name == table && index.where != nullptr) {
       partial.push_back(&index);
     }
   }

@@ -5,12 +5,13 @@
 // pivot checks it keeps mutating the state — more inserts, UPDATE/DELETE,
 // index creation and removal, maintenance statements — and re-selects the
 // pivot afterwards. The scheduler owns that stream: it draws the next
-// statement kind from the constant weights in scheduler.cc, asks the
-// Generator for a concrete statement, and tracks the live index inventory
-// (fed back from the ground-truth model's accept/reject decisions) so DROP
-// INDEX always names a real index and UPDATE knows which columns sit under
-// a unique index. Every draw comes from the session's private RNG stream,
-// so scheduling is deterministic under ShardPlan sharding.
+// statement kind from the constant weights in scheduler.cc and asks the
+// Generator for a concrete statement. It reads the live indexes from the
+// session's ground-truth model, whose catalogue holds exactly the indexes
+// the model accepted and has not dropped, so DROP INDEX always names a real
+// index and UPDATE knows which columns sit under a unique index. Every draw
+// comes from the session's private RNG stream, so scheduling is
+// deterministic under ShardPlan sharding.
 #ifndef PQS_SRC_PQS_SCHEDULER_H_
 #define PQS_SRC_PQS_SCHEDULER_H_
 
@@ -24,6 +25,10 @@
 
 namespace pqs {
 
+namespace minidb {
+class Database;
+}  // namespace minidb
+
 // One step of the interleaved transaction stream: which logical session
 // issues the statement. The runner prefixes a SetSessionStmt whenever the
 // session differs from the previous action's, so the rendered statement log
@@ -35,19 +40,12 @@ struct SessionAction {
 
 class ActionScheduler {
  public:
-  // One index the ground-truth model accepted and has not dropped.
-  struct LiveIndex {
-    std::string name;
-    std::string table;
-    std::vector<std::string> columns;
-    bool unique = false;
-    ExprPtr where;  // clone of the partial predicate (nullable)
-  };
-
   // `txn_sessions` is the number of logical sessions NextTxnBatch
-  // interleaves (GeneratorOptions::txn_sessions).
+  // interleaves (GeneratorOptions::txn_sessions). `model` is the session's
+  // ground-truth model, which executes the plan and every drawn statement;
+  // its index catalogue is the live index list.
   ActionScheduler(const Generator* generator, int txn_sessions,
-                  const DatabasePlan* plan);
+                  const DatabasePlan* plan, const minidb::Database* model);
 
   // Mutation statements to execute before the next pivot check: keeps
   // drawing from the weighted mix until the pivot-check action comes up,
@@ -66,12 +64,6 @@ class ActionScheduler {
   // setup phase only, keeping every transactional statement MVCC-visible.
   std::vector<SessionAction> NextTxnBatch(Rng* rng);
 
-  // Bookkeeping callback for every statement executed on the ground-truth
-  // model (setup and mutations alike): `applied` is whether the model
-  // accepted it. Keeps the live index inventory in sync with reality —
-  // a rejected unique CREATE INDEX never becomes a DROP INDEX target.
-  void Observe(const Stmt& stmt, bool applied);
-
   // Clone of a live partial-index predicate over `table`, gated on
   // kPartialProbeProbability; null otherwise. The runner ANDs it
   // in front of generated WHERE clauses so the partial-index scan planner
@@ -88,9 +80,6 @@ class ActionScheduler {
   // the columns whose updates actually move index entries.
   std::vector<std::string> IndexedColumns(const TableSchema& table) const;
 
-  // The live index inventory, in the order the model accepted the indexes.
-  const std::vector<LiveIndex>& live_indexes() const { return live_; }
-
  private:
   // State machine for one logical session of the transaction stream.
   struct TxnSession {
@@ -105,10 +94,10 @@ class ActionScheduler {
 
   const Generator* generator_;
   const DatabasePlan* plan_;
-  // Next fresh index name suffix; advanced past every observed "i<N>" so
-  // mid-session CREATE INDEX never reuses a name.
-  int index_counter_ = 0;
-  std::vector<LiveIndex> live_;
+  const minidb::Database* model_;
+  // CREATE INDEX statements drawn so far; the next one is named
+  // plan_->IndexName(indexes_drawn_).
+  int indexes_drawn_ = 0;
   // Per-session transaction state, one entry per logical session.
   std::vector<TxnSession> txn_sessions_;
 };

@@ -168,20 +168,7 @@ MetaOutcome RunTlpCheck(Connection& conn, const SelectStmt& query,
                            std::to_string(partial_width));
         return out;
       }
-      size_t slot = keys.size();
-      for (size_t k = 0; k < keys.size(); ++k) {
-        bool same = true;
-        for (size_t c = 0; c < gcols; ++c) {
-          if (ValueCompare(keys[k][c], row[c]) != 0) {
-            same = false;
-            break;
-          }
-        }
-        if (same) {
-          slot = k;
-          break;
-        }
-      }
+      size_t slot = FindGroup(keys, row);
       if (slot == keys.size()) {
         keys.emplace_back(row.begin(), row.begin() + static_cast<long>(gcols));
         group_partials.emplace_back();

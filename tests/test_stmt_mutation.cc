@@ -435,12 +435,12 @@ void TestIndexConsistencyProperty() {
       with_index.set_coverage_sink(&coverage);
       minidb::Database without_index(dialect);
       without_index.set_use_index_scan(false);
-      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan);
+      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan,
+                                &with_index);
       auto exec_both = [&](const Stmt& stmt) {
         StatementResult a = with_index.Execute(stmt);
         StatementResult b = without_index.Execute(stmt);
         CHECK_EQ(static_cast<int>(a.status), static_cast<int>(b.status));
-        scheduler.Observe(stmt, a.ok());
       };
       for (const StmtPtr& stmt : plan.statements) exec_both(*stmt);
       for (int q = 0; q < 6; ++q) {
@@ -487,6 +487,81 @@ void TestIndexConsistencyProperty() {
   CHECK(coverage.Hits(minidb::Feature::kDelete) > 100);
   CHECK(coverage.Hits(minidb::Feature::kDropIndex) > 10);
   CHECK(coverage.Hits(minidb::Feature::kMaintenance) > 10);
+}
+
+// The scheduler's live indexes are the model's index catalogue. A setup
+// CREATE UNIQUE INDEX over duplicate rows, which the model rejects, never
+// becomes a DROP INDEX victim, yet its name stays taken: the k-th index the
+// scheduler creates is named i<plan CREATE INDEX count + k>.
+void TestSchedulerReadsModelCatalogue() {
+  GeneratorOptions gopts;
+  Generator generator(gopts, Dialect::kSqliteFlex);
+  int first_creates = 0;
+  int drops = 0;
+  for (uint64_t s = 0; s < 200; ++s) {
+    Rng rng(Rng::StreamSeed(0xca7a, s));
+    DatabasePlan plan = generator.GenerateDatabase(&rng);
+    // Two equal rows in a fresh table, then a unique index over them.
+    TableSchema dup;
+    dup.name = "tdup";
+    dup.columns = {Column("cdup", Affinity::kInteger)};
+    auto create = std::make_unique<CreateTableStmt>();
+    create->table_name = dup.name;
+    create->columns = dup.columns;
+    plan.statements.push_back(std::move(create));
+    auto insert = std::make_unique<InsertStmt>();
+    insert->table_name = dup.name;
+    for (int r = 0; r < 2; ++r) {
+      std::vector<ExprPtr> row;
+      row.push_back(MakeIntLiteral(7));
+      insert->rows.push_back(std::move(row));
+    }
+    plan.statements.push_back(std::move(insert));
+    auto unique = std::make_unique<CreateIndexStmt>();
+    unique->index_name = plan.IndexName();
+    unique->table_name = dup.name;
+    unique->columns = {"cdup"};
+    unique->unique = true;
+    plan.statements.push_back(std::move(unique));
+    plan.tables.push_back(std::move(dup));
+
+    minidb::Database model(Dialect::kSqliteFlex);
+    ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan, &model);
+    int plan_indexes = 0;
+    for (const StmtPtr& stmt : plan.statements) {
+      StatementResult r = model.Execute(*stmt);
+      if (stmt->kind() == StmtKind::kCreateIndex) ++plan_indexes;
+      if (stmt.get() == plan.statements.back().get()) {
+        CHECK_EQ(static_cast<int>(r.status),
+                 static_cast<int>(StatementStatus::kConstraintViolation));
+      }
+    }
+    // Every plan index but the last was accepted.
+    CHECK_EQ(model.index_count(), static_cast<size_t>(plan_indexes - 1));
+
+    int created = 0;
+    for (int q = 0; q < 20; ++q) {
+      for (const StmtPtr& action : scheduler.NextBatch(&rng)) {
+        StatementResult r = model.Execute(*action);
+        if (action->kind() == StmtKind::kCreateIndex) {
+          const std::string& name =
+              static_cast<const CreateIndexStmt&>(*action).index_name;
+          CHECK_EQ(name, "i" + std::to_string(plan_indexes + created));
+          if (created++ == 0) ++first_creates;
+        } else if (action->kind() == StmtKind::kDropIndex) {
+          CHECK_MSG(r.ok(), "seed %llu: DROP INDEX %s failed: %s",
+                    static_cast<unsigned long long>(s),
+                    static_cast<const DropIndexStmt&>(*action)
+                        .index_name.c_str(),
+                    r.error.c_str());
+          ++drops;
+        }
+      }
+    }
+  }
+  CHECK_MSG(first_creates >= 100, "only %d sessions created an index",
+            first_creates);
+  CHECK_MSG(drops >= 100, "only %d DROP INDEX statements drawn", drops);
 }
 
 // ---------------------------------------------------------------------------
@@ -651,7 +726,7 @@ void TestSqliteMutationVisibility() {
 // No statement on SqliteConnection reports a cache invalidation, and
 // neither does resetting the connection: the only invalidation left is a
 // MiniDB buffer-pool flush. Every statement kind the runner's stream issues
-// runs here, each followed by the SELECT that reads the statement cache.
+// runs here, each followed by a SELECT of the table.
 void TestSqliteTeardownIsNotAnInvalidation() {
   obs::SessionTelemetry session;
   {
@@ -716,6 +791,7 @@ int main(int argc, char** argv) {
   pqs::TestSqlitePrimaryKeyNullQuirk();
   pqs::TestIndexBugHooks();
   pqs::TestIndexConsistencyProperty();
+  pqs::TestSchedulerReadsModelCatalogue();
   pqs::TestCleanMutatingSessionsHaveNoFindings();
   pqs::TestRealSqliteMutatingSweepHasNoFalseFindings();
   pqs::TestNewBugsDetectedInDefaultBudget();

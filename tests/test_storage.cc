@@ -280,7 +280,7 @@ void TestPagedSessionProperty() {
                                      StorageOptions::Stress());
       paged_noindex.set_use_index_scan(false);
       minidb::Database flat(dialect, BugConfig(), StorageOptions::Flat());
-      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan);
+      ActionScheduler scheduler(&generator, gopts.txn_sessions, &plan, &paged);
       auto exec_paged = [&](const Stmt& stmt) {
         obs::ScopedSessionTelemetry install(&paged_counts);
         return paged.Execute(stmt);
@@ -291,7 +291,6 @@ void TestPagedSessionProperty() {
         StatementResult c = flat.Execute(stmt);
         CHECK_EQ(static_cast<int>(a.status), static_cast<int>(b.status));
         CHECK_EQ(static_cast<int>(a.status), static_cast<int>(c.status));
-        scheduler.Observe(stmt, a.ok());
       };
       for (const StmtPtr& stmt : plan.statements) exec_all(*stmt);
       for (int q = 0; q < 4; ++q) {

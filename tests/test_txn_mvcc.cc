@@ -858,10 +858,9 @@ void TestDifferentialTxnSweepVsSqlite() {
     gen.txn_sessions = 3;  // richer BEGIN/COMMIT/ROLLBACK mix
     Generator generator(gen, Dialect::kSqliteFlex);
     DatabasePlan plan = generator.GenerateDatabase(&rng);
-    ActionScheduler scheduler(&generator, gen.txn_sessions, &plan);
-
     SqliteConnection real;
     minidb::Database mini(Dialect::kSqliteFlex);
+    ActionScheduler scheduler(&generator, gen.txn_sessions, &plan, &mini);
     for (const StmtPtr& stmt : plan.statements) {
       StatementResult a = real.Execute(*stmt);
       StatementResult b = mini.Execute(*stmt);
@@ -869,7 +868,6 @@ void TestDifferentialTxnSweepVsSqlite() {
                 "seed %llu setup outcome diverged on %s",
                 static_cast<unsigned long long>(seed),
                 RenderStmt(*stmt, Dialect::kSqliteFlex).c_str());
-      scheduler.Observe(*stmt, b.ok());
     }
 
     // Serial replay: the flat action stream, session markers dropped. A
