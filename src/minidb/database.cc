@@ -1224,7 +1224,7 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
     // through the planner: index entries carry version visibility windows,
     // and the current store row at a visible entry's position *is* the
     // latest committed version.
-    if (use_index_scan_ && stmt.where != nullptr && cur_txn == nullptr) {
+    if (stmt.where != nullptr && cur_txn == nullptr) {
       bool used_partial = false;
       used_index = PlanIndexScan(*from[0], *stmt.where, ctx,
                                  &index_positions, &used_partial);

@@ -60,7 +60,6 @@ class Database : public Connection {
   // Feature coverage is recorded into an external sink so a whole session's
   // connections can share one map (bench_table4). Null disables tracking.
   void set_coverage_sink(CoverageMap* sink) { coverage_ = sink; }
-  CoverageMap* coverage_sink() const { return coverage_; }
 
   // The index catalogue, in creation order: an accepted CREATE INDEX
   // appends, an accepted DROP INDEX erases in place, and a rejected one
@@ -83,11 +82,6 @@ class Database : public Connection {
   // SELECT round trip. The pointer is invalidated by the next mutation of
   // the same table and, inside the epoch, by the next call for it.
   const std::vector<std::vector<SqlValue>>* TableRows(const std::string& name);
-
-  // Disables the secondary-index scan planner: every SELECT falls back to
-  // the full table scan. The index-consistency property test runs the same
-  // session with the planner on and off and requires identical results.
-  void set_use_index_scan(bool enabled) { use_index_scan_ = enabled; }
 
   // Introspection for the storage tests and benches.
   const StorageOptions& storage_options() const { return storage_opts_; }
@@ -333,7 +327,6 @@ class Database : public Connection {
   BufferPool pool_;
   CoverageMap* coverage_ = nullptr;
   bool alive_ = true;
-  bool use_index_scan_ = true;
   // Monotonic across Reset(): a recycled id could match a stale frame of a
   // destroyed table still sitting in the pool.
   uint32_t next_table_id_ = 0;
@@ -355,24 +348,6 @@ class Database : public Connection {
   // Tables whose indexes kTxnRollbackStaleIndex corrupted; PruneHistory
   // skips rebuilding them once, leaving stale entries behind.
   std::set<std::string> rollback_corrupted_;
-};
-
-// Scoped coverage collection: attaches a CoverageMap to a Database for the
-// lifetime of the session and restores the previous sink on destruction.
-class CoverageSession {
- public:
-  CoverageSession(Database* db, CoverageMap* map)
-      : db_(db), previous_(db->coverage_sink()) {
-    db_->set_coverage_sink(map);
-  }
-  ~CoverageSession() { db_->set_coverage_sink(previous_); }
-
-  CoverageSession(const CoverageSession&) = delete;
-  CoverageSession& operator=(const CoverageSession&) = delete;
-
- private:
-  Database* db_;
-  CoverageMap* previous_;
 };
 
 }  // namespace minidb

@@ -78,26 +78,6 @@ void JsonBuilder::Field(const std::string& key, uint64_t value) {
   out_ += std::to_string(value);
 }
 
-void JsonBuilder::Field(const std::string& key, bool value) {
-  Comma();
-  Key(key);
-  out_ += value ? "true" : "false";
-}
-
-void JsonBuilder::Field(const std::string& key, double value, int decimals) {
-  Comma();
-  Key(key);
-  out_ += JsonNumber(value, decimals);
-}
-
-void JsonBuilder::Field(const std::string& key, const std::string& value) {
-  Comma();
-  Key(key);
-  out_.push_back('"');
-  out_ += JsonEscape(value);
-  out_.push_back('"');
-}
-
 void JsonBuilder::Element(uint64_t value) {
   Comma();
   out_ += std::to_string(value);

@@ -8,10 +8,11 @@
 // (bench/bench_common.h) all escape strings and format fields through it,
 // so every BENCH_*.json section shares one format path.
 //
-// JsonBuilder is deliberately small: objects, arrays, and typed fields with
-// comma management. It produces compact output (no pretty-printing) —
-// callers that want indentation for human eyes keep writing their own
-// layout but must still escape through JsonEscape.
+// JsonBuilder is deliberately small: objects, arrays, and unsigned fields
+// with comma management, the members the metrics exporter uses. It
+// produces compact output (no pretty-printing) — callers that want
+// indentation for human eyes keep writing their own layout but must still
+// escape through JsonEscape.
 #ifndef PQS_SRC_OBS_JSON_H_
 #define PQS_SRC_OBS_JSON_H_
 
@@ -37,24 +38,17 @@ std::string JsonNumber(double value, int decimals);
 // Comma-managed builder for compact JSON.
 class JsonBuilder {
  public:
-  // Root value: exactly one of BeginObject()/BeginArray() without a key.
+  // Root value: BeginObject() without a key.
   void BeginObject() { OpenScope('{', nullptr); }
   void BeginObject(const std::string& key) { OpenScope('{', &key); }
   void EndObject() { CloseScope('}'); }
-  void BeginArray() { OpenScope('[', nullptr); }
   void BeginArray(const std::string& key) { OpenScope('[', &key); }
   void EndArray() { CloseScope(']'); }
 
   void Field(const std::string& key, uint64_t value);
-  void Field(const std::string& key, bool value);
-  // Doubles carry an explicit precision so artifacts stay byte-stable
-  // across compilers (default %g formatting is not).
-  void Field(const std::string& key, double value, int decimals);
-  void Field(const std::string& key, const std::string& value);
-  // Array element forms (no key).
+  // Array element form (no key).
   void Element(uint64_t value);
 
-  const std::string& str() const { return out_; }
   std::string TakeString() { return std::move(out_); }
 
  private:

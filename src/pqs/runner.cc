@@ -192,7 +192,7 @@ constexpr StateReference kSnapshotReplay{
 // the generator, the plan, the ground-truth model, the action scheduler,
 // the replayable statement log and the result, and does every job the
 // check families share: execute, replay, record, fail, compare state,
-// check a table, set up and switch sessions. The check families below are
+// check a table, set up and step the stream. The check families below are
 // plain functions over it.
 struct Session {
   Session(const RunnerOptions& options_in, uint64_t db_seed,
@@ -380,16 +380,16 @@ struct Session {
     Apply(*log.back());
   }
 
-  // Transaction family: prefixes a session switch when `session` differs
-  // from the last action's. The switch joins the log so findings replay
-  // flat.
-  void SwitchSession(int session) {
-    if (session == model.active_session()) return;
-    auto set = std::make_unique<SetSessionStmt>();
-    set->session = session;
-    Exec(*set);
-    Replay(*set);
-    log.push_back(std::move(set));
+  // After a COMMIT the committing session is back in autocommit and reads
+  // the latest committed state: the strongest point to compare every
+  // engine table with the model's committed rows.
+  void CheckCommittedState() {
+    ++out.stats.txn_serial_replays;
+    for (const TableSchema& table : plan.tables) {
+      if (!CheckTable(kCommittedState, table.name, /*with_pivot=*/false)) {
+        return;
+      }
+    }
   }
 
   // Lifecycle tallies and flight events of a transaction statement the
@@ -740,98 +740,72 @@ void MetamorphicCheck(Session& s) {
 // under test. The session's model executes the identical interleaved stream
 // (SetSession included) on a clean engine, and every transaction check
 // compares a view the engine offers with the model's same view: the
-// committed state after each COMMIT, one session's snapshot between
-// batches, and an indexed lookup. That is the clean-engine differential the
-// reducer replays a finding with.
-void RunTxnSession(Session& s) {
+// committed state after each COMMIT (Session::CheckCommittedState, run by
+// the shared loop), one session's snapshot between batches, and an indexed
+// lookup. That is the clean-engine differential the reducer replays a
+// finding with.
+void TxnCheck(Session& s) {
   RunStats& stats = s.out.stats;
-  // Setup on the engine and the model (DDL + base data + indexes). At
-  // least one index per table is guaranteed: the transaction stream never
-  // issues DDL, so only setup indexes keep the index-maintenance paths (and
-  // the rollback-stale-index probe below) reachable. A unique index over
-  // already-inserted duplicate data is rejected as a tolerated constraint
-  // violation, same as mid-session CREATE INDEX.
-  if (!s.Setup(/*index_every_table=*/true)) return;
-
-  int sessions = s.options.gen.txn_sessions;
-
-  for (int q = 0; q < s.options.queries_per_database && !s.done(); ++q) {
-    for (SessionAction& action : s.scheduler.NextTxnBatch(&s.rng)) {
-      s.SwitchSession(action.session);
-      bool committed = action.stmt->kind() == StmtKind::kCommit;
-      s.Step(std::move(action.stmt));
-      // Committed-state check right after every COMMIT: the strongest
-      // point to compare, since the committing session is back in
-      // autocommit and reads the latest committed state.
-      if (committed && !s.done()) {
-        ++stats.txn_serial_replays;
-        for (const TableSchema& table : s.plan.tables) {
-          if (!s.CheckTable(kCommittedState, table.name,
-                            /*with_pivot=*/false)) {
-            break;
-          }
-        }
-      }
-      if (s.done()) break;
+  // Snapshot check: inside a randomly chosen session's view, the engine
+  // must agree with the model's replay of the same fetch. Runs *before*
+  // the index probe so a dirty-read divergence always attributes to the
+  // transaction oracle.
+  int session = static_cast<int>(
+      s.rng.Below(static_cast<size_t>(s.options.gen.txn_sessions)));
+  if (session != s.model.active_session()) {
+    auto set = std::make_unique<SetSessionStmt>();
+    set->session = session;
+    s.Step(std::move(set));
+    if (s.done()) return;
+  }
+  std::string view =
+      "session " + std::to_string(s.model.active_session()) + " snapshot of ";
+  for (const TableSchema& table : s.plan.tables) {
+    SelectStmt fetch;
+    fetch.from_tables = {table.name};
+    StatementResult engine_rows = s.ExecOrFail(fetch);
+    ++stats.txn_snapshot_checks;
+    if (s.done()) return;
+    StatementResult snapshot = s.Replay(fetch);
+    if (!s.CompareState(kSnapshotReplay, view + "table " + table.name,
+                        fetch, engine_rows,
+                        snapshot.ok() ? &snapshot.rows : nullptr)) {
+      return;
     }
-    if (s.done()) break;
+  }
 
-    // Snapshot check: inside a randomly chosen session's view, the engine
-    // must agree with the model's replay of the same fetch. Runs *before*
-    // the index probe so a dirty-read divergence always attributes to the
-    // transaction oracle.
-    s.SwitchSession(
-        static_cast<int>(s.rng.Below(static_cast<size_t>(sessions))));
-    std::string view =
-        "session " + std::to_string(s.model.active_session()) + " snapshot of ";
-    for (const TableSchema& table : s.plan.tables) {
-      SelectStmt fetch;
-      fetch.from_tables = {table.name};
-      StatementResult engine_rows = s.ExecOrFail(fetch);
-      ++stats.txn_snapshot_checks;
-      if (s.done()) break;
-      StatementResult snapshot = s.Replay(fetch);
-      if (!s.CompareState(kSnapshotReplay, view + "table " + table.name,
-                          fetch, engine_rows,
-                          snapshot.ok() ? &snapshot.rows : nullptr)) {
-        break;
-      }
-    }
-    if (s.done()) break;
-
-    // Index probe: an equality lookup on an indexed column, keyed by a
-    // committed row. The model's rows must be multiset-contained in the
-    // engine's — a stale index entry left by a rolled-back transaction
-    // makes the engine's indexed scan *miss* rows, while extra rows (a
-    // dirty read) never misfire this check. The stream issues no DDL, so
-    // the model's catalogue holds the setup indexes it accepted.
-    if (s.model.index_count() == 0) continue;
-    const minidb::IndexDef& index =
-        s.model.index(s.rng.Below(s.model.index_count()));
-    const std::string& probe_table = index.table_name;
-    const std::string& probe_col = index.columns[0];
-    const Rows* committed = s.model.TableRows(probe_table);
-    if (committed == nullptr || committed->empty()) continue;
-    const auto& sample = (*committed)[s.rng.Below(committed->size())];
-    SelectStmt probe;
-    probe.from_tables = {probe_table};
-    probe.where = MakeBinary(
-        BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
-        MakeLiteral(sample[static_cast<size_t>(index.key_cols[0])]));
-    StatementResult engine_rows = s.ExecOrFail(probe);
-    if (s.done()) continue;
-    StatementResult model_rows = s.Replay(probe);
-    std::vector<SqlValue> missing;
-    if (model_rows.ok() &&
-        !RowsMultisetContained(model_rows.rows, engine_rows.rows, &missing)) {
-      s.Record(OracleKind::kContainment,
-               "indexed lookup on " + probe_table + "." + probe_col +
-                   " dropped committed row(s): engine returned " +
-                   std::to_string(engine_rows.rows.size()) +
-                   " row(s), ground-truth replay " +
-                   std::to_string(model_rows.rows.size()),
-               s.Script(&probe), std::move(missing));
-    }
+  // Index probe: an equality lookup on an indexed column, keyed by a
+  // committed row. The model's rows must be multiset-contained in the
+  // engine's — a stale index entry left by a rolled-back transaction
+  // makes the engine's indexed scan *miss* rows, while extra rows (a
+  // dirty read) never misfire this check. The stream issues no DDL, so
+  // the model's catalogue holds the setup indexes it accepted.
+  if (s.model.index_count() == 0) return;
+  const minidb::IndexDef& index =
+      s.model.index(s.rng.Below(s.model.index_count()));
+  const std::string& probe_table = index.table_name;
+  const std::string& probe_col = index.columns[0];
+  const Rows* committed = s.model.TableRows(probe_table);
+  if (committed == nullptr || committed->empty()) return;
+  const auto& sample = (*committed)[s.rng.Below(committed->size())];
+  SelectStmt probe;
+  probe.from_tables = {probe_table};
+  probe.where = MakeBinary(
+      BinaryOp::kEq, MakeColumnRef(probe_table, probe_col),
+      MakeLiteral(sample[static_cast<size_t>(index.key_cols[0])]));
+  StatementResult engine_rows = s.ExecOrFail(probe);
+  if (s.done()) return;
+  StatementResult model_rows = s.Replay(probe);
+  std::vector<SqlValue> missing;
+  if (model_rows.ok() &&
+      !RowsMultisetContained(model_rows.rows, engine_rows.rows, &missing)) {
+    s.Record(OracleKind::kContainment,
+             "indexed lookup on " + probe_table + "." + probe_col +
+                 " dropped committed row(s): engine returned " +
+                 std::to_string(engine_rows.rows.size()) +
+                 " row(s), ground-truth replay " +
+                 std::to_string(model_rows.rows.size()),
+             s.Script(&probe), std::move(missing));
   }
 }
 
@@ -851,19 +825,25 @@ DbRunResult RunOneDatabaseImpl(const WorkerEngineFactory& factory, int worker,
     return out;
   }
   Session s(options, db_seed, std::move(conn));
-  void (*check)(Session&) = options.family == OracleFamily::kNorec ||
+  // K > 1 interleaved sessions run snapshot isolation and the transaction
+  // oracle in place of the query families. The transaction stream never
+  // issues DDL, so its setup indexes every table: only setup indexes keep
+  // the index-maintenance paths (and TxnCheck's index probe) reachable. A
+  // unique index over already-inserted duplicate data is rejected as a
+  // tolerated constraint violation, same as mid-session CREATE INDEX.
+  bool txn = options.gen.txn_sessions > 1;
+  void (*check)(Session&) = txn ? TxnCheck
+                            : options.family == OracleFamily::kNorec ||
                                     options.family == OracleFamily::kTlp
                                 ? MetamorphicCheck
                                 : ContainmentCheck;
-  if (options.gen.txn_sessions > 1) {
-    // K interleaved sessions, snapshot isolation, and the transaction
-    // oracle in place of pivot containment.
-    RunTxnSession(s);
-  } else if (s.Setup(/*index_every_table=*/false)) {
+  if (s.Setup(/*index_every_table=*/txn)) {
     for (int q = 0; q < options.queries_per_database && !s.done(); ++q) {
-      // The weighted mutation stream between checks (DESIGN §9).
-      for (StmtPtr& action : s.scheduler.NextBatch(&s.rng)) {
-        s.Step(std::move(action));
+      // The weighted statement stream between checks (DESIGN §9, §14).
+      for (StmtPtr& stmt : s.scheduler.NextBatch(&s.rng)) {
+        bool commit = stmt->kind() == StmtKind::kCommit;
+        s.Step(std::move(stmt));
+        if (commit && !s.done()) s.CheckCommittedState();
         if (s.done()) break;
       }
       if (!s.done()) check(s);

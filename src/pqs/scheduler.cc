@@ -91,6 +91,7 @@ std::vector<std::string> ActionScheduler::IndexedColumns(
 std::vector<StmtPtr> ActionScheduler::NextBatch(Rng* rng) {
   // Drawing the batch is pure generation; covers every caller.
   obs::ScopedPhase span(obs::Phase::kGenerate);
+  if (txn_sessions_.size() > 1) return NextTxnBatch(rng);
   std::vector<StmtPtr> batch;
   double mutation_total = kInsertWeight + kUpdateWeight + kDeleteWeight +
                           kCreateIndexWeight + kDropIndexWeight +
@@ -182,50 +183,53 @@ StmtPtr ActionScheduler::NextTxnDml(Rng* rng) {
   return generator_->GenerateDelete(*table, rng);
 }
 
-std::vector<SessionAction> ActionScheduler::NextTxnBatch(Rng* rng) {
-  obs::ScopedPhase span(obs::Phase::kGenerate);
-  std::vector<SessionAction> batch;
+std::vector<StmtPtr> ActionScheduler::NextTxnBatch(Rng* rng) {
+  std::vector<StmtPtr> batch;
   const size_t sessions = txn_sessions_.size();
-  // The batch length mirrors NextBatch's weighted stopping rule (the pivot
-  // check "comes up"), scaled by the session count so each session gets a
-  // comparable number of steps between checks.
+  int previous = model_->active_session();
+  // The batch length mirrors the mutation batch's weighted stopping rule
+  // (the check "comes up"), scaled by the session count so each session
+  // gets a comparable number of steps between checks.
   double dml_total = kInsertWeight + kUpdateWeight + kDeleteWeight;
   int cap = kMaxActionsPerCheck * static_cast<int>(sessions);
   for (int i = 0; i < cap; ++i) {
     if (rng->Unit() * (kPivotCheckWeight + dml_total) < kPivotCheckWeight) {
       break;
     }
-    size_t s = rng->Below(sessions);
-    TxnSession& state = txn_sessions_[s];
-    SessionAction action;
-    action.session = static_cast<int>(s);
+    int s = static_cast<int>(rng->Below(sessions));
+    if (s != previous) {
+      auto set = std::make_unique<SetSessionStmt>();
+      set->session = s;
+      batch.push_back(std::move(set));
+      previous = s;
+    }
+    TxnSession& state = txn_sessions_[static_cast<size_t>(s)];
     if (!state.in_txn) {
       if (rng->Chance(kTxnBeginProbability)) {
-        action.stmt = std::make_unique<BeginStmt>();
+        batch.push_back(std::make_unique<BeginStmt>());
         state.in_txn = true;
         state.stmts_in_txn = 0;
       } else {
-        action.stmt = NextTxnDml(rng);  // autocommit statement
+        batch.push_back(NextTxnDml(rng));  // autocommit statement
       }
     } else if (state.stmts_in_txn >= kMaxTxnStatements) {
       // Forced resolution: every transaction commits within a bounded
       // number of steps, so no schedule ends with work stuck open.
-      action.stmt = std::make_unique<CommitStmt>();
+      batch.push_back(std::make_unique<CommitStmt>());
       state.in_txn = false;
     } else {
       double r = rng->Unit();
       if (r < kTxnCommitProbability) {
-        action.stmt = std::make_unique<CommitStmt>();
+        batch.push_back(std::make_unique<CommitStmt>());
         state.in_txn = false;
       } else if (r < kTxnCommitProbability + kTxnRollbackProbability) {
-        action.stmt = std::make_unique<RollbackStmt>();
+        batch.push_back(std::make_unique<RollbackStmt>());
         state.in_txn = false;
       } else {
-        action.stmt = NextTxnDml(rng);
+        batch.push_back(NextTxnDml(rng));
         ++state.stmts_in_txn;
       }
     }
-    batch.push_back(std::move(action));
   }
   return batch;
 }

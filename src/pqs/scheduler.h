@@ -6,7 +6,11 @@
 // index creation and removal, maintenance statements — and re-selects the
 // pivot afterwards. The scheduler owns that stream: it draws the next
 // statement kind from the constant weights in scheduler.cc and asks the
-// Generator for a concrete statement. It reads the live indexes from the
+// Generator for a concrete statement. With more than one logical session
+// the stream is the interleaved transaction stream instead (DESIGN §14),
+// still one flat statement list: a SetSessionStmt precedes every statement
+// whose session differs from the previous one's, so the runner executes
+// every family's batch the same way. It reads the live indexes from the
 // session's ground-truth model, whose catalogue holds exactly the indexes
 // the model accepted and has not dropped, so DROP INDEX always names a real
 // index and UPDATE knows which columns sit under a unique index. Every draw
@@ -29,40 +33,24 @@ namespace minidb {
 class Database;
 }  // namespace minidb
 
-// One step of the interleaved transaction stream: which logical session
-// issues the statement. The runner prefixes a SetSessionStmt whenever the
-// session differs from the previous action's, so the rendered statement log
-// stays a flat replayable stream.
-struct SessionAction {
-  int session = 0;
-  StmtPtr stmt;
-};
-
 class ActionScheduler {
  public:
-  // `txn_sessions` is the number of logical sessions NextTxnBatch
+  // `txn_sessions` is the number of logical sessions the stream
   // interleaves (GeneratorOptions::txn_sessions). `model` is the session's
   // ground-truth model, which executes the plan and every drawn statement;
-  // its index catalogue is the live index list.
+  // its index catalogue is the live index list and its active session the
+  // one the stream continues from.
   ActionScheduler(const Generator* generator, int txn_sessions,
                   const DatabasePlan* plan, const minidb::Database* model);
 
-  // Mutation statements to execute before the next pivot check: keeps
-  // drawing from the weighted mix until the pivot-check action comes up,
-  // capped at kMaxActionsPerCheck draws.
+  // Statements to execute before the next check: keeps drawing from the
+  // weighted mix until the check action comes up. With one session the
+  // draws are mutation statements, capped at kMaxActionsPerCheck; with
+  // more, they are the interleaved transaction stream, with a
+  // SetSessionStmt already placed before each statement whose session
+  // differs from the previous one (starting from the model's active
+  // session when the batch is drawn).
   std::vector<StmtPtr> NextBatch(Rng* rng);
-
-  // Interleaved transaction stream over the txn_sessions logical
-  // sessions (DESIGN §14). Each drawn step picks a session from the RNG and
-  // advances that session's state machine: an idle session BEGINs (with
-  // kTxnBeginProbability) or issues one autocommit DML statement; an open
-  // transaction COMMITs / ROLLBACKs / issues DML inside the transaction,
-  // with a forced COMMIT once it reaches kMaxTxnStatements. The whole
-  // interleaving is a pure function of the session's RNG stream, so
-  // transaction schedules replay byte-identically under ShardPlan sharding.
-  // DDL and maintenance never appear in the stream — indexes come from the
-  // setup phase only, keeping every transactional statement MVCC-visible.
-  std::vector<SessionAction> NextTxnBatch(Rng* rng);
 
   // Clone of a live partial-index predicate over `table`, gated on
   // kPartialProbeProbability; null otherwise. The runner ANDs it
@@ -87,6 +75,17 @@ class ActionScheduler {
     int stmts_in_txn = 0;
   };
 
+  // Interleaved transaction stream over the txn_sessions logical sessions
+  // (DESIGN §14). Each drawn step picks a session from the RNG and
+  // advances that session's state machine: an idle session BEGINs (with
+  // kTxnBeginProbability) or issues one autocommit DML statement; an open
+  // transaction COMMITs / ROLLBACKs / issues DML inside the transaction,
+  // with a forced COMMIT once it reaches kMaxTxnStatements. The whole
+  // interleaving is a pure function of the session's RNG stream, so
+  // transaction schedules replay byte-identically under ShardPlan sharding.
+  // DDL and maintenance never appear in the stream — indexes come from the
+  // setup phase only, keeping every transactional statement MVCC-visible.
+  std::vector<StmtPtr> NextTxnBatch(Rng* rng);
   const TableSchema* PickTable(Rng* rng) const;
   // One DML statement (INSERT/UPDATE/DELETE by weight) for the transaction
   // stream; never DDL or maintenance.

@@ -104,17 +104,14 @@ void TestJoin() {
 void TestCoverage() {
   minidb::CoverageMap map;
   minidb::Database db(Dialect::kSqliteFlex);
-  {
-    minidb::CoverageSession session(&db, &map);
-    CHECK(db.Execute(*SimpleTable("t0", "c0", Affinity::kInteger)).ok());
-    InsertInt(&db, "t0", 1);
-    SelectStmt select;
-    select.from_tables = {"t0"};
-    select.where = MakeBinary(BinaryOp::kEq, MakeColumnRef("t0", "c0"),
-                              MakeIntLiteral(1));
-    CHECK(db.Execute(select).ok());
-  }
-  CHECK(db.coverage_sink() == nullptr);  // session restored the sink
+  db.set_coverage_sink(&map);
+  CHECK(db.Execute(*SimpleTable("t0", "c0", Affinity::kInteger)).ok());
+  InsertInt(&db, "t0", 1);
+  SelectStmt select;
+  select.from_tables = {"t0"};
+  select.where = MakeBinary(BinaryOp::kEq, MakeColumnRef("t0", "c0"),
+                            MakeIntLiteral(1));
+  CHECK(db.Execute(select).ok());
   CHECK(map.Hits(minidb::Feature::kCreateTable) == 1);
   CHECK(map.Hits(minidb::Feature::kSelectWhere) == 1);
   CHECK(map.Hits(minidb::Feature::kExprComparison) >= 1);

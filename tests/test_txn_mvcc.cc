@@ -6,10 +6,12 @@
 // the unit-test and the campaign session length), seeded schedule-replay
 // identity across worker counts, default-budget HuntBug detection of the
 // transaction bugs over many campaign seeds with every raw finding
-// reproducing against a clean reference, a serial differential sweep
-// against real sqlite3, the Reset-with-open-transaction regression, and
-// the write-path parity property: one constraint-heavy DML stream gives
-// the same outcomes run plainly and run inside the epoch.
+// reproducing against a clean reference, the scheduler's flat
+// interleaved stream (session markers only where the session changes), a
+// serial differential sweep against real sqlite3, the
+// Reset-with-open-transaction regression, and the write-path parity
+// property: one constraint-heavy DML stream gives the same outcomes run
+// plainly and run inside the epoch.
 //
 // Usage: test_txn_mvcc [--workers N]   (N also exercises the sharded path)
 #include <cstdlib>
@@ -835,6 +837,53 @@ void TestHuntBugDetectsTransactionBugs() {
   CHECK(!reduced.reduced.statements.empty());
 }
 
+// The scheduler's flat stream: with K > 1 sessions every NextBatch is the
+// interleaved transaction stream with a SetSessionStmt before each
+// statement whose session differs from the previous one's, counted from
+// the model's active session. Executed on the model, no marker names the
+// session already active and no two markers are adjacent. With K = 1 the
+// batches are plain mutations: no transaction statement and no marker.
+void TestSchedulerFlatStream() {
+  for (int sessions : {1, 2, 3, 4}) {
+    size_t begins = 0, commits = 0, rollbacks = 0, markers = 0;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      Rng rng(Rng::StreamSeed(seed, static_cast<uint64_t>(sessions)));
+      GeneratorOptions gen;
+      gen.txn_sessions = sessions;
+      Generator generator(gen, Dialect::kSqliteFlex);
+      DatabasePlan plan = generator.GenerateDatabase(&rng);
+      minidb::Database model(Dialect::kSqliteFlex);
+      ActionScheduler scheduler(&generator, sessions, &plan, &model);
+      for (const StmtPtr& stmt : plan.statements) model.Execute(*stmt);
+      for (int q = 0; q < 8; ++q) {
+        bool after_marker = false;
+        for (const StmtPtr& stmt : scheduler.NextBatch(&rng)) {
+          StmtKind kind = stmt->kind();
+          begins += kind == StmtKind::kBegin;
+          commits += kind == StmtKind::kCommit;
+          rollbacks += kind == StmtKind::kRollback;
+          if (kind == StmtKind::kSetSession) {
+            ++markers;
+            int next = static_cast<const SetSessionStmt&>(*stmt).session;
+            CHECK_MSG(next != model.active_session(),
+                      "K=%d seed %llu: marker names the active session %d",
+                      sessions, static_cast<unsigned long long>(seed), next);
+            CHECK_MSG(!after_marker, "K=%d seed %llu: adjacent markers",
+                      sessions, static_cast<unsigned long long>(seed));
+          }
+          after_marker = kind == StmtKind::kSetSession;
+          model.Execute(*stmt);
+        }
+      }
+    }
+    if (sessions == 1) {
+      CHECK_EQ(begins + commits + rollbacks + markers, size_t{0});
+    } else {
+      CHECK(begins > 0 && commits > 0 && rollbacks > 0 && markers > 0);
+    }
+  }
+}
+
 // --- Differential sweep against real sqlite3 (always on when the build
 // --- has libsqlite3). The interleaved schedule is replayed *serially*
 // --- through one connection — SQLite's one-writer model — and MiniDB,
@@ -870,23 +919,24 @@ void TestDifferentialTxnSweepVsSqlite() {
                 RenderStmt(*stmt, Dialect::kSqliteFlex).c_str());
     }
 
-    // Serial replay: the flat action stream, session markers dropped. A
-    // BEGIN landing inside the open transaction errors identically on
-    // both engines; COMMIT/ROLLBACK pair up the same way.
+    // Serial replay: the flat stream, session markers dropped. A BEGIN
+    // landing inside the open transaction errors identically on both
+    // engines; COMMIT/ROLLBACK pair up the same way.
     bool in_txn = false;
     for (int q = 0; q < 8; ++q) {
-      for (SessionAction& action : scheduler.NextTxnBatch(&rng)) {
-        StatementResult a = real.Execute(*action.stmt);
-        StatementResult b = mini.Execute(*action.stmt);
+      for (const StmtPtr& stmt : scheduler.NextBatch(&rng)) {
+        if (stmt->kind() == StmtKind::kSetSession) continue;
+        StatementResult a = real.Execute(*stmt);
+        StatementResult b = mini.Execute(*stmt);
         CHECK_MSG(Classify(a) == Classify(b),
                   "seed %llu stream outcome diverged (%d vs %d) on %s",
                   static_cast<unsigned long long>(seed),
                   static_cast<int>(a.status), static_cast<int>(b.status),
-                  RenderStmt(*action.stmt, Dialect::kSqliteFlex).c_str());
+                  RenderStmt(*stmt, Dialect::kSqliteFlex).c_str());
         if (b.ok()) {
-          if (action.stmt->kind() == StmtKind::kBegin) in_txn = true;
-          if (action.stmt->kind() == StmtKind::kCommit ||
-              action.stmt->kind() == StmtKind::kRollback) {
+          if (stmt->kind() == StmtKind::kBegin) in_txn = true;
+          if (stmt->kind() == StmtKind::kCommit ||
+              stmt->kind() == StmtKind::kRollback) {
             in_txn = false;
           }
         }
@@ -939,6 +989,7 @@ int main(int argc, char** argv) {
   pqs::TestSeededInterleavingReplayIdentity();
   pqs::TestFlightRecorderCarriesTxnEvents();
   pqs::TestHuntBugDetectsTransactionBugs();
+  pqs::TestSchedulerFlatStream();
   pqs::TestDifferentialTxnSweepVsSqlite();
   return pqs::test::Summary("test_txn_mvcc");
 }
