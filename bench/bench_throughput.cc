@@ -15,11 +15,13 @@
 // of one binary print byte-identical text up to the marker.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +33,27 @@
 #include "src/obs/telemetry.h"
 #include "src/pqs/runner.h"
 #include "src/sqlite3db/sqlite_connection.h"
+
+// Heap allocation counter, for this binary only: the global operator new
+// and delete below forward to malloc and free, and while counting is on,
+// each operator new also bumps the counter. Expr nodes and libsqlite3's
+// small blocks come from NodePool, whose slabs are counted as they are
+// carved; a pooled block itself is not an allocation here.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pqs {
 
@@ -382,6 +405,42 @@ std::string MeasureSqliteThroughput(std::string* timings) {
   return buf;
 }
 
+// `heap_allocs_per_check`: operator new calls per checked query over one
+// run of the sweep's seeded 1-worker MiniDB workload, on the calling
+// thread after the phase-profile run of the same workload has warmed its
+// caches. A count, so it is the same on every run of one build;
+// check_perf_smoke.py holds it under a checked-in ceiling.
+std::string MeasureHeapAllocs() {
+  RunnerOptions opts;
+  opts.seed = 20200604;
+  opts.databases = 192;
+  opts.queries_per_database = 25;
+  opts.workers = 1;
+  EngineFactory factory = []() -> ConnectionPtr {
+    return std::make_unique<minidb::Database>(Dialect::kSqliteFlex);
+  };
+  PqsRunner runner(factory, opts);
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  RunReport report = runner.Run();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t checks = report.stats.queries_checked;
+  const double per_check =
+      checks > 0 ? static_cast<double>(allocations) / checks : 0.0;
+
+  bench::PrintHeader("Heap allocations, 1-worker MiniDB sweep workload");
+  printf("  %llu operator new calls over %llu checked queries: %.1f per "
+         "check\n",
+         static_cast<unsigned long long>(allocations),
+         static_cast<unsigned long long>(checks), per_check);
+
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "  \"heap_allocs_per_check\": %.2f,\n",
+                per_check);
+  return buf;
+}
+
 // One run of the sweep workload with the bench-only wall-clock spans
 // enabled, exported as the "telemetry" section: the deterministic counters
 // plus "phase_wall_micros", which ties Algorithm-1 stages to real time.
@@ -637,12 +696,13 @@ int main(int argc, char** argv) {
   // order of the final concatenation.
   std::string timings;
   std::string phase = pqs::MeasurePhaseProfile(&timings);
+  std::string heap = pqs::MeasureHeapAllocs();
   std::string txn = pqs::MeasureTxnWorkload(&timings);
   std::string zipf = pqs::MeasureZipfWorkload(&timings);
   std::string sqlite = pqs::MeasureSqliteThroughput(&timings);
   std::string scan = pqs::MeasureScanRows(&timings);
-  pqs::RunWorkerSweep(max_workers, scan + sqlite + zipf + txn + phase,
-                      &timings);
+  pqs::RunWorkerSweep(max_workers,
+                      scan + sqlite + zipf + txn + heap + phase, &timings);
   printf("\n%s\n%s", pqs::kTimingsMarker, timings.c_str());
   std::fflush(stdout);
   benchmark::Initialize(&argc, argv);

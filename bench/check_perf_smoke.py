@@ -5,7 +5,9 @@ Fails (exit 1) when the bench JSON is missing the tail-latency /
 zipf-workload structure DESIGN §11 promises, when the 1-worker sweep
 throughput, the scan rows/sec or the real-sqlite3 1-worker throughput
 drops more than 30% below its checked-in floor
-(bench/throughput_floor.json), or when a pipeline stage recorded no
+(bench/throughput_floor.json), when the heap allocations per checked
+query of the 1-worker MiniDB loop exceed their checked-in ceiling (a
+count, so that gate cannot flake), or when a pipeline stage recorded no
 wall-clock phase spans. Keys are asserted by name so a refactor that
 silently drops a reported metric breaks CI, not the perf trajectory.
 
@@ -86,6 +88,16 @@ def main(argv):
              "%.0f (70%% of the checked-in floor %.0f)"
              % (sqlite_rate, 0.7 * sqlite_floor, sqlite_floor))
 
+    # Heap allocations per checked query: a count of the seeded loop, the
+    # same on every run of one build.
+    allocs = bench.get("heap_allocs_per_check")
+    if allocs is None:
+        fail("heap_allocs_per_check missing")
+    alloc_ceiling = floor["heap_allocs_per_check_ceiling"]
+    if allocs > alloc_ceiling:
+        fail("%.2f heap allocations per checked query is above the "
+             "checked-in ceiling %.0f" % (allocs, alloc_ceiling))
+
     txn = bench.get("txn_workload")
     if not isinstance(txn, list) or not txn:
         fail("txn_workload missing or empty")
@@ -131,8 +143,10 @@ def main(argv):
              % (got, minimum, floor_value))
 
     print("perf-smoke OK: 1-worker %.0f stmts/sec (floor %.0f), real sqlite3 "
-          "%.0f stmts/sec (floor %.0f), latency + zipf keys present"
-          % (got, floor_value, sqlite_rate, sqlite_floor))
+          "%.0f stmts/sec (floor %.0f), %.2f heap allocations per check "
+          "(ceiling %.0f), latency + zipf keys present"
+          % (got, floor_value, sqlite_rate, sqlite_floor, allocs,
+             alloc_ceiling))
     return 0
 
 

@@ -1,6 +1,7 @@
 #include "src/interp/eval.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -11,6 +12,21 @@
 #include "src/sqlexpr/registry.h"
 
 namespace pqs {
+
+uint64_t RowSchema::NextId() {
+  // Each thread draws ids from its own block of a process-wide counter, so
+  // a schema change costs no atomic operation in the common case. Ids
+  // start at one block in, so 0 (unbound) is never drawn.
+  constexpr uint64_t kBlock = uint64_t{1} << 16;
+  static std::atomic<uint64_t> next_block{kBlock};
+  thread_local uint64_t next = 0;
+  thread_local uint64_t end = 0;
+  if (next == end) {
+    next = next_block.fetch_add(kBlock, std::memory_order_relaxed);
+    end = next + kBlock;
+  }
+  return next++;
+}
 
 namespace {
 
@@ -25,6 +41,23 @@ int TextCompareFold(const std::string& a, const std::string& b) {
   }
   if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
   return 0;
+}
+
+// Slot of column reference `ref` in `schema`, or -1: read from the
+// reference's binding when it was last resolved against this schema id,
+// else resolved by name and recorded (Expr::binding).
+int BindColumn(const Expr& ref, const RowSchema& schema) {
+  const uint64_t id = schema.id();
+  const uint64_t bound = ref.binding.load(std::memory_order_relaxed);
+  if ((bound >> 16) == id && (bound & 0xffff) != 0) {
+    return static_cast<int>(bound & 0xffff) - 1;
+  }
+  int slot = schema.IndexOf(ref.table, ref.column);
+  if (slot >= 0 && slot < 0xffff && id != 0 && id < (uint64_t{1} << 48)) {
+    ref.binding.store((id << 16) | static_cast<uint64_t>(slot + 1),
+                      std::memory_order_relaxed);
+  }
+  return slot;
 }
 
 // Error exit of the walk: the message is built by the caller only on this
@@ -664,7 +697,7 @@ const SqlValue* Walk(const Expr& expr, const RowView& row,
       if (row.schema == nullptr || row.values == nullptr) {
         return Fail(error, "column reference outside a row context");
       }
-      int idx = row.schema->IndexOf(expr.table, expr.column);
+      int idx = BindColumn(expr, *row.schema);
       if (idx < 0) return Fail(error, "no such column: " + expr.column);
       return &(*row.values)[static_cast<size_t>(idx)];
     }
@@ -867,29 +900,77 @@ Bool3 Truthiness(const SqlValue& v, Dialect dialect) {
   return Bool3::kNull;
 }
 
-bool JoinRows(const std::vector<JoinInput>& inputs,
-              const std::vector<JoinClause>& joins, const EvalContext& ctx,
-              std::vector<std::vector<SqlValue>>* out, std::string* error,
-              size_t* null_padded_rows) {
-  out->clear();
+namespace {
+
+// Cell-by-cell copy into the front of a reused row buffer: copy-assignment
+// keeps each cell's text capacity, so refilling the buffer row after row
+// allocates nothing once it has seen its longest text.
+void CopyCells(const std::vector<SqlValue>& src, std::vector<SqlValue>* row,
+               size_t at) {
+  for (size_t c = 0; c < src.size(); ++c) (*row)[at + c] = src[c];
+}
+
+// Writes the combined row `tuple` (one pick per input) into *row.
+void AssembleTuple(const std::vector<JoinInput>& inputs,
+                   const uint32_t* tuple, size_t width,
+                   std::vector<SqlValue>* row) {
+  size_t cells = 0;
+  for (size_t t = 0; t < width; ++t) {
+    cells += tuple[t] == JoinedRows::kNullPick
+                 ? inputs[t].schema->size()
+                 : (*inputs[t].rows)[tuple[t]].size();
+  }
+  row->resize(cells);
+  size_t at = 0;
+  for (size_t t = 0; t < width; ++t) {
+    if (tuple[t] == JoinedRows::kNullPick) {
+      for (size_t c = 0; c < inputs[t].schema->size(); ++c) {
+        Set(&(*row)[at++], SqlValue::Null());
+      }
+      continue;
+    }
+    const std::vector<SqlValue>& src = (*inputs[t].rows)[tuple[t]];
+    CopyCells(src, row, at);
+    at += src.size();
+  }
+}
+
+}  // namespace
+
+bool JoinRowIndexes(const std::vector<JoinInput>& inputs,
+                    const std::vector<JoinClause>& joins,
+                    const EvalContext& ctx, JoinedRows* out,
+                    std::string* error, size_t* null_padded_rows) {
+  out->width = inputs.size();
+  out->picks.clear();
   if (null_padded_rows != nullptr) *null_padded_rows = 0;
   if (inputs.empty()) return true;
   if (!joins.empty() && joins.size() != inputs.size() - 1) {
     if (error != nullptr) *error = "join clause count does not match FROM";
     return false;
   }
-  if (inputs.size() == 1) {
-    *out = *inputs[0].rows;
-    return true;
+  for (const JoinInput& input : inputs) {
+    if (input.rows->size() >= JoinedRows::kNullPick) {
+      if (error != nullptr) *error = "join input too large";
+      return false;
+    }
   }
 
+  // `acc` holds the combinations joined so far, t picks each; a step
+  // extends every surviving combination by one pick of the next input.
+  std::vector<uint32_t> acc(inputs[0].rows->size());
+  for (size_t i = 0; i < acc.size(); ++i) acc[i] = static_cast<uint32_t>(i);
+  std::vector<uint32_t> next;
   // The schema grows by one input per step, so an ON condition sees the
-  // columns joined so far. The first step reads the first input in place.
-  RowSchema schema = *inputs[0].schema;
-  const std::vector<std::vector<SqlValue>>* left = inputs[0].rows;
-  std::vector<std::vector<SqlValue>> acc;
-  // ON runs once per row pair, on this one reused candidate row; only the
-  // pairs that match are allocated as rows of their own.
+  // columns joined so far. ON runs once per row pair, on one reused
+  // candidate row: the left combination's cells, then the right row's.
+  RowSchema schema;
+  if (!joins.empty()) {
+    size_t columns = 0;
+    for (const JoinInput& input : inputs) columns += input.schema->size();
+    schema.Reserve(columns);
+    schema.Append(*inputs[0].schema);
+  }
   std::vector<SqlValue> candidate;
   SqlValue on_value;
   for (size_t t = 1; t < inputs.size(); ++t) {
@@ -902,29 +983,33 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
       if (error != nullptr) *error = "join without ON condition";
       return false;
     }
-
-    const RowSchema& rschema = *right.schema;
-    schema.cols.insert(schema.cols.end(), rschema.cols.begin(),
-                       rschema.cols.end());
+    if (join != nullptr) schema.Append(*right.schema);
     const RowView candidate_view{&schema, &candidate};
-    std::vector<std::vector<SqlValue>> next;
-    for (const std::vector<SqlValue>& lrow : *left) {
-      if (on != nullptr) candidate.assign(lrow.begin(), lrow.end());
+
+    const size_t left_count = acc.size() / t;
+    const size_t right_count = right.rows->size();
+    next.clear();
+    if (on == nullptr) next.reserve(left_count * right_count * (t + 1));
+    for (size_t l = 0; l < left_count; ++l) {
+      const uint32_t* left = &acc[l * t];
+      size_t left_cells = 0;
+      if (on != nullptr) {
+        AssembleTuple(inputs, left, t, &candidate);
+        left_cells = candidate.size();
+      }
       bool matched = false;
-      for (const std::vector<SqlValue>& rrow : *right.rows) {
+      for (size_t r = 0; r < right_count; ++r) {
         if (on != nullptr) {
-          candidate.resize(lrow.size() + rrow.size());
-          std::copy(rrow.begin(), rrow.end(),
-                    candidate.begin() + static_cast<long>(lrow.size()));
+          const std::vector<SqlValue>& rrow = (*right.rows)[r];
+          candidate.resize(left_cells + rrow.size());
+          CopyCells(rrow, &candidate, left_cells);
           const SqlValue* v =
               EvaluateRef(*on, candidate_view, ctx, &on_value, error);
           if (v == nullptr) return false;
           if (Truthiness(*v, ctx.dialect) != Bool3::kTrue) continue;
         }
-        std::vector<SqlValue>& combined = next.emplace_back();
-        combined.reserve(lrow.size() + rrow.size());
-        combined.insert(combined.end(), lrow.begin(), lrow.end());
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
+        next.insert(next.end(), left, left + t);
+        next.push_back(static_cast<uint32_t>(r));
         matched = true;
         // Injected: the scan wrongly assumes the right side is unique on
         // the join key and stops after the first matching right row.
@@ -933,18 +1018,21 @@ bool JoinRows(const std::vector<JoinInput>& inputs,
         }
       }
       if (!matched && kind == JoinKind::kLeft) {
-        std::vector<SqlValue>& padded = next.emplace_back();
-        padded.reserve(lrow.size() + rschema.cols.size());
-        padded.insert(padded.end(), lrow.begin(), lrow.end());
-        padded.resize(lrow.size() + rschema.cols.size());  // NULL cells
+        next.insert(next.end(), left, left + t);
+        next.push_back(JoinedRows::kNullPick);
         if (null_padded_rows != nullptr) ++*null_padded_rows;
       }
     }
-    acc = std::move(next);
-    left = &acc;
+    acc.swap(next);
   }
-  *out = std::move(acc);
+  out->picks = std::move(acc);
   return true;
+}
+
+void AssembleJoinedRow(const std::vector<JoinInput>& inputs,
+                       const JoinedRows& joined, size_t r,
+                       std::vector<SqlValue>* row) {
+  AssembleTuple(inputs, &joined.picks[r * joined.width], joined.width, row);
 }
 
 namespace {
@@ -1374,7 +1462,7 @@ bool AggregateSelect(const SelectStmt& stmt, const RowSchema& schema,
 
 namespace {
 
-// The one cell-by-cell row comparison of the two multiset predicates below.
+// The one cell-by-cell row comparison of the row predicates below.
 bool SameRow(const std::vector<SqlValue>& x, const std::vector<SqlValue>& y) {
   return std::equal(x.begin(), x.end(), y.begin(), y.end(), ValueEquals);
 }
@@ -1415,6 +1503,14 @@ bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
     if (!SameRow(*sa[r], *sb[r])) return false;
   }
   return true;
+}
+
+bool RowContained(const std::vector<SqlValue>& row,
+                  const std::vector<std::vector<SqlValue>>& rows) {
+  for (const std::vector<SqlValue>& candidate : rows) {
+    if (SameRow(candidate, row)) return true;
+  }
+  return false;
 }
 
 bool RowsMultisetContained(const std::vector<std::vector<SqlValue>>& subset,

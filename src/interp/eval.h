@@ -27,22 +27,68 @@ namespace pqs {
 
 // Flattened schema of a (possibly joined) row: qualified column names in
 // projection order.
-struct RowSchema {
-  std::vector<std::pair<std::string, std::string>> cols;  // (table, column)
+//
+// Every distinct column list carries an id, so a column reference can be
+// resolved once per schema and then read by slot (Expr::binding, DESIGN
+// §11). A copy keeps its source's id (same columns, same slots); every
+// change to the columns draws a fresh process-unique id, and a moved-from
+// or empty schema has id 0, which nothing binds to. Ids are never reused,
+// so a schema rebuilt at a freed one's address cannot inherit its slots.
+class RowSchema {
+ public:
+  using Column = std::pair<std::string, std::string>;  // (table, column)
 
-  void Add(const std::string& table, const std::string& column) {
-    cols.emplace_back(table, column);
+  RowSchema() = default;
+  RowSchema(const RowSchema&) = default;
+  RowSchema& operator=(const RowSchema&) = default;
+  RowSchema(RowSchema&& other) noexcept
+      : cols_(std::move(other.cols_)), id_(other.id_) {
+    other.cols_.clear();
+    other.id_ = 0;
+  }
+  RowSchema& operator=(RowSchema&& other) noexcept {
+    if (this != &other) {
+      cols_ = std::move(other.cols_);
+      id_ = other.id_;
+      other.cols_.clear();
+      other.id_ = 0;
+    }
+    return *this;
   }
 
+  void Add(const std::string& table, const std::string& column) {
+    cols_.emplace_back(table, column);
+    id_ = NextId();
+  }
+  // Appends `other`'s columns after this schema's (a join step).
+  void Append(const RowSchema& other) {
+    cols_.insert(cols_.end(), other.cols_.begin(), other.cols_.end());
+    id_ = cols_.empty() ? 0 : NextId();
+  }
+  void Reserve(size_t n) { cols_.reserve(n); }
+
+  const std::vector<Column>& cols() const { return cols_; }
+  size_t size() const { return cols_.size(); }
+  uint64_t id() const { return id_; }
+
   // Position of `column` (qualified by `table`, or any table when `table`
-  // is empty) in projection order, or -1.
+  // is empty) in projection order, or -1. An unqualified name resolves to
+  // its first match.
   int IndexOf(const std::string& table, const std::string& column) const {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i].second != column) continue;
-      if (table.empty() || cols[i].first == table) return static_cast<int>(i);
+    for (size_t i = 0; i < cols_.size(); ++i) {
+      if (cols_[i].second != column) continue;
+      if (table.empty() || cols_[i].first == table) return static_cast<int>(i);
     }
     return -1;
   }
+
+ private:
+  // A fresh nonzero id. Expr::binding packs an id with a slot in 64 bits,
+  // so ids from 2^48 up are never bound (that is 2^32 thread blocks away).
+  static uint64_t NextId();
+
+  std::vector<Column> cols_;
+  uint64_t id_ = 0;
 };
 
 struct RowView {
@@ -119,18 +165,38 @@ struct JoinInput {
   const std::vector<std::vector<SqlValue>>* rows = nullptr;
 };
 
+// A join result in row-index form: combined row r takes from input t its
+// row picks[r * width + t], or NULL cells where that is kNullPick (the
+// padded side of a LEFT join). Callers assemble one combined row at a time
+// into a reused buffer (AssembleJoinedRow) and copy only the rows they
+// keep, instead of allocating every combination up front.
+struct JoinedRows {
+  static constexpr uint32_t kNullPick = UINT32_MAX;
+  size_t width = 0;  // number of inputs
+  std::vector<uint32_t> picks;
+
+  size_t size() const { return width == 0 ? 0 : picks.size() / width; }
+};
+
 // Nested-loop join of inputs[0] with inputs[1..]. With `joins` empty this is
 // the comma-list FROM (cross product of every input); otherwise
 // joins.size() must equal inputs.size() - 1 and each clause combines the
 // rows accumulated so far with the next input (INNER/CROSS keep matching
 // combinations, LEFT additionally null-pads left rows without a match).
-// ON conditions may reference any column joined so far. Returns false and
-// fills *error on an evaluation error; *null_padded_rows (optional) counts
-// LEFT-join padding rows produced.
-bool JoinRows(const std::vector<JoinInput>& inputs,
-              const std::vector<JoinClause>& joins, const EvalContext& ctx,
-              std::vector<std::vector<SqlValue>>* out, std::string* error,
-              size_t* null_padded_rows);
+// ON conditions may reference any column joined so far, and run step by
+// step in row order, so the first failing ON is the one a materializing
+// nested loop would hit. Returns false and fills *error on an evaluation
+// error; *null_padded_rows (optional) counts LEFT-join padding rows
+// produced.
+bool JoinRowIndexes(const std::vector<JoinInput>& inputs,
+                    const std::vector<JoinClause>& joins,
+                    const EvalContext& ctx, JoinedRows* out,
+                    std::string* error, size_t* null_padded_rows);
+
+// Writes combined row r of `joined` into *row, reusing its storage.
+void AssembleJoinedRow(const std::vector<JoinInput>& inputs,
+                       const JoinedRows& joined, size_t r,
+                       std::vector<SqlValue>* row);
 
 // SQL DISTINCT over borrowed rows: returns the indexes of the rows kept
 // (the first occurrence of each duplicate group), in ascending order. NULL
@@ -248,11 +314,15 @@ bool SameRowMultiset(const std::vector<std::vector<SqlValue>>& a,
 
 // Multiset containment: true when every row of `subset` pairs with a
 // distinct ValueEquals-identical row of `superset`; on failure *missing
-// (when non-null) receives the first unmatched subset row. The runner's
-// pivot-containment oracle is the one-row case.
+// (when non-null) receives the first unmatched subset row.
 bool RowsMultisetContained(const std::vector<std::vector<SqlValue>>& subset,
                            const std::vector<std::vector<SqlValue>>& superset,
                            std::vector<SqlValue>* missing = nullptr);
+
+// The one-row case, the runner's pivot-containment oracle: whether some row
+// of `rows` is ValueEquals-identical to `row`, cell by cell.
+bool RowContained(const std::vector<SqlValue>& row,
+                  const std::vector<std::vector<SqlValue>>& rows);
 
 }  // namespace pqs
 

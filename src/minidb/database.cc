@@ -429,8 +429,12 @@ void Database::RebuildIndex(IndexData* index, const TableData& table) {
   // the same order the incremental upper_bound inserts would (KeyEntryLess
   // tie-breaks on row position, so the order is total) without the
   // per-row shifting that dominated UPDATE/DELETE profiles.
-  index->entries.clear();
-  index->entries.reserve(table.store.size());
+  // The old entries are refilled in place, so their key vectors (and key
+  // text) keep their storage.
+  std::vector<std::pair<std::vector<SqlValue>, size_t>>& entries =
+      index->entries;
+  entries.reserve(table.store.size());
+  size_t filled = 0;
   EvalContext ctx{dialect_, &bugs_};
   table.store.ForEachBatch([&](size_t base, const std::vector<SqlValue>* rows,
                                size_t n) {
@@ -439,11 +443,18 @@ void Database::RebuildIndex(IndexData* index, const TableData& table) {
                                rows[i])) {
         continue;
       }
-      index->entries.push_back(KeyEntry(index->key_cols, rows[i], base + i));
+      if (filled == entries.size()) entries.emplace_back();
+      auto& [key, pos] = entries[filled++];
+      key.resize(index->key_cols.size());
+      for (size_t k = 0; k < key.size(); ++k) {
+        key[k] = rows[i][static_cast<size_t>(index->key_cols[k])];
+      }
+      pos = base + i;
     }
     return true;
   });
-  std::sort(index->entries.begin(), index->entries.end(), KeyEntryLess);
+  entries.resize(filled);
+  std::sort(entries.begin(), entries.end(), KeyEntryLess);
 }
 
 
@@ -1014,8 +1025,14 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
           "modeled query space");
     }
   }
+  // Every FROM table in join order: the comma list, then each join's table.
+  const size_t from_count = stmt.from_tables.size() + stmt.joins.size();
   std::vector<TableData*> from;
-  for (const std::string& name : stmt.AllTables()) {
+  from.reserve(from_count);
+  for (size_t t = 0; t < from_count; ++t) {
+    const size_t listed = stmt.from_tables.size();
+    const std::string& name =
+        t < listed ? stmt.from_tables[t] : stmt.joins[t - listed].table;
     TableData* table = FindTable(name);
     if (table == nullptr) {
       return StatementResult::Failure(StatementStatus::kError,
@@ -1163,13 +1180,14 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   // Combined (joined) schema in FROM order. Single-table statements (the
   // pivot-fetch hot path) borrow the table's cached schema outright.
   RowSchema joined_schema_storage;
+  if (from.size() > 1) {
+    size_t columns = 0;
+    for (const TableData* table : from) columns += table->schema.size();
+    joined_schema_storage.Reserve(columns);
+  }
   int column_offset = 0;
   for (const TableData* table : from) {
-    if (from.size() > 1) {
-      const RowSchema& part = table->schema;
-      joined_schema_storage.cols.insert(joined_schema_storage.cols.end(),
-                                        part.cols.begin(), part.cols.end());
-    }
+    if (from.size() > 1) joined_schema_storage.Append(table->schema);
     for (size_t c = 0; c < table->columns.size(); ++c, ++column_offset) {
       if (unique_null_col < 0 && BugOn(BugId::kUniqueNullLost) &&
           stmt.where != nullptr &&
@@ -1184,12 +1202,14 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
 
   EvalContext ctx{dialect_, &bugs_};
 
-  // Materialize the (joined) FROM rows through the shared relational core:
-  // comma-list FROM is the cross product, explicit join clauses run
+  // Join the FROM tables through the shared relational core, in row-index
+  // form: comma-list FROM is the cross product, explicit join clauses run
   // INNER/LEFT/CROSS steps (with the join-path injected bugs hooked
-  // inside). A single-table FROM — the pivot-fetch hot path — streams the
-  // table's pages directly instead of materializing a copy.
-  std::vector<std::vector<SqlValue>> joined;
+  // inside), and the scan below assembles one combination at a time. A
+  // single-table FROM — the pivot-fetch hot path — streams the table's
+  // pages directly instead of materializing a copy.
+  std::vector<JoinInput> inputs;
+  JoinedRows joined;
   std::string relational_error;
   const TableStore* scan_store = nullptr;
   // Single-table scans may be answered through a secondary index (the
@@ -1239,7 +1259,6 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       direct_rows = &epoch_rows[0];
     }
   } else {
-    std::vector<JoinInput> inputs;
     inputs.reserve(from.size());
     for (size_t t = 0; t < from.size(); ++t) {
       const TableData* table = from[t];
@@ -1250,8 +1269,8 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       inputs.push_back(input);
     }
     size_t null_padded = 0;
-    if (!JoinRows(inputs, stmt.joins, ctx, &joined, &relational_error,
-                  &null_padded)) {
+    if (!JoinRowIndexes(inputs, stmt.joins, ctx, &joined, &relational_error,
+                        &null_padded)) {
       return StatementResult::Failure(StatementStatus::kError,
                                       relational_error);
     }
@@ -1259,9 +1278,10 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   }
 
   // WHERE filter + scan-level injected bugs, then projection. `kept`
-  // retains the surviving pre-projection rows as the ORDER BY key source;
-  // unordered queries never need it.
-  bool need_kept = !stmt.order_by.empty();
+  // retains the surviving pre-projection rows as the ORDER BY key source
+  // of a projecting query; `SELECT *` sorts its result rows themselves,
+  // and unordered queries never need it.
+  const bool need_kept = !stmt.order_by.empty() && !stmt.select_list.empty();
   std::vector<std::vector<SqlValue>> kept;
   // Aggregate queries route the surviving rows into the shared grouping
   // core instead of the per-row projection below.
@@ -1276,8 +1296,8 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   // walk the batch in row order, then the survivors are projected in row
   // order, so within a batch a WHERE error wins over an earlier row's
   // projection error. `movable` is the batch itself when its rows belong
-  // to this statement (the joined set, the snapshot image): surviving rows
-  // are then moved out of it instead of copied.
+  // to this statement (the join's surviving rows, the snapshot image):
+  // surviving rows are then moved out of it instead of copied.
   StatementResult result;
   StatementResult scan_failure;
   bool scan_failed = false;
@@ -1290,97 +1310,90 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
         StatementResult::Failure(StatementStatus::kError, eval_error);
     return false;
   };
-  auto process_batch = [&](const std::vector<SqlValue>* rows, size_t n,
-                           std::vector<SqlValue>* movable) -> bool {
-    auto take = [&](size_t i) -> std::vector<SqlValue> {
-      if (movable != nullptr) return std::move(movable[i]);
-      return rows[i];
-    };
-    survivors.clear();
-    for (size_t i = 0; i < n; ++i) {
-      const std::vector<SqlValue>& combined = rows[i];
-      RowView view{&schema, &combined};
-
-      bool keep = true;
-      if (stmt.where != nullptr) {
-        const SqlValue* evaluated =
-            EvaluateRef(*stmt.where, view, ctx, &where_value, &eval_error);
-        if (evaluated == nullptr) return fail_scan();
-        Bool3 match = Truthiness(*evaluated, dialect_);
-        keep = match == Bool3::kTrue;
-        Mark(keep ? Feature::kRowMatched : Feature::kRowFiltered);
-        if (coverage_ != nullptr && match == Bool3::kNull) {
-          Mark(Feature::kNullComparison);
-        }
+  auto take = [](const std::vector<SqlValue>* rows,
+                 std::vector<SqlValue>* movable,
+                 size_t i) -> std::vector<SqlValue> {
+    if (movable != nullptr) return std::move(movable[i]);
+    return rows[i];
+  };
+  // Whether one FROM row survives the WHERE and the scan-level bug hooks;
+  // false (with eval_error set) on a WHERE error.
+  auto filter_row = [&](const std::vector<SqlValue>& combined,
+                        bool* keep) -> bool {
+    RowView view{&schema, &combined};
+    *keep = true;
+    if (stmt.where != nullptr) {
+      const SqlValue* evaluated =
+          EvaluateRef(*stmt.where, view, ctx, &where_value, &eval_error);
+      if (evaluated == nullptr) return false;
+      Bool3 match = Truthiness(*evaluated, dialect_);
+      *keep = match == Bool3::kTrue;
+      Mark(*keep ? Feature::kRowMatched : Feature::kRowFiltered);
+      if (coverage_ != nullptr && match == Bool3::kNull) {
+        Mark(Feature::kNullComparison);
       }
-      if (keep && partial_index_where != nullptr) {
-        // Wrongly re-filter rows through the partial index predicate, as if
-        // the index were usable for IS NOT NULL inference.
-        size_t offset = 0;
-        for (const TableData* table : from) {
-          if (table->name == partial_index_table) break;
-          offset += table->columns.size();
-        }
-        RowSchema sub;
-        std::vector<SqlValue> slice;
-        for (const TableData* table : from) {
-          if (table->name != partial_index_table) continue;
-          for (const ColumnDef& def : table->columns) {
-            sub.cols.emplace_back(table->name, def.name);
-          }
-          slice.assign(combined.begin() + static_cast<long>(offset),
-                       combined.begin() +
-                           static_cast<long>(offset + table->columns.size()));
-          break;
-        }
-        RowView sub_view{&sub, &slice};
-        bool error = false;
-        if (EvaluatePredicate(*partial_index_where, sub_view, ctx, &error) !=
-                Bool3::kTrue ||
-            error) {
-          keep = false;
-        }
-      }
-      if (keep && indexed_or_skip && stmt.where != nullptr &&
-          stmt.where->kind == ExprKind::kBinary &&
-          stmt.where->bop == BinaryOp::kOr) {
-        // Rows satisfying the first OR arm "come from the corrupted index
-        // scan" and are dropped.
-        bool error = false;
-        if (EvaluatePredicate(*stmt.where->args[0], view, ctx, &error) ==
-                Bool3::kTrue &&
-            !error) {
-          keep = false;
-        }
-      }
-      if (keep && unique_null_col >= 0 &&
-          combined[static_cast<size_t>(unique_null_col)].is_null()) {
-        keep = false;
-      }
-      if (keep && join_pushdown_term != nullptr) {
-        bool error = false;
-        if (EvaluatePredicate(*join_pushdown_term, view, ctx, &error) ==
-                Bool3::kTrue &&
-            !error) {
-          keep = false;
-        }
-      }
-
-      if (keep && tlp_null_drop) keep = false;
-
-      if (!keep) continue;
-      if (has_agg) {
-        agg_input.push_back(take(i));
-        continue;
-      }
-      survivors.push_back(i);
     }
-
-    if (stmt.select_list.empty()) {
-      for (size_t i : survivors) {
-        if (need_kept) kept.push_back(rows[i]);
-        result.rows.push_back(take(i));
+    if (*keep && partial_index_where != nullptr) {
+      // Wrongly re-filter rows through the partial index predicate, as if
+      // the index were usable for IS NOT NULL inference.
+      size_t offset = 0;
+      for (const TableData* table : from) {
+        if (table->name == partial_index_table) break;
+        offset += table->columns.size();
       }
+      RowSchema sub;
+      std::vector<SqlValue> slice;
+      for (const TableData* table : from) {
+        if (table->name != partial_index_table) continue;
+        for (const ColumnDef& def : table->columns) {
+          sub.Add(table->name, def.name);
+        }
+        slice.assign(combined.begin() + static_cast<long>(offset),
+                     combined.begin() +
+                         static_cast<long>(offset + table->columns.size()));
+        break;
+      }
+      RowView sub_view{&sub, &slice};
+      bool error = false;
+      if (EvaluatePredicate(*partial_index_where, sub_view, ctx, &error) !=
+              Bool3::kTrue ||
+          error) {
+        *keep = false;
+      }
+    }
+    if (*keep && indexed_or_skip && stmt.where != nullptr &&
+        stmt.where->kind == ExprKind::kBinary &&
+        stmt.where->bop == BinaryOp::kOr) {
+      // Rows satisfying the first OR arm "come from the corrupted index
+      // scan" and are dropped.
+      bool error = false;
+      if (EvaluatePredicate(*stmt.where->args[0], view, ctx, &error) ==
+              Bool3::kTrue &&
+          !error) {
+        *keep = false;
+      }
+    }
+    if (*keep && unique_null_col >= 0 &&
+        combined[static_cast<size_t>(unique_null_col)].is_null()) {
+      *keep = false;
+    }
+    if (*keep && join_pushdown_term != nullptr) {
+      bool error = false;
+      if (EvaluatePredicate(*join_pushdown_term, view, ctx, &error) ==
+              Bool3::kTrue &&
+          !error) {
+        *keep = false;
+      }
+    }
+    if (*keep && tlp_null_drop) *keep = false;
+    return true;
+  };
+  // Projects the batch rows listed in `survivors` into the result.
+  auto emit_survivors = [&](const std::vector<SqlValue>* rows,
+                            std::vector<SqlValue>* movable) -> bool {
+    if (result.rows.empty()) result.rows.reserve(survivors.size());
+    if (stmt.select_list.empty()) {
+      for (size_t i : survivors) result.rows.push_back(take(rows, movable, i));
       return true;
     }
     for (size_t i : survivors) {
@@ -1395,9 +1408,25 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       result.rows.push_back(std::move(projected));
     }
     if (need_kept) {
-      for (size_t i : survivors) kept.push_back(take(i));
+      for (size_t i : survivors) kept.push_back(take(rows, movable, i));
     }
     return true;
+  };
+  auto process_batch = [&](const std::vector<SqlValue>* rows, size_t n,
+                           std::vector<SqlValue>* movable) -> bool {
+    survivors.clear();
+    survivors.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      bool keep = false;
+      if (!filter_row(rows[i], &keep)) return fail_scan();
+      if (!keep) continue;
+      if (has_agg) {
+        agg_input.push_back(take(rows, movable, i));
+        continue;
+      }
+      survivors.push_back(i);
+    }
+    return emit_survivors(rows, movable);
   };
 
   if (scan_store != nullptr && !used_index) {
@@ -1419,7 +1448,25 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
       if (!process_batch(row, 1, nullptr)) break;
     }
   } else {
-    process_batch(joined.data(), joined.size(), joined.data());
+    // The join is one batch. Each combination is assembled into one reused
+    // row and filtered there; only the survivors are copied out, and then
+    // projected (or moved into the result) in row order.
+    std::vector<SqlValue> combined;
+    std::vector<std::vector<SqlValue>> joined_survivors;
+    for (size_t r = 0; r < joined.size() && !scan_failed; ++r) {
+      AssembleJoinedRow(inputs, joined, r, &combined);
+      bool keep = false;
+      if (!filter_row(combined, &keep)) {
+        fail_scan();
+      } else if (keep) {
+        (has_agg ? agg_input : joined_survivors).push_back(combined);
+      }
+    }
+    if (!scan_failed) {
+      survivors.resize(joined_survivors.size());
+      for (size_t i = 0; i < survivors.size(); ++i) survivors[i] = i;
+      emit_survivors(joined_survivors.data(), joined_survivors.data());
+    }
   }
   if (scan_failed) return scan_failure;
 
@@ -1458,8 +1505,8 @@ StatementResult Database::ExecuteSelect(const SelectStmt& stmt) {
   }
   if (!stmt.order_by.empty()) {
     std::vector<size_t> perm;
-    if (!SortIndexesByOrder(schema, kept, stmt.order_by, ctx, &perm,
-                            &relational_error)) {
+    if (!SortIndexesByOrder(schema, need_kept ? kept : result.rows,
+                            stmt.order_by, ctx, &perm, &relational_error)) {
       return StatementResult::Failure(StatementStatus::kError,
                                       relational_error);
     }

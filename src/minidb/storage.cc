@@ -121,12 +121,22 @@ const std::vector<StoredRow>& TableStore::Materialized() const {
   if (!paged_) return flat_;
   bool cacheable = bugs_ == nullptr || !HasStorageBug(*bugs_);
   if (cacheable && scratch_version_ == version_) return scratch_;
-  scratch_.clear();
+  // Refill the previous copy in place: assigning over its rows and cells
+  // reuses their capacity, so a rebuild after a small change allocates
+  // next to nothing.
   scratch_.reserve(row_count_);
-  ForEachBatch([this](size_t, const StoredRow* rows, size_t n) {
-    for (size_t i = 0; i < n; ++i) scratch_.push_back(rows[i]);
+  size_t filled = 0;
+  ForEachBatch([this, &filled](size_t, const StoredRow* rows, size_t n) {
+    for (size_t i = 0; i < n; ++i, ++filled) {
+      if (filled < scratch_.size()) {
+        scratch_[filled] = rows[i];
+      } else {
+        scratch_.push_back(rows[i]);
+      }
+    }
     return true;
   });
+  scratch_.resize(filled);
   scratch_version_ = cacheable ? version_ : ~uint64_t{0};
   return scratch_;
 }

@@ -118,7 +118,15 @@ JoinKind Generator::RandomJoinKind(Rng* rng) const {
 Generator::Generator(const GeneratorOptions& options, Dialect dialect)
     : options_(options),
       dialect_(dialect),
-      strict_(dialect == Dialect::kPostgresStrict) {}
+      strict_(dialect == Dialect::kPostgresStrict) {
+  // Availability is the registry's call; the NULL-handling family
+  // (COALESCE / NULLIF / IFNULL) is listed twice so the bug classes living
+  // in those code paths are reached at a useful rate.
+  for (const FunctionSig* sig : FunctionsForDialect(dialect_)) {
+    function_pool_.push_back(sig);
+    if (sig->null_rule == NullRule::kCustom) function_pool_.push_back(sig);
+  }
+}
 
 std::string Generator::RandomText(Rng* rng) const {
   // Includes strings carrying literal SQL wildcards ('a%b', '_x', ...) so
@@ -519,15 +527,8 @@ ExprPtr Generator::GenFunctionExpr(
     }
   }
 
-  // Availability is the registry's call; the NULL-handling family
-  // (COALESCE / NULLIF / IFNULL) is listed twice so the bug classes living
-  // in those code paths are reached at a useful rate.
-  std::vector<const FunctionSig*> pool;
-  for (const FunctionSig* sig : FunctionsForDialect(dialect_)) {
-    pool.push_back(sig);
-    if (sig->null_rule == NullRule::kCustom) pool.push_back(sig);
-  }
-  const FunctionSig& sig = *pool[rng->Below(pool.size())];
+  const FunctionSig& sig =
+      *function_pool_[rng->Below(function_pool_.size())];
 
   auto column_arg =
       [&](const std::vector<std::pair<const TableSchema*, const ColumnDef*>>&

@@ -20,6 +20,8 @@
 
 namespace pqs {
 
+struct FunctionSig;
+
 // A knob lives here only when a bench, perfbench or src/ caller sets it, or
 // when a reference comparison is generated with it (the expression knobs and
 // max_predicate_depth generate tests/golden/eval_corpus.golden). Every other
@@ -206,6 +208,9 @@ class Generator {
   GeneratorOptions options_;
   Dialect dialect_;
   bool strict_;
+  // The dialect's registry functions to draw calls from, the NULL-handling
+  // family listed twice (see GenFunctionExpr).
+  std::vector<const FunctionSig*> function_pool_;
 };
 
 }  // namespace pqs

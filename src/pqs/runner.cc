@@ -77,33 +77,70 @@ bool PivotWorstCaseRank(
     const RowSchema& joined_schema, const std::vector<SqlValue>& pivot,
     const EvalContext& ctx, int64_t* rank) {
   // A single table without join clauses is filtered where it lies; a join
-  // is materialized once. Per-table schemas are slices of the pivot's
-  // joined schema, which lists the FROM tables' columns in order.
-  std::vector<std::vector<SqlValue>> joined;
-  const std::vector<std::vector<SqlValue>>* source = &joined;
-  if (from.size() == 1 && query.joins.empty()) {
-    source = &table_rows[0];
-  } else {
-    std::vector<RowSchema> schemas(from.size());
-    std::vector<JoinInput> inputs(from.size());
+  // is kept in row-index form and each combination assembled into one
+  // reused row. Per-table schemas are slices of the pivot's joined schema,
+  // which lists the FROM tables' columns in order.
+  const bool joined = from.size() > 1 || !query.joins.empty();
+  std::vector<RowSchema> schemas(joined ? from.size() : 0);
+  std::vector<JoinInput> inputs(schemas.size());
+  JoinedRows picks;
+  if (joined) {
     size_t offset = 0;
     for (size_t t = 0; t < from.size(); ++t) {
       size_t width = from[t]->columns.size();
-      if (offset + width > joined_schema.cols.size()) return false;
-      schemas[t].cols.assign(
-          joined_schema.cols.begin() + static_cast<long>(offset),
-          joined_schema.cols.begin() + static_cast<long>(offset + width));
+      if (offset + width > joined_schema.size()) return false;
+      schemas[t].Reserve(width);
+      for (size_t c = offset; c < offset + width; ++c) {
+        schemas[t].Add(joined_schema.cols()[c].first,
+                       joined_schema.cols()[c].second);
+      }
       inputs[t] = {&schemas[t], &table_rows[t]};
       offset += width;
     }
-    if (!JoinRows(inputs, query.joins, ctx, &joined, nullptr, nullptr)) {
+    if (!JoinRowIndexes(inputs, query.joins, ctx, &picks, nullptr, nullptr)) {
       return false;
     }
   }
-  // The result rows: every filtered row, or DISTINCT's first occurrences.
+  const size_t candidates = joined ? picks.size() : table_rows[0].size();
+  std::vector<SqlValue> assembled;
+  auto candidate = [&](size_t i) -> const std::vector<SqlValue>& {
+    if (!joined) return table_rows[0][i];
+    AssembleJoinedRow(inputs, picks, i, &assembled);
+    return assembled;
+  };
+  for (const OrderByItem& item : query.order_by) {
+    if (item.expr == nullptr) return false;
+  }
+  auto eval_keys = [&](const std::vector<SqlValue>& row,
+                       std::vector<SqlValue>* keys) {
+    RowView view{&joined_schema, &row};
+    for (size_t k = 0; k < keys->size(); ++k) {
+      if (!EvaluateInto(*query.order_by[k].expr, view, ctx, &(*keys)[k],
+                        nullptr)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<SqlValue> pivot_keys(query.order_by.size());
+  std::vector<SqlValue> keys(query.order_by.size());
+  if (!eval_keys(pivot, &pivot_keys)) return false;
+  int64_t at_or_before = 0;
+  auto count_result_row = [&](const std::vector<SqlValue>& row) {
+    if (!eval_keys(row, &keys)) return false;
+    if (CompareOrderKeys(keys, pivot_keys, query.order_by) <= 0) {
+      ++at_or_before;
+    }
+    return true;
+  };
+
+  // Without DISTINCT every filtered row is a result row and is counted as
+  // it streams past. DISTINCT needs the filtered rows side by side, so a
+  // join copies those (and only those) out of the reused row.
+  Rows filtered;
   std::vector<const std::vector<SqlValue>*> result;
-  result.reserve(source->size());
-  for (const std::vector<SqlValue>& row : *source) {
+  for (size_t i = 0; i < candidates; ++i) {
+    const std::vector<SqlValue>& row = candidate(i);
     if (query.where != nullptr) {
       bool error = false;
       Bool3 hit = EvaluatePredicate(*query.where, RowView{&joined_schema, &row},
@@ -111,42 +148,21 @@ bool PivotWorstCaseRank(
       if (error) return false;
       if (hit != Bool3::kTrue) continue;
     }
-    result.push_back(&row);
+    if (!query.distinct) {
+      if (!count_result_row(row)) return false;
+    } else if (joined) {
+      filtered.push_back(row);
+    } else {
+      result.push_back(&row);
+    }
   }
   if (query.distinct) {
-    std::vector<size_t> keep = DistinctKeepIndexes(result, ctx);
-    for (size_t i = 0; i < keep.size(); ++i) result[i] = result[keep[i]];
-    result.resize(keep.size());
-  }
-  if (query.order_by.empty()) {
-    *rank = static_cast<int64_t>(result.size());
-  } else {
-    for (const OrderByItem& item : query.order_by) {
-      if (item.expr == nullptr) return false;
+    for (const std::vector<SqlValue>& row : filtered) result.push_back(&row);
+    for (size_t i : DistinctKeepIndexes(result, ctx)) {
+      if (!count_result_row(*result[i])) return false;
     }
-    auto eval_keys = [&](const std::vector<SqlValue>& row,
-                         std::vector<SqlValue>* keys) {
-      RowView view{&joined_schema, &row};
-      for (size_t k = 0; k < keys->size(); ++k) {
-        if (!EvaluateInto(*query.order_by[k].expr, view, ctx, &(*keys)[k],
-                          nullptr)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<SqlValue> pivot_keys(query.order_by.size());
-    if (!eval_keys(pivot, &pivot_keys)) return false;
-    std::vector<SqlValue> keys(query.order_by.size());
-    int64_t at_or_before = 0;
-    for (const std::vector<SqlValue>* row : result) {
-      if (!eval_keys(*row, &keys)) return false;
-      if (CompareOrderKeys(keys, pivot_keys, query.order_by) <= 0) {
-        ++at_or_before;
-      }
-    }
-    *rank = at_or_before;
   }
+  *rank = at_or_before;
   // Rectification guarantees the pivot is in the reference result, so the
   // bound is structurally >= 1; clamp defensively (LIMIT 0 would be an
   // instant false positive).
@@ -318,7 +334,7 @@ struct Session {
     if (!diverged) return true;
     std::vector<SqlValue> pivot;
     for (size_t i = 0; with_pivot && i < reference->size(); ++i) {
-      if (!RowsMultisetContained({(*reference)[i]}, engine.rows)) {
+      if (!RowContained((*reference)[i], engine.rows)) {
         pivot = (*reference)[i];
         break;
       }
@@ -462,9 +478,14 @@ void ContainmentCheck(Session& s) {
   // after every mutation batch, so the pivot is always re-selected from
   // the mutated state). The full rowsets are retained: the LIMIT bound
   // below recomputes the query on them under reference semantics.
+  size_t pivot_width = 0;
+  for (const TableSchema* table : from) pivot_width += table->columns.size();
   RowSchema pivot_schema;
+  pivot_schema.Reserve(pivot_width);
   std::vector<SqlValue> pivot;
+  pivot.reserve(pivot_width);
   std::vector<Rows> table_rows;
+  table_rows.reserve(from.size());
   for (const TableSchema* table : from) {
     // Ground-truth state comparison: after replaying the same mutations
     // through the shared interp core, the engine's table must hold
@@ -625,7 +646,7 @@ void ContainmentCheck(Session& s) {
   bool contains;
   {
     obs::ScopedPhase span(obs::Phase::kOracleCheck);
-    contains = RowsMultisetContained({pivot}, result.rows);
+    contains = RowContained(pivot, result.rows);
     obs::Emit(obs::EventKind::kOracleCheck,
               static_cast<uint32_t>(OracleKind::kContainment),
               contains ? 0u : 1u);

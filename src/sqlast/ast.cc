@@ -180,6 +180,7 @@ ExprPtr MakeBinary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kBinary;
   e->bop = op;
+  e->args.reserve(2);
   e->args.push_back(std::move(lhs));
   e->args.push_back(std::move(rhs));
   return e;
@@ -197,6 +198,7 @@ ExprPtr MakeInList(ExprPtr probe, std::vector<ExprPtr> list, bool negated) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kInList;
   e->negated = negated;
+  e->args.reserve(1 + list.size());
   e->args.push_back(std::move(probe));
   for (ExprPtr& item : list) e->args.push_back(std::move(item));
   return e;
@@ -206,6 +208,7 @@ ExprPtr MakeBetween(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kBetween;
   e->negated = negated;
+  e->args.reserve(3);
   e->args.push_back(std::move(value));
   e->args.push_back(std::move(lo));
   e->args.push_back(std::move(hi));
@@ -213,18 +216,19 @@ ExprPtr MakeBetween(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated) {
 }
 
 ExprPtr MakeLike(ExprPtr value, ExprPtr pattern, bool negated) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kLike;
-  e->negated = negated;
-  e->args.push_back(std::move(value));
-  e->args.push_back(std::move(pattern));
-  return e;
+  return MakeLikeEscape(std::move(value), std::move(pattern), nullptr,
+                        negated);
 }
 
 ExprPtr MakeLikeEscape(ExprPtr value, ExprPtr pattern, ExprPtr escape,
                        bool negated) {
-  ExprPtr e = MakeLike(std::move(value), std::move(pattern), negated);
-  e->args.push_back(std::move(escape));
+  auto e = std::make_unique<Expr>();
+  e->kind = ExprKind::kLike;
+  e->negated = negated;
+  e->args.reserve(escape != nullptr ? 3 : 2);
+  e->args.push_back(std::move(value));
+  e->args.push_back(std::move(pattern));
+  if (escape != nullptr) e->args.push_back(std::move(escape));
   return e;
 }
 
@@ -248,6 +252,7 @@ ExprPtr MakeCase(std::vector<std::pair<ExprPtr, ExprPtr>> when_then,
                  ExprPtr else_value) {
   auto e = std::make_unique<Expr>();
   e->kind = ExprKind::kCase;
+  e->args.reserve(2 * when_then.size() + (else_value != nullptr ? 1 : 0));
   for (auto& [when, then] : when_then) {
     e->args.push_back(std::move(when));
     e->args.push_back(std::move(then));
@@ -392,13 +397,6 @@ bool SelectStmt::HasAggregates() const {
     if (e && e->ContainsKind(ExprKind::kAggregate)) return true;
   }
   return false;
-}
-
-std::vector<std::string> SelectStmt::AllTables() const {
-  std::vector<std::string> out = from_tables;
-  out.reserve(from_tables.size() + joins.size());
-  for (const JoinClause& j : joins) out.push_back(j.table);
-  return out;
 }
 
 const char* StatementCategory(const Stmt& stmt) {

@@ -9,6 +9,7 @@
 #ifndef PQS_SRC_SQLAST_AST_H_
 #define PQS_SRC_SQLAST_AST_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -115,6 +116,15 @@ struct Expr {
                                      // pairs, then the ELSE value when
                                      // case_has_else
 
+  // kColumnRef: the evaluator's binding cache (DESIGN §11). The id of the
+  // RowSchema this reference last resolved against, shifted left by 16,
+  // plus 1 + the slot it resolved to; 0 = unbound. A reference resolves by
+  // name once per schema and is read by slot after that, which is sound
+  // because `table` and `column` never change once a node is built.
+  // Relaxed atomic: the value is a pure function of (table, column, schema
+  // id), so a racing writer can only store what any other would.
+  mutable std::atomic<uint64_t> binding{0};
+
   // Expr nodes are allocated from NodePool's size classes
   // (src/common/arena.h): the generate/clone/rectify/reduce path churns
   // nodes far faster than the general-purpose heap likes, and the pool
@@ -162,7 +172,8 @@ ExprPtr MakeIsNull(ExprPtr operand, bool negated);
 ExprPtr MakeInList(ExprPtr probe, std::vector<ExprPtr> list, bool negated);
 ExprPtr MakeBetween(ExprPtr value, ExprPtr lo, ExprPtr hi, bool negated);
 ExprPtr MakeLike(ExprPtr value, ExprPtr pattern, bool negated);
-// LIKE with an explicit ESCAPE character (a one-character text literal).
+// LIKE with an explicit ESCAPE character (a one-character text literal;
+// null means no ESCAPE clause).
 ExprPtr MakeLikeEscape(ExprPtr value, ExprPtr pattern, ExprPtr escape,
                        bool negated);
 ExprPtr MakeFunctionCall(FuncId func, std::vector<ExprPtr> args);
@@ -278,8 +289,6 @@ struct SelectStmt : Stmt {
   StmtKind kind() const override { return StmtKind::kSelect; }
   StmtPtr Clone() const override;
 
-  // All FROM tables in join order: from_tables then each join's table.
-  std::vector<std::string> AllTables() const;
   // True when the statement needs the grouping/aggregation pipeline: an
   // aggregate call anywhere in the select list or HAVING, or an explicit
   // GROUP BY.

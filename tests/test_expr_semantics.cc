@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,6 +256,87 @@ void TestLikeEscapeAndCollate() {
                                                 Collation::kBinary),
                                     MakeTextLiteral("a"))),
                     SqlValue::Bool(true)));
+}
+
+// Column references resolve once per schema (Expr::binding) and are read by
+// slot after that. The binding must follow whichever schema a row carries:
+// one tree evaluated alternately against a joined and a single-table schema
+// with different column orders, a copy and a reassignment, and a schema
+// destroyed and rebuilt in the same storage with other names.
+void TestColumnBindingFollowsSchema() {
+  EvalContext ctx{Dialect::kSqliteFlex, nullptr};
+  auto value_of = [&ctx](const Expr& e, const RowSchema& schema,
+                         const std::vector<SqlValue>& row, bool* error) {
+    EvalResult r = Evaluate(e, RowView{&schema, &row}, ctx);
+    *error = r.error;
+    return r.error ? int64_t{-1} : r.value.i;
+  };
+  ExprPtr bare = MakeColumnRef("", "c");
+  ExprPtr qualified = MakeColumnRef("t1", "c");
+  // `bare + qualified` reads two slots of one row through one tree.
+  ExprPtr sum = MakeBinary(BinaryOp::kAdd, MakeColumnRef("", "c"),
+                           MakeColumnRef("t1", "c"));
+
+  RowSchema single;  // t1(x, c)
+  single.Add("t1", "x");
+  single.Add("t1", "c");
+  const std::vector<SqlValue> single_row{SqlValue::Int(10), SqlValue::Int(11)};
+  RowSchema joined;  // t0(c) joined with t1(c, x): two columns named c
+  joined.Add("t0", "c");
+  joined.Add("t1", "c");
+  joined.Add("t1", "x");
+  const std::vector<SqlValue> joined_row{SqlValue::Int(20), SqlValue::Int(21),
+                                         SqlValue::Int(22)};
+  bool error = false;
+  for (int round = 0; round < 3; ++round) {
+    CHECK_EQ(value_of(*bare, single, single_row, &error), int64_t{11});
+    CHECK(!error);
+    // Unqualified: the first match in projection order, t0.c.
+    CHECK_EQ(value_of(*bare, joined, joined_row, &error), int64_t{20});
+    CHECK_EQ(value_of(*qualified, joined, joined_row, &error), int64_t{21});
+    CHECK_EQ(value_of(*qualified, single, single_row, &error), int64_t{11});
+    CHECK_EQ(value_of(*sum, joined, joined_row, &error), int64_t{41});
+    CHECK_EQ(value_of(*sum, single, single_row, &error), int64_t{22});
+  }
+
+  // A copy has the same columns and may share bindings; reassigning a
+  // schema changes what its references resolve to.
+  RowSchema copy = joined;
+  CHECK_EQ(value_of(*bare, copy, joined_row, &error), int64_t{20});
+  copy = single;
+  CHECK_EQ(value_of(*bare, copy, single_row, &error), int64_t{11});
+  // A moved-from schema is empty: nothing resolves against it.
+  RowSchema moved = std::move(copy);
+  CHECK_EQ(value_of(*bare, moved, single_row, &error), int64_t{11});
+  value_of(*bare, copy, single_row, &error);
+  CHECK_MSG(error, "a moved-from schema must not resolve a bound column");
+  // Growing a schema keeps first-match resolution of the names it had.
+  moved.Add("t2", "c");
+  const std::vector<SqlValue> grown_row{SqlValue::Int(10), SqlValue::Int(11),
+                                        SqlValue::Int(12)};
+  CHECK_EQ(value_of(*bare, moved, grown_row, &error), int64_t{11});
+
+  // Freed and rebuilt at the very same address with other names: the old
+  // slot must not be reused.
+  alignas(RowSchema) unsigned char storage[sizeof(RowSchema)];
+  RowSchema* first = new (storage) RowSchema();
+  first->Add("t", "a");
+  first->Add("t", "c");
+  const std::vector<SqlValue> first_row{SqlValue::Int(1), SqlValue::Int(2)};
+  CHECK_EQ(value_of(*bare, *first, first_row, &error), int64_t{2});
+  first->~RowSchema();
+  RowSchema* second = new (storage) RowSchema();
+  second->Add("t", "c");
+  second->Add("t", "a");
+  const std::vector<SqlValue> second_row{SqlValue::Int(3), SqlValue::Int(4)};
+  CHECK_EQ(value_of(*bare, *second, second_row, &error), int64_t{3});
+  second->~RowSchema();
+  RowSchema* third = new (storage) RowSchema();
+  third->Add("t", "a");
+  third->Add("t", "b");
+  EvalResult missing = Evaluate(*bare, RowView{third, &first_row}, ctx);
+  CHECK(missing.error && missing.message == "no such column: c");
+  third->~RowSchema();
 }
 
 void TestRegistryShape() {
@@ -555,6 +637,7 @@ int main(int argc, char** argv) {
   pqs::TestCastSemantics();
   pqs::TestCaseSemantics();
   pqs::TestLikeEscapeAndCollate();
+  pqs::TestColumnBindingFollowsSchema();
   pqs::TestRegistryShape();
   pqs::TestExpressionBugHooks();
   pqs::TestRectifyStructure();

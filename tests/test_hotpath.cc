@@ -387,7 +387,7 @@ std::vector<std::string> RunCorpusSlice(Dialect dialect, uint64_t seed_lo,
       }
       rows.push_back(std::move(row));
     }
-    rows.emplace_back(schema.cols.size());  // all-NULL row
+    rows.emplace_back(schema.size());  // all-NULL row
 
     for (int p = 0; p < preds_per_seed; ++p) {
       ExprPtr expr = gen.GeneratePredicate(tables, &rng);

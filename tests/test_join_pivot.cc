@@ -13,8 +13,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/interp/eval.h"
 #include "src/minidb/database.h"
 #include "src/pqs/runner.h"
 #include "src/sqlite3db/sqlite_connection.h"
@@ -209,6 +212,222 @@ void TestEngineDistinctOrderLimit() {
   CHECK(!r.rows.empty() && r.rows[0][0].is_null());
 }
 
+// ---------------------------------------------------------------------------
+// Join differential: the row-index join against a materializing reference
+// ---------------------------------------------------------------------------
+// MiniDB and the runner join in row-index form (JoinRowIndexes) and
+// assemble one combination at a time, copying only the rows the WHERE
+// keeps. The reference below is the plain materialize-then-filter nested
+// loop: every combination is built as a row of its own, each step's ON
+// runs over the rows accumulated so far, then the WHERE runs over the
+// joined rows. Both must give the same rows in the same order, or the same
+// first error text.
+
+using Rows = std::vector<std::vector<SqlValue>>;
+
+struct Outcome {
+  bool ok = true;
+  std::string error;
+  Rows rows;
+};
+
+Outcome ReferenceJoin(const std::vector<JoinInput>& inputs,
+                      const std::vector<JoinClause>& joins, const Expr* where,
+                      const EvalContext& ctx) {
+  Outcome out;
+  Rows acc = *inputs[0].rows;
+  RowSchema schema = *inputs[0].schema;
+  for (size_t t = 1; t < inputs.size(); ++t) {
+    const JoinClause* join = joins.empty() ? nullptr : &joins[t - 1];
+    schema.Append(*inputs[t].schema);
+    Rows next;
+    for (const std::vector<SqlValue>& left : acc) {
+      bool matched = false;
+      for (const std::vector<SqlValue>& right : *inputs[t].rows) {
+        std::vector<SqlValue> combined = left;
+        combined.insert(combined.end(), right.begin(), right.end());
+        if (join != nullptr && join->on != nullptr) {
+          EvalResult on = Evaluate(*join->on, RowView{&schema, &combined}, ctx);
+          if (on.error) return {false, on.message, {}};
+          if (Truthiness(on.value, ctx.dialect) != Bool3::kTrue) continue;
+        }
+        next.push_back(std::move(combined));
+        matched = true;
+      }
+      if (!matched && join != nullptr && join->kind == JoinKind::kLeft) {
+        std::vector<SqlValue> padded = left;
+        padded.resize(left.size() + inputs[t].schema->size());
+        next.push_back(std::move(padded));
+      }
+    }
+    acc = std::move(next);
+  }
+  for (std::vector<SqlValue>& row : acc) {
+    if (where != nullptr) {
+      EvalResult hit = Evaluate(*where, RowView{&schema, &row}, ctx);
+      if (hit.error) return {false, hit.message, {}};
+      if (Truthiness(hit.value, ctx.dialect) != Bool3::kTrue) continue;
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
+}
+
+bool SameRowsInOrder(const Rows& a, const Rows& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (a[r].size() != b[r].size()) return false;
+    for (size_t c = 0; c < a[r].size(); ++c) {
+      if (a[r][c].cls != b[r][c].cls || !ValueEquals(a[r][c], b[r][c])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A predicate over tables t0..t{tables-1}, each with an INT column `i` and
+// a TEXT column `s`. In the strict dialect `k / ti.i` fails on a zero and
+// `-ti.s` on any text, so whether and where evaluation fails depends on
+// the rows, and ON and WHERE failures carry different messages.
+ExprPtr JoinPredicate(size_t tables, int depth, Rng* rng) {
+  auto column = [&](const char* name) {
+    return MakeColumnRef("t" + std::to_string(rng->Below(tables)), name);
+  };
+  if (depth > 0 && rng->Chance(0.4)) {
+    if (rng->Chance(0.2)) {
+      return MakeUnary(UnaryOp::kNot, JoinPredicate(tables, depth - 1, rng));
+    }
+    return MakeBinary(rng->Chance(0.5) ? BinaryOp::kAnd : BinaryOp::kOr,
+                      JoinPredicate(tables, depth - 1, rng),
+                      JoinPredicate(tables, depth - 1, rng));
+  }
+  switch (rng->Below(5)) {
+    case 0:
+      return MakeBinary(rng->Pick({BinaryOp::kEq, BinaryOp::kLt,
+                                   BinaryOp::kGe}),
+                        column("i"), MakeIntLiteral(rng->IntIn(0, 2)));
+    case 1:
+      return MakeBinary(BinaryOp::kEq, column("i"), column("i"));
+    case 2:
+      return MakeBinary(BinaryOp::kGt,
+                        MakeBinary(BinaryOp::kDiv, MakeIntLiteral(4),
+                                   column("i")),
+                        MakeIntLiteral(1));
+    case 3:
+      return MakeIsNull(MakeUnary(UnaryOp::kNeg, column("s")),
+                        rng->Chance(0.5));
+    default:
+      return MakeIsNull(column(rng->Chance(0.5) ? "i" : "s"),
+                        rng->Chance(0.5));
+  }
+}
+
+void TestJoinMatchesMaterializingReference() {
+  Rng rng(0x701d1ff);
+  size_t compared = 0, errors = 0, left_pads = 0;
+  for (int db_index = 0; db_index < 120; ++db_index) {
+    const Dialect dialect = db_index % 2 == 0 ? Dialect::kPostgresStrict
+                                              : Dialect::kSqliteFlex;
+    const EvalContext ctx{dialect, nullptr};
+    minidb::Database db(dialect);
+    const size_t tables = 2 + rng.Below(2);
+    std::vector<RowSchema> schemas(tables);
+    std::vector<Rows> rows(tables);
+    auto insert = [&](size_t t) {
+      InsertStmt ins;
+      ins.table_name = "t" + std::to_string(t);
+      ins.rows.emplace_back();
+      SqlValue i = rng.Chance(0.2) ? SqlValue::Null()
+                                   : SqlValue::Int(rng.IntIn(0, 2));
+      SqlValue s = rng.Chance(0.5) ? SqlValue::Null()
+                                   : SqlValue::Text(rng.Chance(0.5) ? "a"
+                                                                    : "1");
+      ins.rows.back().push_back(MakeLiteral(i));
+      ins.rows.back().push_back(MakeLiteral(s));
+      CHECK(db.Execute(ins).ok());
+      rows[t].push_back({i, s});
+    };
+    for (size_t t = 0; t < tables; ++t) {
+      CreateTableStmt ct;
+      ct.table_name = "t" + std::to_string(t);
+      for (const char* name : {"i", "s"}) {
+        ColumnDef def;
+        def.name = name;
+        def.declared_type = name[0] == 'i' ? "INT" : "TEXT";
+        def.affinity = name[0] == 'i' ? Affinity::kInteger : Affinity::kText;
+        ct.columns.push_back(def);
+        schemas[t].Add(ct.table_name, name);
+      }
+      CHECK(db.Execute(ct).ok());
+      for (uint64_t n = rng.Below(5); n > 0; --n) insert(t);
+    }
+
+    for (int q = 0; q < 8; ++q) {
+      // Mutations between queries rebuild the engine's cached table copy.
+      if (rng.Chance(0.5)) insert(rng.Below(tables));
+      SelectStmt select;
+      const bool comma_list = rng.Chance(0.2);
+      select.from_tables.push_back("t0");
+      for (size_t t = 1; t < tables; ++t) {
+        if (comma_list) {
+          select.from_tables.push_back("t" + std::to_string(t));
+          continue;
+        }
+        JoinClause join;
+        join.kind = rng.Pick({JoinKind::kInner, JoinKind::kLeft,
+                              JoinKind::kCross});
+        join.table = "t" + std::to_string(t);
+        if (join.kind != JoinKind::kCross) {
+          join.on = JoinPredicate(t + 1, 2, &rng);
+        }
+        select.joins.push_back(std::move(join));
+      }
+      if (rng.Chance(0.8)) select.where = JoinPredicate(tables, 2, &rng);
+
+      std::vector<JoinInput> inputs(tables);
+      for (size_t t = 0; t < tables; ++t) inputs[t] = {&schemas[t], &rows[t]};
+      Outcome want = ReferenceJoin(inputs, select.joins, select.where.get(),
+                                   ctx);
+      StatementResult got = db.Execute(select);
+      CHECK_MSG(got.ok() == want.ok && got.error == want.error,
+                "db %d query %d: engine %s '%s', reference %s '%s'",
+                db_index, q, got.ok() ? "ok" : "failed", got.error.c_str(),
+                want.ok ? "ok" : "failed", want.error.c_str());
+      if (got.ok() && want.ok) {
+        CHECK_MSG(SameRowsInOrder(got.rows, want.rows),
+                  "db %d query %d: engine %zu row(s), reference %zu",
+                  db_index, q, got.rows.size(), want.rows.size());
+      }
+
+      // The shared core on its own: the joined rows before any WHERE.
+      Outcome want_join = ReferenceJoin(inputs, select.joins, nullptr, ctx);
+      JoinedRows joined;
+      std::string error;
+      size_t padded = 0;
+      bool ok = JoinRowIndexes(inputs, select.joins, ctx, &joined, &error,
+                               &padded);
+      CHECK(ok == want_join.ok && error == want_join.error);
+      if (ok && want_join.ok) {
+        Rows assembled(joined.size());
+        for (size_t r = 0; r < joined.size(); ++r) {
+          AssembleJoinedRow(inputs, joined, r, &assembled[r]);
+        }
+        CHECK_MSG(SameRowsInOrder(assembled, want_join.rows),
+                  "db %d query %d: core join %zu row(s), reference %zu",
+                  db_index, q, assembled.size(), want_join.rows.size());
+      }
+      ++compared;
+      errors += want.ok ? 0 : 1;
+      left_pads += padded;
+    }
+  }
+  // The generated space reaches every outcome the comparison is about.
+  CHECK(compared == 960);
+  CHECK_MSG(errors >= 30, "only %zu erroring queries", errors);
+  CHECK_MSG(left_pads >= 30, "only %zu LEFT-join padded rows", left_pads);
+}
+
 }  // namespace
 }  // namespace pqs
 
@@ -223,5 +442,6 @@ int main(int argc, char** argv) {
   pqs::TestRealSqliteSweepHasNoFalseFindings();
   pqs::TestEngineJoinSemantics();
   pqs::TestEngineDistinctOrderLimit();
+  pqs::TestJoinMatchesMaterializingReference();
   return pqs::test::Summary("test_join_pivot");
 }
