@@ -949,13 +949,6 @@ bool JoinRowIndexes(const std::vector<JoinInput>& inputs,
     if (error != nullptr) *error = "join clause count does not match FROM";
     return false;
   }
-  for (const JoinInput& input : inputs) {
-    if (input.rows->size() >= JoinedRows::kNullPick) {
-      if (error != nullptr) *error = "join input too large";
-      return false;
-    }
-  }
-
   // `acc` holds the combinations joined so far, t picks each; a step
   // extends every surviving combination by one pick of the next input.
   std::vector<uint32_t> acc(inputs[0].rows->size());

@@ -167,7 +167,8 @@ struct JoinInput {
 
 // A join result in row-index form: combined row r takes from input t its
 // row picks[r * width + t], or NULL cells where that is kNullPick (the
-// padded side of a LEFT join). Callers assemble one combined row at a time
+// padded side of a LEFT join). Inputs are in-memory tables, far below
+// 2^32 rows. Callers assemble one combined row at a time
 // into a reused buffer (AssembleJoinedRow) and copy only the rows they
 // keep, instead of allocating every combination up front.
 struct JoinedRows {
